@@ -114,7 +114,7 @@ void BM_VerifierBatchAmortization(benchmark::State& state) {
     auto impl = make_ms_queue();
     auto obj = make_linearizable_object(make_queue_spec());
     Decoupled::Options opts;
-    opts.checker_threads = engine::kAutoTunedThreads;
+    opts.checker_threads = engine::kAutoThreads;
     Decoupled d(8, 1, *impl, *obj, Decoupled::ErrorReport{}, opts);
     Rng rng(13);
     state.ResumeTiming();

@@ -4,18 +4,11 @@
 //      levels carrying a set of pending invocations wide enough to engage
 //      the sharded frontier engine, followed by a storm of straggler
 //      records that each land mid-history and force a rollback+replay.
-//      Swept over the lane count: lanes=1 is the fully sequential
-//      discipline (sequential monitors, inline checkpoints); lanes=N runs
-//      the replayed monitors with engine::auto_threads(N) and defers
-//      checkpoint materialization to snapshot lanes.  Scaling requires
+//      Swept over the lane count: lanes=1 runs sequential monitors;
+//      lanes=N runs the replayed monitors with engine::auto_threads(N).
+//      Checkpoints are cloned inline in every arm.  Scaling requires
 //      cores >= lanes — the recorded facet carries num_cpus so single-core
 //      hosts aren't misread as regressions.
-//
-//  BM_LeveledSnapshotMode — isolates the deferred-snapshotting half: an
-//      append-only feed over a persistently wide frontier, inline
-//      checkpoint clones (mode=0) vs async stripe rebuild (mode=1).  The
-//      async arm clones on the feed path only once per
-//      LeveledChecker::kStripe boundaries.
 #include <benchmark/benchmark.h>
 
 #include "selin/engine/stats.hpp"
@@ -84,13 +77,7 @@ void BM_LeveledRollbackStorm(benchmark::State& state) {
                                       1 << 18);
   LeveledChecker::Options opts;
   opts.stride = LeveledChecker::kDefaultStride;
-  if (lanes <= 1) {
-    opts.threads = 1;
-    opts.snapshot_lanes = 0;
-  } else {
-    opts.threads = engine::auto_threads(lanes);
-    opts.snapshot_lanes = 2;
-  }
+  opts.threads = lanes <= 1 ? 1 : engine::auto_threads(lanes);
   for (auto _ : state) {
     run_checker(w, opts, *obj);
   }
@@ -104,33 +91,6 @@ BENCHMARK(BM_LeveledRollbackStorm)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_LeveledSnapshotMode(benchmark::State& state) {
-  const bool async = state.range(0) == 1;
-  // Wide steady frontier (8 permanently pending invocations), append-only:
-  // no rollbacks, so the arms differ only in where checkpoint clones run.
-  StormWorkload w = make_storm(/*spine_ops=*/160, /*stragglers=*/8);
-  auto obj = make_linearizable_object(make_pqueue_spec(), 1 << 18);
-  LeveledChecker::Options opts;
-  opts.stride = 8;
-  opts.threads = 1;
-  opts.snapshot_lanes = async ? 2 : 0;
-  for (auto _ : state) {
-    XBuilder builder;
-    LeveledChecker checker(*obj, opts);
-    for (const LambdaRecord& r : w.spine) {
-      benchmark::DoNotOptimize(checker.resync(builder, builder.add(&r)));
-    }
-  }
-  state.SetLabel(async ? "async-stripes" : "inline");
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * w.spine.size()));
-}
-
-BENCHMARK(BM_LeveledSnapshotMode)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 }  // namespace

@@ -127,12 +127,12 @@ void BM_EnforcedVerifiedOps(benchmark::State& state) {
   std::unique_ptr<Decoupled> dec;
   if (mode == 2) {
     Decoupled::Options opts;
-    opts.checker_threads = engine::kAutoTunedThreads;
+    opts.checker_threads = engine::kAutoThreads;
     dec = std::make_unique<Decoupled>(kProcs, 1, *impl, *obj,
                                       Decoupled::ErrorReport{}, opts);
   } else {
     SelfEnforced::Options opts;
-    if (mode == 1) opts.checker_threads = engine::kAutoTunedThreads;
+    if (mode == 1) opts.checker_threads = engine::kAutoThreads;
     se = std::make_unique<SelfEnforced>(kProcs, *impl, *obj, opts);
   }
   Rng rng(9);

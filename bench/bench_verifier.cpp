@@ -56,9 +56,9 @@ BENCHMARK(BM_VerifierThroughput)
     ->UseRealTime()
     ->Iterations(10000);
 
-// The same loop on the ported engine knobs (adaptive+tuned monitors,
-// engine-recommended checkpoint priors) — the V_O arm of the enforcement
-// port, re-recorded against BM_VerifierThroughput's seed-era rows.
+// The same loop on the ported engine knobs (adaptive monitors) — the V_O
+// arm of the enforcement port, re-recorded against BM_VerifierThroughput's
+// seed-era rows.
 void BM_VerifierThroughputPorted(benchmark::State& state) {
   static std::unique_ptr<IConcurrent> impl;
   static std::unique_ptr<GenLinObject> obj;
@@ -72,8 +72,7 @@ void BM_VerifierThroughputPorted(benchmark::State& state) {
     astar = std::make_unique<AStar>(static_cast<size_t>(state.threads()),
                                     *impl);
     Verifier::Options opts;
-    opts.checker_threads = engine::kAutoTunedThreads;
-    opts.priors.stride = 32;  // append-only run: relax the stride
+    opts.checker_threads = engine::kAutoThreads;
     verifier = std::make_unique<Verifier>(*astar, *obj,
                                           Verifier::ErrorReport{}, opts);
   }

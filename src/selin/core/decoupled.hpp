@@ -15,9 +15,10 @@
 // dirty batch, so the fingerprinted feed_batch path runs one closure per
 // response run instead of one full membership pass per operation — the
 // deployment shape where many producers share few checking contexts (and
-// many Decoupled instances share one injected executor) gets the batched
-// amortization end to end.  Options carries those knobs; the positional
-// constructor keeps the seed-era sequential defaults for A/B comparison.
+// many Decoupled instances share one executor through their GenLinObjects)
+// gets the batched amortization end to end.  Options carries the engine
+// knobs; the positional constructor keeps the seed-era sequential defaults
+// for A/B comparison.
 #pragma once
 
 #include <atomic>
@@ -39,8 +40,6 @@ class Decoupled {
     AStarTraceSink* trace = nullptr;
     /// Membership-engine knobs (see MonitorCore::Options).
     size_t checker_threads = 0;
-    engine::TunerPriors priors{};
-    std::shared_ptr<parallel::Executor> executor;
     const obs::LeveledHooks* obs = nullptr;
   };
 

@@ -6,32 +6,12 @@
 
 namespace selin {
 
-namespace {
-
-// Checker contexts whose monitors run a parallel engine also shed their
-// checkpoint clones onto snapshot lanes; sequential deployments keep the
-// fully synchronous (and thread-free) discipline.  TunerPriors seed the
-// leveled checkpoint policy here; their engine fields travel with the
-// GenLinObject itself (make_linearizable_object's priors parameter).
-LeveledChecker::Options checker_options(const MonitorCore::Options& core) {
-  LeveledChecker::Options opts;
-  opts.threads = core.checker_threads;
-  if (core.priors.stride != 0) opts.stride = core.priors.stride;
-  if (core.priors.stripe != 0) opts.stripe = core.priors.stripe;
-  const bool parallel = engine::is_auto_threads(core.checker_threads) ||
-                        core.checker_threads > 1;
-  opts.snapshot_lanes = parallel ? 2 : 0;
-  opts.executor = core.executor;
-  return opts;
-}
-
-}  // namespace
-
 void MonitorCore::init_checkers(size_t n_producers, const Options& options) {
+  LeveledChecker::Options opts;
+  opts.threads = options.checker_threads;
   for (CheckerSlot& c : checkers_) {
     c.seen.assign(n_producers, nullptr);
-    c.checker =
-        std::make_unique<LeveledChecker>(*obj_, checker_options(options));
+    c.checker = std::make_unique<LeveledChecker>(*obj_, opts);
     if (options.obs != nullptr) c.checker->set_obs(options.obs);
   }
 }
@@ -59,20 +39,17 @@ MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
 
 MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
                          const GenLinObject& obj, SnapshotKind kind,
-                         size_t checker_threads,
-                         std::shared_ptr<parallel::Executor> executor)
+                         size_t checker_threads)
     : MonitorCore(n_producers, n_checkers, obj,
-                  Options{kind, checker_threads, {}, std::move(executor),
-                          nullptr}) {}
+                  Options{kind, checker_threads, nullptr}) {}
 
 MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
                          const GenLinObject& obj,
                          std::unique_ptr<Snapshot<const RecNode*>> m,
-                         size_t checker_threads,
-                         std::shared_ptr<parallel::Executor> executor)
+                         size_t checker_threads)
     : MonitorCore(n_producers, n_checkers, obj, std::move(m),
-                  Options{SnapshotKind::kDoubleCollect, checker_threads, {},
-                          std::move(executor), nullptr}) {}
+                  Options{SnapshotKind::kDoubleCollect, checker_threads,
+                          nullptr}) {}
 
 MonitorCore::~MonitorCore() = default;
 

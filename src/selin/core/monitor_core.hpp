@@ -12,11 +12,12 @@
 // The checking side rides the modern membership engine: each checker's
 // LeveledChecker feeds stride segments through feed_batch into a
 // fingerprinted FrontierEngine monitor, and Options carries the engine
-// knobs (threads=auto, TunerPriors, a shared parallel::Executor, obs
-// hooks) so enforcement deployments get the same batched/adaptive hot path
-// as plain history checking.  An exploration-budget overflow
-// (CheckerOverflow) is absorbed into a sticky per-checker kOverflowed
-// status instead of escaping the wait-free loop.
+// knobs (threads=auto, obs hooks) so enforcement deployments get the same
+// batched/adaptive hot path as plain history checking; the monitors run
+// their parallel rounds on the executor the GenLinObject was built with.
+// An exploration-budget overflow (CheckerOverflow) is absorbed into a
+// sticky per-checker kOverflowed status instead of escaping the wait-free
+// loop.
 #pragma once
 
 #include <memory>
@@ -52,21 +53,10 @@ class MonitorCore {
     /// Forwarded to each checker's membership monitors (0 = the object's
     /// default; > 1 runs the membership test P_O on the parallel sharded
     /// frontier engine; engine::kAutoThreads picks sequential vs sharded
-    /// per feed round, optionally | engine::kTuneFlag for stats-feedback
-    /// tuning — the monitor threads belong to the checker that owns them,
-    /// so the wait-free cross-thread protocol through M is unchanged).  Any
-    /// parallel request also turns on the leveled checkers' deferred
-    /// snapshotting, moving checkpoint clones onto snapshot lanes.
+    /// per feed round — the monitor threads belong to the checker that
+    /// owns them, so the wait-free cross-thread protocol through M is
+    /// unchanged).
     size_t checker_threads = 0;
-    /// Warm-start seeds for the checkers (stride/stripe reach the leveled
-    /// checkpoint policy; the engine fields ride into the monitors via the
-    /// GenLinObject's own priors).  Zero fields keep the defaults.
-    engine::TunerPriors priors{};
-    /// Shared lane provider for the checkers' snapshot lanes (nullptr =
-    /// private lazily-created pools).  Pass the executor the GenLinObject
-    /// was built with to keep one bounded thread pool across N enforced
-    /// objects' checkers in a multi-tenant deployment.
-    std::shared_ptr<parallel::Executor> executor;
     /// Instrumentation bundle attached to every checker (and through it to
     /// the membership monitors); must outlive the core.  nullptr = none.
     const obs::LeveledHooks* obs = nullptr;
@@ -93,12 +83,10 @@ class MonitorCore {
   /// sequential A/B baseline) compile unchanged.
   MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
               SnapshotKind kind = SnapshotKind::kDoubleCollect,
-              size_t checker_threads = 0,
-              std::shared_ptr<parallel::Executor> executor = nullptr);
+              size_t checker_threads = 0);
   MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
               std::unique_ptr<Snapshot<const RecNode*>> m,
-              size_t checker_threads = 0,
-              std::shared_ptr<parallel::Executor> executor = nullptr);
+              size_t checker_threads = 0);
   ~MonitorCore();
 
   /// res_i ← res_i ∪ {(p_i, op_i, y_i, λ_i)}; M.Write(res_i).

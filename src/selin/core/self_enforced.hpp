@@ -13,10 +13,10 @@
 // current history is available on demand (certificate()).
 //
 // The membership side runs on the modern engine: Options carries the
-// checker-threads knob, TunerPriors, a shared executor and obs hooks down
-// to MonitorCore, so V_{O,A}'s per-operation test X(τ_i) ∈ O rides the
-// fingerprinted batched frontier engine instead of the seed-era sequential
-// checker.  Defaults keep the sequential discipline (the A/B baseline).
+// checker-threads knob and obs hooks down to MonitorCore, so V_{O,A}'s
+// per-operation test X(τ_i) ∈ O rides the fingerprinted batched frontier
+// engine instead of the seed-era sequential checker.  Defaults keep the
+// sequential discipline (the A/B baseline).
 #pragma once
 
 #include <atomic>
@@ -35,8 +35,6 @@ class SelfEnforced {
     /// Membership-engine knobs (see MonitorCore::Options); defaults are the
     /// seed-era sequential checker.
     size_t checker_threads = 0;
-    engine::TunerPriors priors{};
-    std::shared_ptr<parallel::Executor> executor;
     const obs::LeveledHooks* obs = nullptr;
   };
 
@@ -68,9 +66,7 @@ class SelfEnforced {
       : astar_(n, a, std::move(announce), options.trace),
         core_(n, n, obj, std::move(records),
               MonitorCore::Options{options.monitor_snapshot,
-                                   options.checker_threads, options.priors,
-                                   std::move(options.executor), options.obs}) {
-  }
+                                   options.checker_threads, options.obs}) {}
   SelfEnforced(size_t n, IConcurrent& a, const GenLinObject& obj,
                std::unique_ptr<Snapshot<const SetNode*>> announce,
                std::unique_ptr<Snapshot<const RecNode*>> records)

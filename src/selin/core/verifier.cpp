@@ -7,8 +7,7 @@ Verifier::Verifier(AStar& astar, const GenLinObject& obj, ErrorReport on_error,
     : astar_(&astar),
       core_(astar.procs(), astar.procs(), obj,
             MonitorCore::Options{options.monitor_snapshot,
-                                 options.checker_threads, options.priors,
-                                 std::move(options.executor), options.obs}),
+                                 options.checker_threads, options.obs}),
       on_error_(std::move(on_error)) {}
 
 Verifier::Verifier(AStar& astar, const GenLinObject& obj, ErrorReport on_error,

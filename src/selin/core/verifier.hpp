@@ -36,8 +36,6 @@ class Verifier {
     /// Membership-engine knobs (see MonitorCore::Options); defaults keep
     /// the seed-era sequential checker.
     size_t checker_threads = 0;
-    engine::TunerPriors priors{};
-    std::shared_ptr<parallel::Executor> executor;
     const obs::LeveledHooks* obs = nullptr;
   };
 

@@ -60,7 +60,6 @@
 #include <thread>
 #include <vector>
 
-#include "selin/engine/auto_tuner.hpp"
 #include "selin/engine/stats.hpp"
 #include "selin/obs/hooks.hpp"
 #include "selin/parallel/sharded_frontier.hpp"
@@ -93,49 +92,15 @@ class FrontierEngine {
   /// multi-tenant deployment hands every engine the same executor so N
   /// concurrent monitors share one set of worker threads sized to the
   /// hardware instead of spawning lanes each.
-  ///
-  /// `priors`: warm-start seeds for the tuned adaptive engine (recorded from
-  /// an earlier run over a similar workload; see priors_from_stats).  Only
-  /// consulted when the knob carries kTuneFlag — they seed exactly the knobs
-  /// the AutoTuner owns, so a non-tuned engine keeps its static constants.
-  /// Nonzero fields clamp into the tuner's bounds; each applied knob counts
-  /// in EngineStats::priors_applied.  Priors shift only *when* the adaptive
-  /// engine changes representation, never what any round computes, so
-  /// verdicts/digests stay bit-identical with or without them.
   FrontierEngine(Policy policy, size_t max_configs, size_t threads,
-                 std::shared_ptr<parallel::Executor> executor = nullptr,
-                 TunerPriors priors = {})
+                 std::shared_ptr<parallel::Executor> executor = nullptr)
       : policy_(std::move(policy)), max_configs_(max_configs),
         exec_(std::move(executor)) {
     if (is_auto_threads(threads)) {
       adaptive_ = true;
       lanes_ = resolve_auto_lanes(auto_lane_request(threads));
-      if (is_tuned_threads(threads)) {
-        const size_t max_lanes = std::max(lanes_, resolve_auto_lanes(0));
-        if (priors.engage != 0) {
-          engage_ = std::clamp(priors.engage, AutoTuner::kMinEngage,
-                               AutoTuner::kMaxEngage);
-          ++base_stats_.priors_applied;
-        }
-        if (priors.retreat != 0) {
-          // Keep the hysteresis gap open no matter what was recorded.
-          retreat_ = std::clamp<size_t>(priors.retreat, 1, engage_ / 2);
-          ++base_stats_.priors_applied;
-        }
-        if (priors.lanes != 0 && auto_lane_request(threads) == 0) {
-          // An explicit lane request on the knob outranks the prior.
-          lanes_ = std::clamp<size_t>(priors.lanes, 1, max_lanes);
-          ++base_stats_.priors_applied;
-        }
-        tuner_ =
-            std::make_unique<AutoTuner>(engage_, retreat_, lanes_, max_lanes);
-      }
     } else {
-      // Strip stray flag bits (e.g. kTuneFlag without kAutoFlag) so a
-      // malformed knob degrades to a plain lane count instead of a ~2^62
-      // allocation; tuning is only meaningful on the adaptive engine.
-      const size_t plain = auto_lane_request(threads);
-      lanes_ = plain == 0 ? 1 : plain;
+      lanes_ = threads == 0 ? 1 : threads;
     }
     scratch_.resize(lanes_);
     Config c;
@@ -152,13 +117,8 @@ class FrontierEngine {
   FrontierEngine(const FrontierEngine& o)
       : policy_(o.policy_), max_configs_(o.max_configs_), exec_(o.exec_),
         lanes_(o.lanes_), adaptive_(o.adaptive_), ok_(o.ok_),
-        overflowed_(o.overflowed_), engage_(o.engage_), retreat_(o.retreat_),
-        obs_(o.obs_), open_(o.open_), base_stats_(o.stats()) {
-    if (o.tuner_ != nullptr) tuner_ = std::make_unique<AutoTuner>(*o.tuner_);
-    // The clone's window starts empty; anchor the dedup-delta snapshots at
-    // the inherited totals so its first tick sees only its own probes.
-    last_probes_ = base_stats_.dedup_probes;
-    last_hits_ = base_stats_.dedup_hits;
+        overflowed_(o.overflowed_), obs_(o.obs_), open_(o.open_),
+        base_stats_(o.stats()) {
     scratch_.resize(lanes_);
     if (o.parallel_active_) {
       make_shards();
@@ -184,7 +144,7 @@ class FrontierEngine {
   /// bit-identical to feeding the same events one at a time
   /// (tests/engine_parity_test.cpp asserts this per spec and per mode);
   /// only the stats differ: a run counts as one round, not one per
-  /// response, and the tuner ticks once per run.
+  /// response.
   void feed_batch(std::span<const Event> events) {
     size_t i = 0;
     while (i < events.size()) {
@@ -227,10 +187,6 @@ class FrontierEngine {
         accumulate(s, pool_->engine(i));
       }
     }
-    s.engage_width = engage_;
-    s.retreat_width = retreat_;
-    s.tuner_updates = tuner_ == nullptr ? base_stats_.tuner_updates
-                                        : tuner_->updates();
     return s;
   }
 
@@ -247,7 +203,7 @@ class FrontierEngine {
   }
 
   /// Walks every live configuration, so it is deliberately not folded into
-  /// stats() (which the auto-tuner reads every window).
+  /// stats(), which stays O(lanes).
   FrontierFootprint footprint() const {
     FrontierFootprint f;
     for_each_config([&f](const Config& c) {
@@ -294,69 +250,17 @@ class FrontierEngine {
   void adapt() {
     if (lanes_ <= 1) return;
     const size_t width = frontier_size();
-    if (!parallel_active_ && width >= engage_) {
+    if (!parallel_active_ && width >= kAutoEngageWidth) {
       if (shards_ == nullptr) make_shards();
       shards_->adopt(std::move(frontier_));
       frontier_.clear();
       parallel_active_ = true;
       ++base_stats_.mode_switches;
-      ++window_.mode_switches;
-    } else if (parallel_active_ && width < retreat_) {
+    } else if (parallel_active_ && width < kAutoRetreatWidth) {
       shards_->drain(frontier_);
       parallel_active_ = false;
       ++base_stats_.mode_switches;
-      ++window_.mode_switches;
     }
-  }
-
-  /// One AutoTuner step per kWindow response rounds: hand the tuner the
-  /// window's signal deltas and adopt whatever thresholds/lane count it
-  /// settles on.  Lane retargeting rebuilds the dormant pool, so it is
-  /// applied only while the frontier lives in the sequential representation
-  /// (the next engage simply constructs the pool at the new width).
-  void tune() {
-    if (++window_rounds_ < AutoTuner::kWindow) return;
-    window_rounds_ = 0;
-    const EngineStats totals = stats();  // base + every live engine
-    window_.dedup_probes = totals.dedup_probes - last_probes_;
-    window_.dedup_hits = totals.dedup_hits - last_hits_;
-    last_probes_ = totals.dedup_probes;
-    last_hits_ = totals.dedup_hits;
-    if (tuner_->tick(window_)) {
-      const size_t engage_before = engage_;
-      const size_t retreat_before = retreat_;
-      const size_t lanes_before = lanes_;
-      engage_ = tuner_->engage();
-      retreat_ = tuner_->retreat();
-      if (!parallel_active_ && tuner_->lanes() != lanes_) {
-        // Fold the retiring lanes' counters into the base stats before the
-        // pool (and its engines) goes away, then rebuild at the new width.
-        if (pool_ != nullptr) {
-          for (size_t i = 0; i < pool_->threads(); ++i) {
-            accumulate(base_stats_, pool_->engine(i));
-          }
-        }
-        shards_.reset();
-        pool_.reset();
-        lanes_ = tuner_->lanes();
-        scratch_.clear();
-        scratch_.resize(lanes_);
-      }
-      if (obs_ != nullptr && obs_->trace != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::SpanKind::kTunerDecision;
-        ev.session = obs_->session;
-        ev.start_ns = obs::now_ns();
-        ev.p0 = engage_before;
-        ev.p1 = engage_;
-        ev.p2 = retreat_before;
-        ev.p3 = retreat_;
-        ev.p4 = lanes_before;
-        ev.p5 = lanes_;
-        obs_->trace->record(ev);
-      }
-    }
-    window_.clear();
   }
 
   /// Post-round observability (only reached with hooks attached): the round
@@ -536,15 +440,12 @@ class FrontierEngine {
       const uint64_t t0 = obs_ != nullptr ? obs::now_ns() : 0;
       if (par) {
         ++base_stats_.rounds_parallel;
-        ++window_.rounds_parallel;
         run_res_parallel(run);
       } else {
         ++base_stats_.rounds_sequential;
-        ++window_.rounds_sequential;
         run_res_sequential(run);
       }
       if (obs_ != nullptr) observe_round(par, t0, run.size());
-      if (tuner_ != nullptr) tune();
     } catch (...) {
       // The half-expanded frontier no longer reflects the fed prefix.
       // Release everything and poison the engine (sticky overflowed())
@@ -563,7 +464,6 @@ class FrontierEngine {
   bool settle_response(const Event& e, size_t width) {
     erase_open(e.op.id);
     base_stats_.peak_frontier = std::max(base_stats_.peak_frontier, width);
-    window_.peak_width = std::max(window_.peak_width, width);
     if (obs_ != nullptr && obs_->frontier_width != nullptr) {
       obs_->frontier_width->record(width);
     }
@@ -687,18 +587,9 @@ class FrontierEngine {
   bool ok_ = true;
   bool overflowed_ = false;
 
-  // Adaptive thresholds: the static constants unless an AutoTuner is
-  // attached (threads knob carries kTuneFlag), which then owns them.
-  size_t engage_ = kAutoEngageWidth;
-  size_t retreat_ = kAutoRetreatWidth;
-  std::unique_ptr<AutoTuner> tuner_;
   // Borrowed instrumentation bundle (obs/hooks.hpp); null when detached, so
   // the unobserved hot path costs one pointer test per closure round.
   const obs::EngineHooks* obs_ = nullptr;
-  TunerWindow window_;        // signal deltas since the last tuner tick
-  uint64_t window_rounds_ = 0;
-  uint64_t last_probes_ = 0;  // dedup totals at the last tick (for deltas)
-  uint64_t last_hits_ = 0;
 
   std::vector<OpDesc> open_;  // invoked, response not yet fed
 

@@ -22,38 +22,19 @@ namespace selin::engine {
 /// High bit of the `threads` knob: adaptive sequential↔sharded execution.
 inline constexpr size_t kAutoFlag = size_t{1} << (sizeof(size_t) * 8 - 1);
 
-/// Second-highest bit: self-tuning.  Only meaningful together with
-/// kAutoFlag — an engine::AutoTuner feeds the engine's own execution stats
-/// back into the engage/retreat hysteresis thresholds and the lane count
-/// (see auto_tuner.hpp), replacing the fixed constants.  Spelled
-/// `selin_check --threads auto --tune` at the CLI.
-inline constexpr size_t kTuneFlag = size_t{1} << (sizeof(size_t) * 8 - 2);
-
 /// Adaptive execution with hardware-resolved lane count.
 inline constexpr size_t kAutoThreads = kAutoFlag;
 
-/// Adaptive execution with stats-feedback tuning of the thresholds/lanes.
-inline constexpr size_t kAutoTunedThreads = kAutoFlag | kTuneFlag;
-
-/// Adaptive execution with an explicit lane count (tests, tuned deploys).
+/// Adaptive execution with an explicit lane count (tests, sized deploys).
 constexpr size_t auto_threads(size_t lanes) { return kAutoFlag | lanes; }
-
-/// Adaptive self-tuning execution with an explicit initial lane count.
-constexpr size_t auto_tuned_threads(size_t lanes) {
-  return kAutoFlag | kTuneFlag | lanes;
-}
 
 constexpr bool is_auto_threads(size_t threads) {
   return (threads & kAutoFlag) != 0;
 }
 
-constexpr bool is_tuned_threads(size_t threads) {
-  return (threads & kAutoFlag) != 0 && (threads & kTuneFlag) != 0;
-}
-
 /// The lane-count request carried by an adaptive knob (0 = hardware).
 constexpr size_t auto_lane_request(size_t threads) {
-  return threads & ~(kAutoFlag | kTuneFlag);
+  return threads & ~kAutoFlag;
 }
 
 /// Execution counters of one FrontierEngine, aggregated across its
@@ -68,25 +49,18 @@ struct EngineStats {
   uint64_t dedup_probes = 0;     ///< fingerprint probes across all dedup sets
   uint64_t dedup_hits = 0;       ///< probes that found a duplicate
   uint64_t states_recycled = 0;  ///< StatePool acquisitions served from pool
-
-  // Adaptive-engine signals (meaningful when the knob carries kAutoFlag;
-  // static engines report their construction-time constants).
-  size_t engage_width = 0;       ///< current sequential→sharded threshold
-  size_t retreat_width = 0;      ///< current sharded→sequential threshold
-  uint64_t mode_switches = 0;    ///< representation migrations either way
-  uint64_t tuner_updates = 0;    ///< AutoTuner windows that changed a knob
+  uint64_t mode_switches = 0;    ///< adaptive representation migrations
 
   // Data-oriented hot-path counters (PR 8).
   uint64_t probe_batches = 0;    ///< batched dedup probe groups resolved
   uint64_t prefetch_batches = 0;  ///< groups that issued slot prefetches
   uint64_t filter_in_place_rounds = 0;  ///< in-place swap-partition filters
-  uint64_t priors_applied = 0;   ///< tuner knobs seeded from TunerPriors
 };
 
 /// Merge `from` into `into`: counters add, widths/lane counts take the
 /// maximum.  The aggregation callers use to report one EngineStats for a
 /// group of engines (MonitorCore's per-checker monitors, a cluster's
-/// sessions) under the same 16-key JSON schema as a single engine.
+/// sessions) under the same 12-key JSON schema as a single engine.
 inline void accumulate(EngineStats& into, const EngineStats& from) {
   into.lanes = into.lanes > from.lanes ? into.lanes : from.lanes;
   into.events_fed += from.events_fed;
@@ -98,37 +72,11 @@ inline void accumulate(EngineStats& into, const EngineStats& from) {
   into.dedup_probes += from.dedup_probes;
   into.dedup_hits += from.dedup_hits;
   into.states_recycled += from.states_recycled;
-  into.engage_width = into.engage_width > from.engage_width
-                          ? into.engage_width
-                          : from.engage_width;
-  into.retreat_width = into.retreat_width > from.retreat_width
-                           ? into.retreat_width
-                           : from.retreat_width;
   into.mode_switches += from.mode_switches;
-  into.tuner_updates += from.tuner_updates;
   into.probe_batches += from.probe_batches;
   into.prefetch_batches += from.prefetch_batches;
   into.filter_in_place_rounds += from.filter_in_place_rounds;
-  into.priors_applied += from.priors_applied;
 }
-
-/// Warm-start seeds for the adaptive engine and the leveled checker,
-/// derived from a *recorded* run over a similar workload (engine stats for
-/// the engage/retreat/lane knobs, LeveledChecker counters for the
-/// checkpointing knobs).  Zero fields mean "no prior — keep the default";
-/// a monitor constructed with priors counts each knob it seeds in
-/// EngineStats::priors_applied.  Derivation helpers live next to the
-/// consumers: engine::priors_from_stats (auto_tuner.hpp) and
-/// LeveledChecker::recommend_priors (views/leveled_history.hpp).
-struct TunerPriors {
-  size_t engage = 0;   ///< sequential→sharded width threshold seed
-  size_t retreat = 0;  ///< sharded→sequential width threshold seed
-  size_t lanes = 0;    ///< parallel-round lane count seed
-  size_t stride = 0;   ///< leveled checkpoint stride seed
-  size_t stripe = 0;   ///< leveled async snapshot stripe width seed
-
-  bool any_engine() const { return engage != 0 || retreat != 0 || lanes != 0; }
-};
 
 /// Aggregate op-set footprint of a live frontier (bench_frontier_memory).
 /// `opset_bytes` is what the run-length sets actually occupy;

@@ -18,15 +18,14 @@ struct LinMonitor::Impl {
   engine::FrontierEngine<engine::LinPolicy> eng;
 
   Impl(const SeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec, engine::TunerPriors priors)
-      : eng(engine::LinPolicy{&s}, cap, threads, std::move(exec), priors) {}
+       std::shared_ptr<parallel::Executor> exec)
+      : eng(engine::LinPolicy{&s}, cap, threads, std::move(exec)) {}
 };
 
 LinMonitor::LinMonitor(const SeqSpec& spec, size_t max_configs, size_t threads,
-                       std::shared_ptr<parallel::Executor> executor,
-                       engine::TunerPriors priors)
+                       std::shared_ptr<parallel::Executor> executor)
     : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor), priors)) {}
+                                   std::move(executor))) {}
 
 LinMonitor::LinMonitor(const LinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}

@@ -62,14 +62,9 @@ class LinMonitor final : public MembershipMonitor {
  public:
   /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
   /// private pool created lazily — the single-tenant default).
-  /// `priors`: warm-start knob seeds for the tuned adaptive engine
-  /// (`auto --tune`), recorded from an earlier run's stats — see
-  /// engine::priors_from_stats.  Ignored by non-tuned engines; never
-  /// affects verdicts, only when the engine changes representation.
   explicit LinMonitor(const SeqSpec& spec, size_t max_configs = 1 << 18,
                       size_t threads = 1,
-                      std::shared_ptr<parallel::Executor> executor = nullptr,
-                      engine::TunerPriors priors = {});
+                      std::shared_ptr<parallel::Executor> executor = nullptr);
   LinMonitor(const LinMonitor& other);
   ~LinMonitor() override;
 

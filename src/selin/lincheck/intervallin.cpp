@@ -16,16 +16,15 @@ struct IntervalLinMonitor::Impl {
   engine::FrontierEngine<engine::IntervalPolicy> eng;
 
   Impl(const IntervalSeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec, engine::TunerPriors priors)
-      : eng(engine::IntervalPolicy{&s}, cap, threads, std::move(exec),
-            priors) {}
+       std::shared_ptr<parallel::Executor> exec)
+      : eng(engine::IntervalPolicy{&s}, cap, threads, std::move(exec)) {}
 };
 
 IntervalLinMonitor::IntervalLinMonitor(
     const IntervalSeqSpec& spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor, engine::TunerPriors priors)
+    std::shared_ptr<parallel::Executor> executor)
     : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor), priors)) {}
+                                   std::move(executor))) {}
 
 IntervalLinMonitor::IntervalLinMonitor(const IntervalLinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}
@@ -75,18 +74,16 @@ namespace {
 class IntervalLinObject final : public GenLinObject {
  public:
   IntervalLinObject(std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs,
-                    size_t threads, std::shared_ptr<parallel::Executor> exec,
-                    engine::TunerPriors priors)
+                    size_t threads, std::shared_ptr<parallel::Executor> exec)
       : spec_(std::move(spec)), max_configs_(max_configs), threads_(threads),
-        exec_(std::move(exec)), priors_(priors) {}
+        exec_(std::move(exec)) {}
   const char* name() const override { return spec_->name(); }
   std::unique_ptr<MembershipMonitor> monitor() const override {
     return monitor(threads_);
   }
   std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
     return std::make_unique<IntervalLinMonitor>(
-        *spec_, max_configs_, threads == 0 ? threads_ : threads, exec_,
-        priors_);
+        *spec_, max_configs_, threads == 0 ? threads_ : threads, exec_);
   }
 
  private:
@@ -94,7 +91,6 @@ class IntervalLinObject final : public GenLinObject {
   size_t max_configs_;
   size_t threads_;
   std::shared_ptr<parallel::Executor> exec_;
-  engine::TunerPriors priors_;
 };
 
 // ---- Write-snapshot as an interval-sequential machine ----------------------
@@ -159,9 +155,9 @@ class WsIntervalSpec final : public IntervalSeqSpec {
 
 std::unique_ptr<GenLinObject> make_interval_linearizable_object(
     std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor, engine::TunerPriors priors) {
-  return std::make_unique<IntervalLinObject>(
-      std::move(spec), max_configs, threads, std::move(executor), priors);
+    std::shared_ptr<parallel::Executor> executor) {
+  return std::make_unique<IntervalLinObject>(std::move(spec), max_configs,
+                                             threads, std::move(executor));
 }
 
 std::unique_ptr<IntervalSeqSpec> make_write_snapshot_interval_spec() {

@@ -64,13 +64,10 @@ class IntervalLinMonitor final : public MembershipMonitor {
  public:
   /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
   /// private pool created lazily — the single-tenant default).
-  /// `priors`: warm-start knob seeds for the tuned adaptive engine (see
-  /// LinMonitor); ignored by non-tuned engines, never affects verdicts.
   explicit IntervalLinMonitor(
       const IntervalSeqSpec& spec, size_t max_configs = 1 << 18,
       size_t threads = 1,
-      std::shared_ptr<parallel::Executor> executor = nullptr,
-      engine::TunerPriors priors = {});
+      std::shared_ptr<parallel::Executor> executor = nullptr);
   IntervalLinMonitor(const IntervalLinMonitor& other);
   ~IntervalLinMonitor() override;
 
@@ -114,8 +111,7 @@ bool interval_linearizable(const IntervalSeqSpec& spec, const History& h,
 /// for every monitor the object hands out (nullptr = private pools).
 std::unique_ptr<GenLinObject> make_interval_linearizable_object(
     std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr,
-    engine::TunerPriors priors = {});
+    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
 
 /// The write-snapshot task as an interval-sequential specification (outputs
 /// are bitmask views; n ≤ 64) — cross-validated in tests against the direct

@@ -10,10 +10,9 @@ namespace {
 class LinearizableObject final : public GenLinObject {
  public:
   LinearizableObject(std::unique_ptr<SeqSpec> spec, size_t max_configs,
-                     size_t threads, std::shared_ptr<parallel::Executor> exec,
-                     engine::TunerPriors priors)
+                     size_t threads, std::shared_ptr<parallel::Executor> exec)
       : spec_(std::move(spec)), max_configs_(max_configs), threads_(threads),
-        exec_(std::move(exec)), priors_(priors) {}
+        exec_(std::move(exec)) {}
 
   const char* name() const override { return spec_->name(); }
 
@@ -24,7 +23,7 @@ class LinearizableObject final : public GenLinObject {
   std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
     return std::make_unique<LinMonitor>(*spec_, max_configs_,
                                         threads == 0 ? threads_ : threads,
-                                        exec_, priors_);
+                                        exec_);
   }
 
  private:
@@ -32,17 +31,15 @@ class LinearizableObject final : public GenLinObject {
   size_t max_configs_;
   size_t threads_;
   std::shared_ptr<parallel::Executor> exec_;
-  engine::TunerPriors priors_;
 };
 
 class SetLinearizableObject final : public GenLinObject {
  public:
   SetLinearizableObject(std::unique_ptr<SetSeqSpec> spec, size_t max_configs,
                         size_t threads,
-                        std::shared_ptr<parallel::Executor> exec,
-                        engine::TunerPriors priors)
+                        std::shared_ptr<parallel::Executor> exec)
       : spec_(std::move(spec)), max_configs_(max_configs), threads_(threads),
-        exec_(std::move(exec)), priors_(priors) {}
+        exec_(std::move(exec)) {}
 
   const char* name() const override { return spec_->name(); }
 
@@ -53,7 +50,7 @@ class SetLinearizableObject final : public GenLinObject {
   std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
     return std::make_unique<SetLinMonitor>(*spec_, max_configs_,
                                            threads == 0 ? threads_ : threads,
-                                           exec_, priors_);
+                                           exec_);
   }
 
  private:
@@ -61,23 +58,22 @@ class SetLinearizableObject final : public GenLinObject {
   size_t max_configs_;
   size_t threads_;
   std::shared_ptr<parallel::Executor> exec_;
-  engine::TunerPriors priors_;
 };
 
 }  // namespace
 
 std::unique_ptr<GenLinObject> make_linearizable_object(
     std::unique_ptr<SeqSpec> spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor, engine::TunerPriors priors) {
-  return std::make_unique<LinearizableObject>(
-      std::move(spec), max_configs, threads, std::move(executor), priors);
+    std::shared_ptr<parallel::Executor> executor) {
+  return std::make_unique<LinearizableObject>(std::move(spec), max_configs,
+                                              threads, std::move(executor));
 }
 
 std::unique_ptr<GenLinObject> make_set_linearizable_object(
     std::unique_ptr<SetSeqSpec> spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor, engine::TunerPriors priors) {
-  return std::make_unique<SetLinearizableObject>(
-      std::move(spec), max_configs, threads, std::move(executor), priors);
+    std::shared_ptr<parallel::Executor> executor) {
+  return std::make_unique<SetLinearizableObject>(std::move(spec), max_configs,
+                                                 threads, std::move(executor));
 }
 
 }  // namespace selin

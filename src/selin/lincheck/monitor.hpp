@@ -24,17 +24,13 @@ namespace selin {
 /// monitor this object hands out runs its parallel rounds on — a
 /// multi-tenant deployment passes one executor to every object so total
 /// threads stay bounded by its lane cap.
-/// `priors` (warm-start knob seeds for tuned adaptive monitors; see
-/// engine::priors_from_stats) is forwarded to every monitor handed out.
 std::unique_ptr<GenLinObject> make_linearizable_object(
     std::unique_ptr<SeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr,
-    engine::TunerPriors priors = {});
+    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
 
 /// The abstract object of all histories set-linearizable w.r.t. `spec`.
 std::unique_ptr<GenLinObject> make_set_linearizable_object(
     std::unique_ptr<SetSeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr,
-    engine::TunerPriors priors = {});
+    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
 
 }  // namespace selin

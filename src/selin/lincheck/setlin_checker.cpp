@@ -13,16 +13,15 @@ struct SetLinMonitor::Impl {
   engine::FrontierEngine<engine::SetLinPolicy> eng;
 
   Impl(const SetSeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec, engine::TunerPriors priors)
-      : eng(engine::SetLinPolicy{&s}, cap, threads, std::move(exec), priors) {}
+       std::shared_ptr<parallel::Executor> exec)
+      : eng(engine::SetLinPolicy{&s}, cap, threads, std::move(exec)) {}
 };
 
 SetLinMonitor::SetLinMonitor(const SetSeqSpec& spec, size_t max_configs,
                              size_t threads,
-                             std::shared_ptr<parallel::Executor> executor,
-                             engine::TunerPriors priors)
+                             std::shared_ptr<parallel::Executor> executor)
     : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor), priors)) {}
+                                   std::move(executor))) {}
 
 SetLinMonitor::SetLinMonitor(const SetLinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}

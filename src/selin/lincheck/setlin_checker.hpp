@@ -28,12 +28,9 @@ class SetLinMonitor final : public MembershipMonitor {
  public:
   /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
   /// private pool created lazily — the single-tenant default).
-  /// `priors`: warm-start knob seeds for the tuned adaptive engine (see
-  /// LinMonitor); ignored by non-tuned engines, never affects verdicts.
   explicit SetLinMonitor(
       const SetSeqSpec& spec, size_t max_configs = 1 << 18, size_t threads = 1,
-      std::shared_ptr<parallel::Executor> executor = nullptr,
-      engine::TunerPriors priors = {});
+      std::shared_ptr<parallel::Executor> executor = nullptr);
   SetLinMonitor(const SetLinMonitor& other);
   ~SetLinMonitor() override;
 

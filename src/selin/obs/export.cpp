@@ -189,15 +189,11 @@ std::string engine_stats_json(const engine::EngineStats& s) {
   out += ",\"dedup_probes\":" + std::to_string(s.dedup_probes);
   out += ",\"dedup_hits\":" + std::to_string(s.dedup_hits);
   out += ",\"states_recycled\":" + std::to_string(s.states_recycled);
-  out += ",\"engage_width\":" + std::to_string(s.engage_width);
-  out += ",\"retreat_width\":" + std::to_string(s.retreat_width);
   out += ",\"mode_switches\":" + std::to_string(s.mode_switches);
-  out += ",\"tuner_updates\":" + std::to_string(s.tuner_updates);
   out += ",\"probe_batches\":" + std::to_string(s.probe_batches);
   out += ",\"prefetch_batches\":" + std::to_string(s.prefetch_batches);
   out += ",\"filter_in_place_rounds\":" +
          std::to_string(s.filter_in_place_rounds);
-  out += ",\"priors_applied\":" + std::to_string(s.priors_applied);
   out += "}";
   return out;
 }
@@ -215,14 +211,10 @@ void sample_engine_stats(MetricsRegistry& reg, const engine::EngineStats& s,
   set("engine_dedup_probes", s.dedup_probes);
   set("engine_dedup_hits", s.dedup_hits);
   set("engine_states_recycled", s.states_recycled);
-  set("engine_engage_width", s.engage_width);
-  set("engine_retreat_width", s.retreat_width);
   set("engine_mode_switches", s.mode_switches);
-  set("engine_tuner_updates", s.tuner_updates);
   set("engine_probe_batches", s.probe_batches);
   set("engine_prefetch_batches", s.prefetch_batches);
   set("engine_filter_in_place_rounds", s.filter_in_place_rounds);
-  set("engine_priors_applied", s.priors_applied);
 }
 
 }  // namespace selin::obs

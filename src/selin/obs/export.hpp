@@ -37,9 +37,8 @@ std::string prometheus_text(const MetricsRegistry& reg);
 
 /// One JSON object with every EngineStats counter under a stable key
 /// (lanes, events_fed, rounds_sequential, rounds_parallel, peak_frontier,
-/// dedup_probes, dedup_hits, states_recycled, engage_width, retreat_width,
-/// mode_switches, tuner_updates, probe_batches, prefetch_batches,
-/// filter_in_place_rounds, priors_applied).
+/// dedup_probes, dedup_hits, states_recycled, mode_switches, probe_batches,
+/// prefetch_batches, filter_in_place_rounds).
 std::string engine_stats_json(const engine::EngineStats& s);
 
 /// Mirrors `s` into gauges named engine_<counter> (labels applied to each),

@@ -31,8 +31,6 @@ ExecutorHooks make_executor_hooks(MetricsRegistry& reg, Labels labels,
       &reg.counter("exec_slices_total", with(labels, "by", "caller"));
   h.slices_worker =
       &reg.counter("exec_slices_total", with(labels, "by", "worker"));
-  h.posts = &reg.counter("exec_posts_total", labels);
-  h.helps = &reg.counter("exec_helps_total", labels);
   h.trace = trace;
   return h;
 }
@@ -43,7 +41,6 @@ LeveledHooks make_leveled_hooks(MetricsRegistry& reg, Labels labels,
   LeveledHooks h;
   h.rollback_depth = &reg.histogram("leveled_rollback_depth", labels);
   h.resync_ns = &reg.histogram("leveled_resync_ns", labels);
-  h.stripes_pending = &reg.gauge("leveled_stripes_pending", labels);
   h.engine = engine;
   h.trace = trace;
   h.session = session;

@@ -32,7 +32,7 @@ struct EngineHooks {
   Histogram* round_ns_seq = nullptr;   ///< closure-round wall ns, sequential
   Histogram* round_ns_par = nullptr;   ///< closure-round wall ns, sharded
   Histogram* frontier_width = nullptr; ///< post-response frontier width
-  TraceSink* trace = nullptr;          ///< kFeedRound + kTunerDecision spans
+  TraceSink* trace = nullptr;          ///< kFeedRound spans
   uint64_t session = 0;
 };
 
@@ -42,8 +42,6 @@ struct ExecutorHooks {
   Histogram* phase_slices = nullptr;  ///< slices per phase
   Counter* slices_caller = nullptr;   ///< slices run inline by phase callers
   Counter* slices_worker = nullptr;   ///< slices claimed by worker lanes
-  Counter* posts = nullptr;           ///< fire-and-forget tasks posted
-  Counter* helps = nullptr;           ///< help_one() calls that found work
   TraceSink* trace = nullptr;         ///< kExecPhase spans
 };
 
@@ -51,7 +49,6 @@ struct ExecutorHooks {
 struct LeveledHooks {
   Histogram* rollback_depth = nullptr;  ///< levels re-fed per rollback
   Histogram* resync_ns = nullptr;       ///< wall ns per resync call
-  Gauge* stripes_pending = nullptr;     ///< snapshot-lane stripe jobs in flight
   /// Attached to every replay monitor the checker creates (clones inherit),
   /// so rollback-storm engine work shows up under the same instruments.
   const EngineHooks* engine = nullptr;

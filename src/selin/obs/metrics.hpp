@@ -11,7 +11,7 @@
 //     value() aggregates the slots at read time.  Reads are racy-by-design
 //     snapshots (monotone counters only ever undercount in-flight adds).
 //
-//   * Gauge — a last-written level (snapshot-stripe occupancy).  add() is
+//   * Gauge — a last-written level (an engine_* stats sample).  add() is
 //     lane-sharded like Counter; set() collapses the value into lane 0 and
 //     is reserved for single-writer (controller-thread) gauges.
 //

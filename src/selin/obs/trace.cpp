@@ -10,7 +10,6 @@ const char* to_string(SpanKind k) {
     case SpanKind::kExecPhase: return "exec_phase";
     case SpanKind::kRollback: return "rollback";
     case SpanKind::kResync: return "resync";
-    case SpanKind::kTunerDecision: return "tuner_decision";
     case SpanKind::kDrainRound: return "drain_round";
     case SpanKind::kSessionBatch: return "session_batch";
   }

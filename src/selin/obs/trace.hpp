@@ -3,10 +3,10 @@
 //
 // Metrics (obs/metrics.hpp) aggregate; traces explain.  A latency histogram
 // says rollback replays got slower, the trace says *which* resync replayed
-// 400 levels and what the tuner did two rounds earlier.  Events are coarse —
-// one per feed round, executor phase, rollback, tuner decision or drain
-// round, never per configuration — so a mutex-protected sink is cheap
-// relative to the work each event describes.
+// 400 levels and how wide the frontier was two rounds earlier.  Events are
+// coarse — one per feed round, executor phase, rollback or drain round,
+// never per configuration — so a mutex-protected sink is cheap relative to
+// the work each event describes.
 //
 // Two sinks ship:
 //   * RingRecorder — bounded in-memory ring, oldest events overwritten;
@@ -46,10 +46,6 @@ enum class SpanKind : uint8_t {
   /// p0 = dirty levels in the batch, p1 = lowest dirty level,
   /// p2 = levels replayed, p3 = levels fed after the resync.
   kResync,
-  /// One AutoTuner decision that changed a knob.
-  /// p0/p1 = engage before/after, p2/p3 = retreat before/after,
-  /// p4/p5 = lanes before/after.
-  kTunerDecision,
   /// One MonitorService drain round.
   /// p0 = sessions serviced, p1 = events drained, p2 = events still pending.
   kDrainRound,

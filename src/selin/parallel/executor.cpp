@@ -2,11 +2,6 @@
 
 #include <algorithm>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "selin/obs/hooks.hpp"
 
 namespace selin::parallel {
@@ -22,28 +17,9 @@ size_t resolve_lanes(size_t requested) {
   size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
-
-// Pin `t` to core `lane mod cores` (best effort; failures are ignored —
-// placement is a performance hint, never a correctness requirement).
-void pin_to_core(std::thread& t, size_t lane) {
-#ifdef __linux__
-  const size_t hw = std::thread::hardware_concurrency();
-  if (hw <= 1) return;  // single core: pinning is a pure no-op
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(lane % hw), &set);
-  pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)lane;
-#endif
-}
 }  // namespace
 
 Executor::Executor(size_t lanes) : n_(resolve_lanes(lanes)) {}
-
-Executor::Executor(const ExecutorOptions& opts)
-    : n_(resolve_lanes(opts.lanes)), pin_(opts.pin_lanes) {}
 
 Executor::~Executor() {
   {
@@ -53,11 +29,6 @@ Executor::~Executor() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Tasks still queued were posted by clients that never drained; run them
-  // here so owner-referencing work is never silently dropped (TaskLanes
-  // drains in its own destructor, so this is normally empty).
-  while (run_some()) {
-  }
 }
 
 void Executor::ensure_workers_locked() {
@@ -65,21 +36,8 @@ void Executor::ensure_workers_locked() {
   workers_.reserve(n_);
   for (size_t i = 0; i < n_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-    if (pin_) pin_to_core(workers_.back(), i);
   }
   spawned_.store(workers_.size(), std::memory_order_release);
-}
-
-void Executor::post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ensure_workers_locked();
-    tasks_.push_back(std::move(task));
-    epoch_.fetch_add(1, std::memory_order_release);
-  }
-  cv_.notify_one();
-  const obs::ExecutorHooks* obs = obs_.load(std::memory_order_acquire);
-  if (obs != nullptr && obs->posts != nullptr) obs->posts->add(1);
 }
 
 void Executor::run_slice(Phase& ph, size_t slice) {
@@ -157,7 +115,6 @@ void Executor::observe_phase(const obs::ExecutorHooks& h, uint64_t t0,
 bool Executor::run_some() {
   Phase* ph = nullptr;
   size_t slice = 0;
-  std::function<void()> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
     while (!phases_.empty()) {
@@ -172,31 +129,16 @@ bool Executor::run_some() {
       // done — nothing left to claim here.
       phases_.pop_front();
     }
-    if (ph == nullptr) {
-      if (tasks_.empty()) return false;
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
+    if (ph == nullptr) return false;
   }
-  if (ph != nullptr) {
-    run_slice(*ph, slice);
-  } else {
-    task();
-  }
-  return true;
-}
-
-bool Executor::help_one() {
-  if (!run_some()) return false;
-  const obs::ExecutorHooks* obs = obs_.load(std::memory_order_acquire);
-  if (obs != nullptr && obs->helps != nullptr) obs->helps->add(1);
+  run_slice(*ph, slice);
   return true;
 }
 
 void Executor::worker_loop() {
   uint64_t seen = 0;
   for (;;) {
-    if (run_some()) continue;  // drained one item; look again immediately
+    if (run_some()) continue;  // ran one slice; look again immediately
     uint64_t e = epoch_.load(std::memory_order_acquire);
     for (int k = 0; k < kSpinIters && e == seen; ++k) {
       std::this_thread::yield();
@@ -209,15 +151,12 @@ void Executor::worker_loop() {
                epoch_.load(std::memory_order_relaxed) != seen;
       });
       e = epoch_.load(std::memory_order_relaxed);
-      if (stop_.load(std::memory_order_relaxed) && phases_.empty() &&
-          tasks_.empty()) {
-        return;
-      }
+      if (stop_.load(std::memory_order_relaxed) && phases_.empty()) return;
     } else if (stop_.load(std::memory_order_acquire)) {
       // Missed the epoch bump of a racing shutdown: re-check for work and
       // exit once drained.
       std::lock_guard<std::mutex> lock(mu_);
-      if (phases_.empty() && tasks_.empty()) return;
+      if (phases_.empty()) return;
     }
     seen = e;
   }

@@ -1,47 +1,34 @@
 // Shared execution resource of every parallel facility in selin.
 //
-// Before the executor, thread ownership was scattered: every ShardPool
-// spawned its own worker lanes for SPMD frontier phases, every TaskLanes its
-// own FIFO drainers for deferred checkpoint work, and each copy carried its
-// own slightly different shutdown discipline.  One monitored object cost a
-// handful of private threads — fine for one monitor, fatal for a service
-// multiplexing thousands of independent sessions (thousands of mostly idle
-// lanes oversubscribe the host long before the checkers saturate it).
+// Before the executor, every ShardPool spawned its own worker lanes for
+// SPMD frontier phases, each with its own shutdown discipline.  One
+// monitored object cost a handful of private threads — fine for one
+// monitor, fatal for a service multiplexing thousands of independent
+// sessions (thousands of mostly idle lanes oversubscribe the host long
+// before the checkers saturate it).
 //
-// Executor is the one owner of worker threads.  Clients *lease* lanes
-// per work item instead of holding them:
+// Executor is the one owner of worker threads.  Clients *lease* lanes per
+// phase instead of holding them:
 //
 //   * run_phase(n, job) — SPMD dispatch: job(i) for i in [0, n).  Slice 0
 //     runs on the calling thread; slices 1..n-1 are published for the worker
 //     lanes to claim.  The caller claims unstarted slices itself once its
 //     own slice is done, so a saturated executor degrades to inline
-//     execution instead of blocking — which also makes nested phases (a
-//     posted task running its own run_phase) deadlock-free by construction.
-//     Returns when every slice has finished; rethrows the first job
-//     exception.  This is ShardPool's dispatch primitive.
+//     execution instead of blocking — which also makes nested phases
+//     deadlock-free by construction.  Returns when every slice has
+//     finished; rethrows the first job exception.  This is ShardPool's
+//     dispatch primitive.
 //
-//   * post(task) — fire-and-forget FIFO work (TaskLanes' primitive).  The
-//     task must not throw; clients that need exception capture wrap the
-//     task (TaskLanes does).
+// Worker lanes are spawned lazily on the first phase and parked on a
+// spin-then-condition-variable pickup: an executor that never receives
+// work costs nothing but this object, and an idle one consumes no CPU.
+// Destruction joins the lanes — the single shutdown path.
 //
-//   * help_one() — run one pending slice or task on the calling thread, if
-//     any.  Waiters (TaskLanes::wait_idle, drain loops) call this instead
-//     of blocking so a busy shared executor cannot stall them behind other
-//     clients' work.
-//
-// Worker lanes are spawned lazily on the first work item and parked on a
-// spin-then-condition-variable pickup (the same dormancy discipline the old
-// ShardPool and TaskLanes each implemented privately): an executor that
-// never receives work costs nothing but this object, and an idle one
-// consumes no CPU.  Destruction drains remaining queued work, then joins —
-// the single shutdown path that used to be duplicated per pool class.
-//
-// Sharing: one Executor can serve any number of ShardPools, TaskLanes, and
+// Sharing: one Executor can serve any number of ShardPools and
 // MonitorService sessions concurrently; total threads stay bounded by
-// lanes() no matter how many clients multiplex over it.  Work items of
+// lanes() no matter how many clients multiplex over it.  Phases of
 // different clients never synchronize through the executor beyond FIFO
-// pickup, so clients keep their own completion accounting (phase counters
-// here, in_flight counters in TaskLanes).
+// pickup, so each phase keeps its own completion counter.
 #pragma once
 
 #include <atomic>
@@ -62,24 +49,10 @@ struct ExecutorHooks;  // obs/hooks.hpp — instrumentation bundle, borrowed
 
 namespace selin::parallel {
 
-/// Construction-time placement policy of an Executor.
-struct ExecutorOptions {
-  /// Worker-thread cap; 0 resolves from the hardware.
-  size_t lanes = 0;
-  /// Pin worker lane i to core i mod hardware_concurrency() when the
-  /// platform supports it (Linux).  Opt-in: pinning helps a dedicated host
-  /// (lanes keep their cache-warm frontier shards) and hurts a shared one
-  /// (the scheduler can no longer migrate around noisy neighbours).  A
-  /// no-op on single-core hosts and platforms without affinity control;
-  /// placement never affects what any lane computes.
-  bool pin_lanes = false;
-};
-
 class Executor {
  public:
   /// `lanes` = worker-thread cap; 0 resolves from the hardware.
   explicit Executor(size_t lanes = 0);
-  explicit Executor(const ExecutorOptions& opts);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
   ~Executor();
@@ -88,22 +61,16 @@ class Executor {
   /// host; MonitorService asserts spawned threads never exceed it).
   size_t lanes() const { return n_; }
 
-  /// Worker threads actually created so far (0 until the first work item;
+  /// Worker threads actually created so far (0 until the first phase;
   /// never exceeds lanes()).
   size_t threads_spawned() const {
     return spawned_.load(std::memory_order_acquire);
   }
 
-  /// Enqueue a fire-and-forget task.  The task must not throw.
-  void post(std::function<void()> task);
-
   /// SPMD phase: run job(i) for every i in [0, n); see the header comment
   /// for the slice-claiming protocol.  Rethrows the first job exception
   /// after every slice has finished.
   void run_phase(size_t n, const std::function<void(size_t)>& job);
-
-  /// Run one pending slice or task inline; false when nothing is pending.
-  bool help_one();
 
   /// Attach observability instruments (obs/hooks.hpp; nullptr detaches).
   /// The bundle must outlive the executor or a later set_obs(nullptr); the
@@ -132,19 +99,17 @@ class Executor {
                      size_t caller_run);
   void ensure_workers_locked();
   void worker_loop();
-  /// Claim and run one slice or task; false when nothing was pending.
+  /// Claim and run one slice; false when nothing was pending.
   bool run_some();
 
   size_t n_;
-  bool pin_ = false;  // ExecutorOptions::pin_lanes (applied at lane spawn)
   std::atomic<size_t> spawned_{0};
   std::atomic<const obs::ExecutorHooks*> obs_{nullptr};
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Phase*> phases_;                 // with unclaimed slices
-  std::deque<std::function<void()>> tasks_;   // fire-and-forget FIFO
-  std::atomic<uint64_t> epoch_{0};            // bumped per work arrival
+  std::atomic<uint64_t> epoch_{0};            // bumped per phase arrival
   std::atomic<bool> stop_{false};             // written under mu_
   std::vector<std::thread> workers_;          // spawned lazily
 };

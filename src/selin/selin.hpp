@@ -28,7 +28,6 @@
 #include "selin/parallel/executor.hpp"
 #include "selin/parallel/shard_pool.hpp"
 #include "selin/parallel/sharded_frontier.hpp"
-#include "selin/parallel/task_lanes.hpp"
 #include "selin/service/monitor_service.hpp"
 #include "selin/sim/impossibility.hpp"
 #include "selin/sim/recorder.hpp"

@@ -69,13 +69,7 @@ History XBuilder::flatten() const {
 
 LeveledChecker::LeveledChecker(const GenLinObject& obj, const Options& opts)
     : obj_(&obj), stride_(opts.stride == 0 ? 1 : opts.stride),
-      threads_(opts.threads), snapshot_lanes_(opts.snapshot_lanes),
-      stripe_(opts.stripe < 2 ? kStripe : opts.stripe) {
-  if (snapshot_lanes_ > 0) {
-    lanes_ = std::make_unique<parallel::TaskLanes>(snapshot_lanes_,
-                                                   opts.executor);
-  }
-}
+      threads_(opts.threads) {}
 
 LeveledChecker::~LeveledChecker() = default;
 
@@ -119,107 +113,17 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
       }
     }
     cur_->feed_batch(batch_);
-    if (stripe_open_) {
-      // Copy the segment's events for the in-flight stripe: lane jobs
-      // replay from these copies, never from the caller's mutable XBuilder.
-      chunk_.insert(chunk_.end(), batch_.begin(), batch_.end());
-    }
     fed_ = until;
-    if (fed_ % stride_ == 0) stride_boundary();
-  }
-}
-
-void LeveledChecker::stride_boundary() {
-  const size_t idx = fed_ / stride_ - 1;
-  if (checkpoints_.size() <= idx) checkpoints_.resize(idx + 1);
-  if (lanes_ == nullptr) {
-    // Synchronous discipline: one clone per boundary, on the feed path.
-    checkpoints_[idx] = cur_->clone();
-    return;
-  }
-  if (!stripe_open_) {
-    // Stripe seed: the one inline clone per kStripe boundaries.
-    checkpoints_[idx] = cur_->clone();
-    stripe_open_ = true;
-    stripe_seed_ = idx;
-    stripe_chunks_.clear();
-    chunk_.clear();
-    return;
-  }
-  // Interior boundary: its checkpoint is owed by the stripe's lane job.
-  stripe_chunks_.push_back(std::move(chunk_));
-  chunk_.clear();
-  if (stripe_chunks_.size() == stripe_ - 1) {
-    post_stripe();
-    stripe_open_ = false;
-  }
-}
-
-void LeveledChecker::post_stripe() {
-  auto job = std::make_shared<StripeJob>();
-  job->seed = checkpoints_[stripe_seed_].get();
-  job->seed_index = stripe_seed_;
-  job->chunks = std::move(stripe_chunks_);
-  stripe_chunks_.clear();
-  pending_.push_back(job);
-  if (obs_ != nullptr && obs_->stripes_pending != nullptr) {
-    obs_->stripes_pending->set(static_cast<int64_t>(pending_.size()));
-  }
-  lanes_->post([job] {
-    std::unique_ptr<MembershipMonitor> m = job->seed->clone();
-    for (size_t r = 0; r < job->chunks.size(); ++r) {
-      for (const Event& e : job->chunks[r]) m->feed(e);
-      if (r + 1 < job->chunks.size()) {
-        job->built.push_back(m->clone());
-      } else {
-        job->built.push_back(std::move(m));  // last one needs no extra clone
-      }
-    }
-    job->done.store(true, std::memory_order_release);
-  });
-}
-
-void LeveledChecker::harvest(bool wait) {
-  if (lanes_ == nullptr || pending_.empty()) return;
-  if (wait) lanes_->wait_idle();
-  auto it = pending_.begin();
-  while (it != pending_.end()) {
-    StripeJob& job = **it;
-    if (!job.done.load(std::memory_order_acquire)) {
-      ++it;
-      continue;
-    }
-    for (size_t r = 0; r < job.built.size(); ++r) {
-      const size_t slot = job.seed_index + 1 + r;
-      if (slot < checkpoints_.size() && checkpoints_[slot] == nullptr) {
-        checkpoints_[slot] = std::move(job.built[r]);
-      }
-    }
-    it = pending_.erase(it);
-  }
-  if (obs_ != nullptr && obs_->stripes_pending != nullptr) {
-    obs_->stripes_pending->set(static_cast<int64_t>(pending_.size()));
+    if (fed_ % stride_ == 0) checkpoints_.push_back(cur_->clone());
   }
 }
 
 void LeveledChecker::rollback(size_t from_level) {
   ++rollbacks_;
   const size_t fed_before = fed_;
-  // Quiesce the lanes before touching checkpoint storage: every pending
-  // stripe completes (and is harvested), so no job can observe the
-  // truncation below.
-  harvest(/*wait=*/true);
-  // Abandon any half-accumulated stripe — its levels are being rolled over.
-  stripe_open_ = false;
-  stripe_chunks_.clear();
-  chunk_.clear();
-
-  const size_t ckpt = from_level / stride_;  // checkpoints at or below
-  size_t keep = ckpt;
-  while (keep > 0 &&
-         (keep - 1 >= checkpoints_.size() || checkpoints_[keep - 1] == nullptr)) {
-    --keep;  // skip unmaterialized slots (stripe still owed at truncation)
-  }
+  // Checkpoints at or below from_level; in range because from_level < fed_
+  // and checkpoints_.size() == fed_ / stride_.
+  const size_t keep = from_level / stride_;
   if (keep == 0) {
     cur_ = obj_->monitor(threads_);
     if (obs_ != nullptr) cur_->attach_obs(obs_->engine);
@@ -231,7 +135,6 @@ void LeveledChecker::rollback(size_t from_level) {
   // Release the stale clones eagerly — a rollback must not leave monitors
   // above the truncation point alive until some later feed happens to
   // overwrite them.
-  for (size_t i = keep; i < checkpoints_.size(); ++i) checkpoints_[i].reset();
   checkpoints_.resize(keep);
   if (obs_ != nullptr) {
     const size_t replay = fed_before - fed_;
@@ -260,7 +163,6 @@ bool LeveledChecker::resync(const XBuilder& builder,
   const uint64_t replayed_before = replayed_levels_;
   const auto& levels = builder.levels();
   ensure_monitor();
-  harvest(/*wait=*/false);  // fold completed stripes in while we are here
   size_t from = fed_;
   for (size_t d : dirty_levels) from = std::min(from, d);
   if (dirty_levels.size() > 1) {
@@ -292,13 +194,6 @@ bool LeveledChecker::resync(const XBuilder& builder,
     }
   }
   return ok_;
-}
-
-size_t LeveledChecker::checkpoint_count() {
-  harvest(/*wait=*/true);
-  size_t n = 0;
-  for (const auto& c : checkpoints_) n += c != nullptr ? 1 : 0;
-  return n;
 }
 
 }  // namespace selin

@@ -16,20 +16,16 @@
 // Each verifier process owns one builder/checker pair and feeds it from its
 // own snapshots (Line 08 of Figure 10), mirroring the paper's "each process
 // locally tests" discipline — the *protocol* stays single-threaded.  The
-// checker's internals, however, may shed work onto private helper threads:
-// the membership monitors can run the sharded frontier engine (the `threads`
-// knob), and checkpoint materialization can run on snapshot lanes
-// (`snapshot_lanes`), neither of which is visible through the snapshot
-// object M.
+// membership monitors may still run the sharded frontier engine (the
+// `threads` knob), whose helper threads are not visible through the
+// snapshot object M.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "selin/engine/stats.hpp"
-#include "selin/parallel/task_lanes.hpp"
 #include "selin/spec/spec.hpp"
 #include "selin/views/lambda.hpp"
 
@@ -80,21 +76,11 @@ class XBuilder {
 /// Replaying a monitor fold is inherently sequential in its *state* (the
 /// configuration frontier after level k feeds level k+1), so rollback
 /// replay cannot be split across checkpoint segments without changing what
-/// is computed.  What parallelizes honestly, and what this class does when
-/// configured for it, is everything *around* that chain:
-///
-///   * the replayed monitor itself can run the sharded/adaptive frontier
-///     engine (`threads` — engine::kAutoThreads is the natural fit: most
-///     replays are narrow, and precisely the expensive rollback storms go
-///     wide enough to engage the shards);
-///   * checkpoint materialization moves off the feed hot path entirely
-///     (`snapshot_lanes > 0`): the live monitor is cloned only at every
-///     kStripe-th boundary (the stripe *seed*), and the interior
-///     checkpoints of each stripe are rebuilt concurrently on snapshot
-///     lanes from the seed plus a copy of the stripe's events — stripes are
-///     mutually independent, so a rollback storm's checkpoint regeneration
-///     runs on as many lanes as there are dirty stripes while the verdict
-///     replay streams ahead undisturbed.
+/// is computed.  What parallelizes honestly is the replayed monitor itself:
+/// it can run the sharded/adaptive frontier engine (`threads` —
+/// engine::kAutoThreads is the natural fit: most replays are narrow, and
+/// precisely the expensive rollback storms go wide enough to engage the
+/// shards).  Every stride boundary clones the live monitor inline.
 class LeveledChecker {
  public:
   /// Tuned default for `checkpoint_stride` (bench_ablation sweeps it);
@@ -102,40 +88,19 @@ class LeveledChecker {
   /// repeating the number.
   static constexpr size_t kDefaultStride = 16;
 
-  /// Checkpoint stripe width under async snapshotting: one inline seed
-  /// clone per kStripe boundaries, kStripe-1 checkpoints rebuilt per lane
-  /// job.  Trades hot-path clone count (1/kStripe of inline) against
-  /// rollback slack (a rollback into a stripe whose job has not completed
-  /// replays up to kStripe·stride levels from the seed below it).
-  static constexpr size_t kStripe = 4;
-
   struct Options {
     /// Trades rollback-replay cost against checkpoint memory/clone cost.
     size_t stride = kDefaultStride;
     /// Forwarded to the object's monitor factory (0 = object default; > 1
     /// the parallel sharded frontier engine; engine::kAutoThreads the
-    /// adaptive one; | engine::kTuneFlag for stats-feedback tuning).
+    /// adaptive one).
     size_t threads = 0;
-    /// 0 = checkpoints cloned inline at every stride boundary (the fully
-    /// synchronous discipline).  N > 0 = deferred snapshotting: seeds
-    /// inline every stripe-th boundary, interiors rebuilt on N lanes.
-    size_t snapshot_lanes = 0;
-    /// Async snapshot stripe width (boundaries per stripe; < 2 = kStripe).
-    /// Narrower stripes bound rollback slack tighter at the cost of more
-    /// inline seed clones — recommend_priors() seeds this from observed
-    /// storm widths.
-    size_t stripe = kStripe;
-    /// Shared lane provider for the snapshot lanes (nullptr = a private
-    /// executor created lazily on the first stripe post).  Multi-tenant
-    /// deployments pass one executor so N checkers' deferred snapshot work
-    /// shares one bounded thread pool.
-    std::shared_ptr<parallel::Executor> executor;
   };
 
   explicit LeveledChecker(const GenLinObject& obj,
                           size_t checkpoint_stride = kDefaultStride,
                           size_t threads = 0)
-      : LeveledChecker(obj, Options{checkpoint_stride, threads, 0}) {}
+      : LeveledChecker(obj, Options{checkpoint_stride, threads}) {}
 
   LeveledChecker(const GenLinObject& obj, const Options& opts);
   LeveledChecker(const LeveledChecker&) = delete;
@@ -168,12 +133,9 @@ class LeveledChecker {
   /// created afterwards.  The bundle must outlive the checker.
   void set_obs(const obs::LeveledHooks* hooks);
 
-  /// Materialized checkpoints (quiesces the snapshot lanes first).  Under
-  /// the synchronous discipline this is exactly levels_fed() / stride after
-  /// any resync — the eager-release regression tests key on that; under
-  /// async snapshotting the trailing open stripe's interiors may still be
-  /// pending (bounded by kStripe - 1).
-  size_t checkpoint_count();
+  /// Materialized checkpoints: exactly levels_fed() / stride after any
+  /// resync — the eager-release regression tests key on that.
+  size_t checkpoint_count() const { return checkpoints_.size(); }
 
   /// Levels consumed by the live monitor (diagnostics).
   size_t levels_fed() const { return fed_; }
@@ -189,94 +151,31 @@ class LeveledChecker {
   /// levels are not replay cost).
   uint64_t replayed_levels() const { return replayed_levels_; }
   /// Widest dirty-level batch one resync has received (> 1 only when a
-  /// merge dirtied several levels at once — the rollback-storm shape; the
-  /// stride/kStripe tuning ROADMAP.md plans keys on this and
-  /// replayed_levels()).
+  /// merge dirtied several levels at once — the rollback-storm shape).
   size_t peak_storm_records() const { return peak_storm_records_; }
 
-  /// Warm-start seeds for a comparable future run, derived from this
-  /// checker's own rollback/replay counters (the leveled analog of
-  /// engine::priors_from_stats; feed the result into Options::stride /
-  /// Options::stripe, and its engine fields stay zero).  An append-only run
-  /// relaxes the stride (checkpoints were pure overhead); a replay-heavy
-  /// one snaps the stride to the power of two covering the mean levels
-  /// replayed per rollback, so the nearest checkpoint lands about one
-  /// observed replay below a typical dirty level.  Storms wider than a
-  /// stripe halve the stripe width — narrower stripes bound how far a
-  /// rollback can land in a not-yet-rebuilt gap.  Deterministic: same
-  /// counters, same seeds; the knobs only shift where checkpoints
-  /// materialize, never the verdict sequence.
-  engine::TunerPriors recommend_priors() const {
-    engine::TunerPriors p;
-    if (rollbacks_ == 0) {
-      p.stride = 32;
-    } else {
-      const uint64_t avg = replayed_levels_ / rollbacks_;
-      size_t s = 4;
-      while (s < 64 && s < avg) s *= 2;
-      p.stride = s;
-    }
-    p.stripe = peak_storm_records_ > kStripe ? 2 : kStripe;
-    return p;
-  }
-
  private:
-  /// A stripe's interior-checkpoint rebuild, shared with one snapshot lane:
-  /// the lane clones the seed, folds the event chunks, and parks the
-  /// resulting monitors in `built`; the controller harvests them into
-  /// checkpoints_ after observing `done`.  The lane never touches the
-  /// checkpoints_ vector (the controller may grow it concurrently) and
-  /// never reads the mutable XBuilder (events are copied in at post time).
-  struct StripeJob {
-    const MembershipMonitor* seed = nullptr;  // stays alive until harvested
-    size_t seed_index = 0;
-    std::vector<std::vector<Event>> chunks;   // one per interior checkpoint
-    std::vector<std::unique_ptr<MembershipMonitor>> built;
-    std::atomic<bool> done{false};
-  };
-
   void ensure_monitor();
-  /// Checkpoint policy at a stride boundary (fed_ % stride == 0): inline
-  /// clone, stripe seed, or stripe-chunk handoff.
-  void stride_boundary();
-  /// Restore the nearest materialized checkpoint at or below `from_level`,
-  /// eagerly releasing everything above it.
+  /// Restore the nearest checkpoint at or below `from_level`, eagerly
+  /// releasing everything above it.
   void rollback(size_t from_level);
-  void post_stripe();
-  /// Move completed stripe results into their checkpoint slots.
-  void harvest(bool wait);
 
   const GenLinObject* obj_;
   size_t stride_;
   size_t threads_ = 0;
-  size_t snapshot_lanes_ = 0;
-  size_t stripe_ = kStripe;  // Options::stripe (async snapshot stripe width)
   std::unique_ptr<MembershipMonitor> cur_;  // state after levels [0, fed_)
   size_t fed_ = 0;                          // levels consumed by cur_
-  /// checkpoints_[i] = monitor state after (i+1)*stride_ levels; nullptr
-  /// while the owning stripe's rebuild is in flight.  Controller-written
-  /// only — snapshot lanes publish through StripeJob::built.
+  /// checkpoints_[i] = monitor state after (i+1)*stride_ levels.
   std::vector<std::unique_ptr<MembershipMonitor>> checkpoints_;
   bool ok_ = true;
-
-  // Stripe accumulation (async mode).
-  bool stripe_open_ = false;
-  size_t stripe_seed_ = 0;                   // checkpoint index of the seed
-  std::vector<std::vector<Event>> stripe_chunks_;
-  std::vector<Event> chunk_;                 // events since last boundary
-  std::vector<Event> batch_;                 // append_batch scratch
-  std::vector<std::shared_ptr<StripeJob>> pending_;
+  std::vector<Event> batch_;  // append_batch scratch
 
   uint64_t rollbacks_ = 0;
   uint64_t replayed_levels_ = 0;
   size_t peak_storm_records_ = 0;
 
-  // Borrowed instrumentation bundle; controller-thread access only.
+  // Borrowed instrumentation bundle; not owned.
   const obs::LeveledHooks* obs_ = nullptr;
-
-  // Declared last so destruction drains the lanes before any member a
-  // posted job references goes away.
-  std::unique_ptr<parallel::TaskLanes> lanes_;
 };
 
 }  // namespace selin

@@ -1,6 +1,6 @@
 // Differential tests for the enforcement/distributed port onto the modern
 // engine: the seed-era sequential checking discipline (MonitorCore defaults)
-// and the ported engine path (checker_threads / priors / shared executor)
+// and the ported engine path (checker_threads / shared executor)
 // must agree on every enforcement decision — bit-identical Outcome
 // sequences across threads ∈ {1, 2, auto} for SelfEnforced, identical
 // verdict sequences for Decoupled, and identical ABD-backed outcomes under
@@ -51,9 +51,7 @@ std::vector<OutcomeRec> run_self_enforced(SelfEnforced::Options options,
 
 TEST(EnforcedPort, SelfEnforcedOutcomesBitIdenticalAcrossThreadKnobs) {
   // The acceptance-criteria pin: same schedule, same enforcement decisions,
-  // whatever the engine execution mode — threads ∈ {seed-era 0, 1, 2, auto,
-  // auto|tune with priors and a shared executor}.
-  auto exec = std::make_shared<parallel::Executor>(2);
+  // whatever the engine execution mode — threads ∈ {seed-era 0, 1, 2, auto}.
   for (bool faulty : {false, true}) {
     SelfEnforced::Options seed_era;  // the sequential baseline arm
     auto baseline = run_self_enforced(seed_era, faulty, 3, 120, 42);
@@ -67,14 +65,10 @@ TEST(EnforcedPort, SelfEnforcedOutcomesBitIdenticalAcrossThreadKnobs) {
       for (const auto& o : baseline) ASSERT_FALSE(o.error);
     }
 
-    std::vector<SelfEnforced::Options> arms(4);
+    std::vector<SelfEnforced::Options> arms(3);
     arms[0].checker_threads = 1;
     arms[1].checker_threads = 2;
     arms[2].checker_threads = engine::auto_threads(2);
-    arms[3].checker_threads = engine::auto_tuned_threads(2);
-    arms[3].executor = exec;
-    arms[3].priors.stride = 8;
-    arms[3].priors.stripe = 2;
     for (size_t a = 0; a < arms.size(); ++a) {
       auto got = run_self_enforced(arms[a], faulty, 3, 120, 42);
       ASSERT_EQ(got.size(), baseline.size());
@@ -298,7 +292,7 @@ TEST(EnforcedPort, OverflowSurfacesAsStickyErrorInSelfEnforced) {
 
 TEST(EnforcedPort, SharedExecutorBoundsThreadsAcrossEnforcedObjects) {
   // The decoupled-deployment shape: many enforced objects, one injected
-  // executor end to end (membership engines + snapshot lanes).  Total
+  // executor end to end (every membership engine).  Total
   // worker threads must stay within the executor's lane cap no matter how
   // many objects run.
   auto exec = std::make_shared<parallel::Executor>(2);
@@ -312,7 +306,6 @@ TEST(EnforcedPort, SharedExecutorBoundsThreadsAcrossEnforcedObjects) {
                                             engine::auto_threads(2), exec));
     SelfEnforced::Options opts;
     opts.checker_threads = engine::auto_threads(2);
-    opts.executor = exec;
     enforced.push_back(
         std::make_unique<SelfEnforced>(2, *impls[i], *objs[i], opts));
   }

@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "selin/engine/auto_tuner.hpp"
 #include "selin/engine/frontier_engine.hpp"
 #include "test_util.hpp"
 
@@ -39,23 +38,8 @@ using test::random_write_snapshot_history;
 // The execution modes under test.  auto_threads(2) pins the adaptive
 // engine's lane count so the parallel representation is reachable even on a
 // single-core host; kAutoThreads additionally covers the hardware-resolved
-// lane count (which may legitimately degenerate to 1 lane);
-// auto_tuned_threads(2) adds the self-tuning engine, which the test
-// factories below additionally seed with warm-start priors — priors and
-// tuner moves may shift *when* representations switch, never what a round
-// computes, so parity must hold there too (non-tuned modes ignore priors).
-const size_t kModes[] = {2, engine::auto_threads(2), engine::kAutoThreads,
-                         engine::auto_tuned_threads(2)};
-
-// Representative recorded-run seeds handed to every test factory: tuned
-// modes apply them (engage/retreat/lanes), every other mode ignores them.
-engine::TunerPriors test_priors() {
-  engine::TunerPriors p;
-  p.engage = 512;
-  p.retreat = 128;
-  p.lanes = 2;
-  return p;
-}
+// lane count (which may legitimately degenerate to 1 lane).
+const size_t kModes[] = {2, engine::auto_threads(2), engine::kAutoThreads};
 
 constexpr ObjectKind kAllKinds[] = {
     ObjectKind::kQueue,   ObjectKind::kStack,    ObjectKind::kSet,
@@ -112,7 +96,7 @@ TEST(EngineParity, AllSeqSpecsAcceptingAndRejecting) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       History good = random_linearizable_history(kind, 4, 40, seed * 19 + 2);
       auto make = [&](size_t threads) {
-        return LinMonitor(*spec, 1 << 18, threads, nullptr, test_priors());
+        return LinMonitor(*spec, 1 << 18, threads);
       };
       bool v = expect_mode_parity<LinMonitor>(make, good,
                                               object_kind_name(kind));
@@ -141,12 +125,6 @@ TEST(EngineParity, BruteForceOracleAgreesInEveryMode) {
           EXPECT_EQ(oracle, linearizable(*spec, h, 1 << 18, mode))
               << object_kind_name(kind) << " seed " << seed;
         }
-        // Tuned monitor with priors against the same oracle.
-        LinMonitor tm(*spec, 1 << 18, engine::auto_tuned_threads(2), nullptr,
-                      test_priors());
-        for (const Event& e : h) tm.feed(e);
-        EXPECT_EQ(oracle, tm.ok())
-            << object_kind_name(kind) << " seed " << seed << " (tuned+priors)";
       }
     }
   }
@@ -157,7 +135,7 @@ TEST(EngineParity, SetLinExchanger) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     History h = random_exchanger_history(4, 20, seed * 29 + 7);
     auto make = [&](size_t threads) {
-      return SetLinMonitor(*spec, 1 << 18, threads, nullptr, test_priors());
+      return SetLinMonitor(*spec, 1 << 18, threads);
     };
     expect_mode_parity<SetLinMonitor>(make, h, "exchanger");
   }
@@ -169,8 +147,7 @@ TEST(EngineParity, IntervalLinWriteSnapshot) {
     for (bool corrupt : {false, true}) {
       History h = random_write_snapshot_history(5, seed * 23 + 1, corrupt);
       auto make = [&](size_t threads) {
-        return IntervalLinMonitor(*spec, 1 << 18, threads, nullptr,
-                                  test_priors());
+        return IntervalLinMonitor(*spec, 1 << 18, threads);
       };
       expect_mode_parity<IntervalLinMonitor>(make, h, "write-snapshot");
     }
@@ -218,12 +195,11 @@ void expect_batch_parity(MakeMonitor&& make, const History& h, size_t chunk,
 }
 
 TEST(BatchParity, AllSeqSpecsEveryChunkingAndMode) {
-  const size_t modes[] = {1, 2, engine::auto_threads(2),
-                          engine::auto_tuned_threads(2)};
+  const size_t modes[] = {1, 2, engine::auto_threads(2)};
   for (ObjectKind kind : kAllKinds) {
     auto spec = make_spec(kind);
     auto make = [&](size_t threads) {
-      return LinMonitor(*spec, 1 << 18, threads, nullptr, test_priors());
+      return LinMonitor(*spec, 1 << 18, threads);
     };
     for (uint64_t seed = 1; seed <= 2; ++seed) {
       History good = random_linearizable_history(kind, 4, 36, seed * 31 + 5);
@@ -246,13 +222,12 @@ TEST(BatchParity, AllSeqSpecsEveryChunkingAndMode) {
 TEST(BatchParity, SetLinExchangerEveryChunking) {
   auto spec = make_exchanger_spec();
   auto make = [&](size_t threads) {
-    return SetLinMonitor(*spec, 1 << 18, threads, nullptr, test_priors());
+    return SetLinMonitor(*spec, 1 << 18, threads);
   };
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     History h = random_exchanger_history(4, 18, seed * 13 + 3);
     for (size_t chunk : {size_t{1}, size_t{4}, h.size()}) {
-      for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2),
-                          engine::auto_tuned_threads(2)}) {
+      for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2)}) {
         expect_batch_parity<SetLinMonitor>(make, h, chunk, mode, "exchanger");
       }
     }
@@ -262,15 +237,13 @@ TEST(BatchParity, SetLinExchangerEveryChunking) {
 TEST(BatchParity, IntervalWriteSnapshotEveryChunking) {
   auto spec = make_write_snapshot_interval_spec();
   auto make = [&](size_t threads) {
-    return IntervalLinMonitor(*spec, 1 << 18, threads, nullptr,
-                              test_priors());
+    return IntervalLinMonitor(*spec, 1 << 18, threads);
   };
   for (uint64_t seed = 1; seed <= 2; ++seed) {
     for (bool corrupt : {false, true}) {
       History h = random_write_snapshot_history(5, seed * 41 + 7, corrupt);
       for (size_t chunk : {size_t{1}, size_t{4}, h.size()}) {
-        for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2),
-                            engine::auto_tuned_threads(2)}) {
+        for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2)}) {
           expect_batch_parity<IntervalLinMonitor>(make, h, chunk, mode,
                                                   "write-snapshot");
         }
@@ -284,9 +257,8 @@ TEST(BatchParity, IntervalWriteSnapshotEveryChunking) {
 // no-ops.
 TEST(BatchParity, OverflowInsideBatchPoisonsSticky) {
   auto spec = make_queue_spec();
-  for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2),
-                      engine::auto_tuned_threads(2)}) {
-    LinMonitor m(*spec, /*max_configs=*/4, mode, nullptr, test_priors());
+  for (size_t mode : {size_t{1}, size_t{2}, engine::auto_threads(2)}) {
+    LinMonitor m(*spec, /*max_configs=*/4, mode);
     OpFactory f;
     History h;
     std::vector<OpDesc> es;
@@ -395,7 +367,7 @@ TEST(EngineParity, OverflowPointIdenticalAcrossDeterministicModes) {
   }
   for (ProcId p = 0; p < 7; ++p) h.push_back(Event::res(es[p], kTrue));
   auto overflow_point = [&](size_t mode) -> size_t {
-    LinMonitor m(*spec, /*max_configs=*/16, mode, nullptr, test_priors());
+    LinMonitor m(*spec, /*max_configs=*/16, mode);
     for (size_t i = 0; i < h.size(); ++i) {
       try {
         m.feed(h[i]);
@@ -407,9 +379,9 @@ TEST(EngineParity, OverflowPointIdenticalAcrossDeterministicModes) {
   };
   const size_t ref = overflow_point(1);
   ASSERT_LT(ref, h.size()) << "history never overflowed the budget";
-  // kAutoThreads/auto_tuned stay sequential until the frontier is wide, and
-  // this workload overflows before engaging, so they are deterministic here.
-  for (size_t mode : {engine::kAutoThreads, engine::auto_tuned_threads(2)}) {
+  // kAutoThreads stays sequential until the frontier is wide, and this
+  // workload overflows before engaging, so it is deterministic here.
+  for (size_t mode : {engine::kAutoThreads}) {
     EXPECT_EQ(ref, overflow_point(mode)) << "mode " << mode;
   }
 }
@@ -495,52 +467,6 @@ TEST(EngineAdaptive, SwitchesBothWaysUnderWidthSwings) {
   engine::EngineStats tail = adp.stats();
   EXPECT_EQ(tail.rounds_parallel, s.rounds_parallel);
   EXPECT_GT(tail.rounds_sequential, s.rounds_sequential);
-}
-
-// Priors seed exactly the tuner-owned knobs, exactly once, and only on
-// tuned engines: the tuned monitor reports the seeded thresholds and counts
-// each applied knob; a non-tuned adaptive monitor given the same priors
-// keeps the static constants and counts nothing.
-TEST(EngineAdaptive, PriorsSeedTunedKnobsAndCount) {
-  auto spec = make_queue_spec();
-  engine::TunerPriors p;
-  p.engage = 1024;
-  p.retreat = 200;
-  p.lanes = 2;
-  LinMonitor tuned(*spec, 1 << 18, engine::auto_tuned_threads(0), nullptr, p);
-  engine::EngineStats ts = tuned.stats();
-  EXPECT_EQ(ts.engage_width, 1024u);
-  EXPECT_EQ(ts.retreat_width, 200u);
-  EXPECT_EQ(ts.priors_applied, 3u);
-
-  // An explicit lane request on the knob outranks the lane prior.
-  LinMonitor pinned(*spec, 1 << 18, engine::auto_tuned_threads(2), nullptr, p);
-  EXPECT_EQ(pinned.stats().priors_applied, 2u);
-
-  LinMonitor untuned(*spec, 1 << 18, engine::auto_threads(2), nullptr, p);
-  engine::EngineStats us = untuned.stats();
-  EXPECT_EQ(us.engage_width, engine::kAutoEngageWidth);
-  EXPECT_EQ(us.retreat_width, engine::kAutoRetreatWidth);
-  EXPECT_EQ(us.priors_applied, 0u);
-
-  // Out-of-range recorded values clamp into the tuner's bounds.
-  engine::TunerPriors wild;
-  wild.engage = 1 << 20;
-  wild.retreat = 1 << 20;
-  LinMonitor clamped(*spec, 1 << 18, engine::auto_tuned_threads(2), nullptr,
-                     wild);
-  engine::EngineStats cs = clamped.stats();
-  EXPECT_EQ(cs.engage_width, engine::AutoTuner::kMaxEngage);
-  EXPECT_LE(cs.retreat_width, cs.engage_width / 2);
-
-  // priors_from_stats round-trips a recorded run into in-range seeds.
-  engine::EngineStats recorded;
-  recorded.peak_frontier = 700;
-  engine::TunerPriors derived = engine::priors_from_stats(recorded);
-  EXPECT_TRUE(derived.any_engine());
-  EXPECT_EQ(derived.engage, 350u);
-  EXPECT_EQ(derived.retreat, 350u / engine::AutoTuner::kHysteresisRatio);
-  EXPECT_GE(derived.lanes, 1u);
 }
 
 // Stats survive cloning: a copy reports the counts accumulated so far.

@@ -1,25 +1,17 @@
-// Parallel checkpoint replay for the leveled checker and the stats-feedback
-// auto-tuner:
+// Parallel checkpoint replay for the leveled checker:
 //
-//   * verdict parity — sequential (inline checkpoints, sequential monitors)
-//     vs parallel (async snapshot lanes, adaptive sharded monitors) replay
+//   * verdict parity — sequential vs adaptive sharded monitors replaying
 //     across checkpoint strides, on storm-shaped publish orders;
 //   * rollback-storm determinism — repeated parallel runs produce the
 //     identical verdict sequence (the TSan CI leg runs this test);
 //   * eager checkpoint release on rollback — live-monitor accounting
-//     through a counting wrapper object, plus checkpoint_count();
-//   * AutoTuner monotonicity — each tick moves every knob at most one
-//     bounded step toward the window's signal, applied only at window
-//     boundaries, without changing any verdict.
+//     through a counting wrapper object, plus checkpoint_count().
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 
 #include "test_util.hpp"
-
-#include "selin/engine/auto_tuner.hpp"
-#include "selin/parallel/task_lanes.hpp"
 
 namespace selin {
 namespace {
@@ -85,9 +77,9 @@ TEST(LeveledParallel, VerdictParitySequentialVsParallelAcrossStrides) {
     auto obj = make_linearizable_object(make_queue_spec());
     for (size_t stride : {size_t{1}, size_t{4}, size_t{16}}) {
       XBuilder seq_b, par_b;
-      LeveledChecker seq(*obj, LeveledChecker::Options{stride, 1, 0});
+      LeveledChecker seq(*obj, LeveledChecker::Options{stride, 1});
       LeveledChecker par(
-          *obj, LeveledChecker::Options{stride, engine::auto_threads(2), 2});
+          *obj, LeveledChecker::Options{stride, engine::auto_threads(2)});
       for (size_t i : storm.publish_order) {
         size_t lvl_s = seq_b.add(&storm.records[i]);
         size_t lvl_p = par_b.add(&storm.records[i]);
@@ -108,8 +100,8 @@ TEST(LeveledParallel, BatchedResyncMatchesPerRecordResync) {
   StormBatch storm = make_storm(ObjectKind::kQueue, 3, 36, 7);
   auto obj = make_linearizable_object(make_queue_spec());
   XBuilder ref_b, bat_b;
-  LeveledChecker ref(*obj, LeveledChecker::Options{4, 0, 0});
-  LeveledChecker bat(*obj, LeveledChecker::Options{4, 0, 2});
+  LeveledChecker ref(*obj, LeveledChecker::Options{4, 0});
+  LeveledChecker bat(*obj, LeveledChecker::Options{4, 0});
   const size_t group = 5;
   for (size_t at = 0; at < storm.publish_order.size(); at += group) {
     bool v_ref = true;
@@ -132,9 +124,9 @@ TEST(LeveledParallel, BatchedResyncMatchesPerRecordResync) {
 
 TEST(LeveledParallel, RollbackStormDeterminism) {
   // Two identical parallel runs and a sequential reference: verdict
-  // sequences must be identical run over run (lanes and sharded monitors
-  // may interleave however they like).  TSan covers the snapshot-lane and
-  // shard handoffs when CI runs this test under -fsanitize=thread.
+  // sequences must be identical run over run (sharded monitors may
+  // interleave however they like).  TSan covers the shard handoffs when CI
+  // runs this test under -fsanitize=thread.
   StormBatch storm = make_storm(ObjectKind::kStack, 4, 48, 11);
   auto obj = make_linearizable_object(make_stack_spec());
   auto run = [&](const LeveledChecker::Options& opts) {
@@ -146,9 +138,9 @@ TEST(LeveledParallel, RollbackStormDeterminism) {
     }
     return verdicts;
   };
-  auto seq = run(LeveledChecker::Options{8, 1, 0});
-  auto par1 = run(LeveledChecker::Options{8, engine::auto_threads(4), 4});
-  auto par2 = run(LeveledChecker::Options{8, engine::auto_threads(4), 4});
+  auto seq = run(LeveledChecker::Options{8, 1});
+  auto par1 = run(LeveledChecker::Options{8, engine::auto_threads(4)});
+  auto par2 = run(LeveledChecker::Options{8, engine::auto_threads(4)});
   EXPECT_EQ(par1, seq);
   EXPECT_EQ(par2, seq);
 }
@@ -236,7 +228,7 @@ TEST(LeveledParallel, RollbackReleasesCheckpointsEagerly) {
 
   CountingObject obj(make_linearizable_object(make_counter_spec()));
   XBuilder b;
-  LeveledChecker checker(obj, LeveledChecker::Options{4, 0, 0});
+  LeveledChecker checker(obj, LeveledChecker::Options{4, 0});
   for (LambdaRecord& r : records) {
     ASSERT_TRUE(checker.resync(b, b.add(&r)));
   }
@@ -254,237 +246,6 @@ TEST(LeveledParallel, RollbackReleasesCheckpointsEagerly) {
   // clone.  Without eager release the 10 stale clones double up (>= 26).
   EXPECT_LE(obj.peak(), 17);
   EXPECT_GT(checker.rollbacks(), 0u);
-}
-
-// ---- auto-tuner -----------------------------------------------------------
-
-TEST(LeveledParallel, StripeOptionPreservesVerdictsAndRollbackCounts) {
-  StormBatch storm = make_storm(ObjectKind::kQueue, 3, 36, 5);
-  auto obj = make_linearizable_object(make_queue_spec());
-  auto run = [&](size_t stripe) {
-    XBuilder b;
-    LeveledChecker checker(
-        *obj, LeveledChecker::Options{4, engine::auto_threads(2), 2, stripe});
-    std::vector<bool> verdicts;
-    for (size_t i : storm.publish_order)
-      verdicts.push_back(checker.resync(b, b.add(&storm.records[i])));
-    return std::pair{verdicts, checker.rollbacks()};
-  };
-  auto [v_default, r_default] = run(LeveledChecker::kStripe);
-  auto [v_narrow, r_narrow] = run(2);
-  auto [v_wide, r_wide] = run(8);
-  EXPECT_EQ(v_narrow, v_default);
-  EXPECT_EQ(v_wide, v_default);
-  // Stripe width changes snapshot placement, not what gets replayed.
-  EXPECT_EQ(r_narrow, r_default);
-  EXPECT_EQ(r_wide, r_default);
-  // stripe < 2 falls back to the default width rather than degenerating.
-  auto [v_degenerate, r_degenerate] = run(1);
-  EXPECT_EQ(v_degenerate, v_default);
-  EXPECT_EQ(r_degenerate, r_default);
-}
-
-TEST(LeveledParallel, RecommendedPriorsFollowObservedRollbackShape) {
-  auto obj = make_linearizable_object(make_queue_spec());
-
-  // Untouched checker: nothing rolled back, so the recommendation is the
-  // aggressive profile — long stride, default stripe.
-  LeveledChecker fresh(*obj, LeveledChecker::Options{4, 1, 0});
-  engine::TunerPriors calm = fresh.recommend_priors();
-  EXPECT_EQ(calm.stride, 32u);
-  EXPECT_EQ(calm.stripe, LeveledChecker::kStripe);
-  EXPECT_FALSE(calm.any_engine());  // engine knobs stay unset
-
-  // A storm-shaped run: rollbacks happened, so stride follows the observed
-  // mean replay depth (a power of two in [4, 64]) and a deep storm backlog
-  // narrows the stripe.
-  StormBatch storm = make_storm(ObjectKind::kQueue, 4, 48, 9, 10);
-  XBuilder b;
-  LeveledChecker stormy(*obj, LeveledChecker::Options{4, 0, 2});
-  std::vector<size_t> dirty;
-  const size_t group = 6;
-  for (size_t at = 0; at < storm.publish_order.size(); at += group) {
-    dirty.clear();
-    for (size_t j = at; j < std::min(at + group, storm.publish_order.size());
-         ++j)
-      dirty.push_back(b.add(&storm.records[storm.publish_order[j]]));
-    stormy.resync(b, dirty);
-  }
-  ASSERT_GT(stormy.rollbacks(), 0u);
-  engine::TunerPriors seeded = stormy.recommend_priors();
-  EXPECT_GE(seeded.stride, 4u);
-  EXPECT_LE(seeded.stride, 64u);
-  EXPECT_EQ(seeded.stride & (seeded.stride - 1), 0u) << seeded.stride;
-  if (stormy.peak_storm_records() > LeveledChecker::kStripe) {
-    EXPECT_EQ(seeded.stripe, 2u);
-  } else {
-    EXPECT_EQ(seeded.stripe, LeveledChecker::kStripe);
-  }
-  // Recommendations are a pure function of the counters: a second call
-  // returns the same seeds.
-  engine::TunerPriors again = stormy.recommend_priors();
-  EXPECT_EQ(again.stride, seeded.stride);
-  EXPECT_EQ(again.stripe, seeded.stripe);
-}
-
-TEST(AutoTuner, DupHeavyParallelWindowsRaiseEngageMonotonically) {
-  engine::AutoTuner t(384, 96, 4, 8);
-  engine::TunerWindow w;
-  w.peak_width = 1024;
-  w.rounds_sequential = 2;
-  w.rounds_parallel = 30;
-  w.dedup_probes = 1000;
-  w.dedup_hits = 800;  // 80% duplicates: parallel rounds amortize poorly
-  size_t prev = t.engage();
-  for (int i = 0; i < 40; ++i) {
-    t.tick(w);
-    EXPECT_GE(t.engage(), prev);                      // monotone toward signal
-    EXPECT_LE(t.engage(), prev + prev / 4);           // one bounded step
-    EXPECT_EQ(t.retreat(), std::max<size_t>(t.engage() / 4, 1));
-    prev = t.engage();
-  }
-  EXPECT_EQ(t.engage(), engine::AutoTuner::kMaxEngage);  // saturates, stays
-}
-
-TEST(AutoTuner, DupLightNearMissWindowsLowerEngageMonotonically) {
-  engine::AutoTuner t(384, 96, 1, 8);
-  engine::TunerWindow w;
-  w.rounds_sequential = 32;
-  w.dedup_probes = 1000;
-  w.dedup_hits = 100;  // cheap dedup, frontier hovers just under engage
-  size_t prev = t.engage();
-  for (int i = 0; i < 40; ++i) {
-    w.peak_width = t.engage() - 1;  // persistent near miss
-    t.tick(w);
-    EXPECT_LE(t.engage(), prev);
-    EXPECT_GE(t.engage() + prev / 5 + 1, prev);       // one bounded step
-    prev = t.engage();
-  }
-  EXPECT_EQ(t.engage(), engine::AutoTuner::kMinEngage);
-}
-
-TEST(AutoTuner, ThrashingWidensTheHysteresisGap) {
-  engine::AutoTuner t(384, 96, 2, 8);
-  engine::TunerWindow w;
-  w.peak_width = 400;
-  w.rounds_sequential = 16;
-  w.rounds_parallel = 16;
-  w.mode_switches = 6;  // flipping representations every few rounds
-  size_t gap_before = t.engage() - t.retreat();
-  t.tick(w);
-  EXPECT_EQ(t.engage(), 768u);  // doubled
-  EXPECT_GT(t.engage() - t.retreat(), gap_before);
-}
-
-TEST(AutoTuner, LaneTargetFollowsPeakWidthWithoutOscillating) {
-  engine::AutoTuner t(384, 96, 2, 8);
-  engine::TunerWindow wide;
-  wide.peak_width = 8 * engine::AutoTuner::kWidthPerLane;
-  wide.rounds_sequential = 8;
-  wide.rounds_parallel = 24;
-  wide.dedup_probes = 100;
-  wide.dedup_hits = 10;
-  t.tick(wide);
-  EXPECT_EQ(t.lanes(), 4u);  // doubling step toward 8
-  t.tick(wide);
-  EXPECT_EQ(t.lanes(), 8u);
-  t.tick(wide);
-  EXPECT_EQ(t.lanes(), 8u);  // at target: stable, no oscillation
-
-  engine::TunerWindow narrow;
-  narrow.peak_width = 64;
-  narrow.rounds_sequential = 32;
-  narrow.dedup_probes = 100;
-  narrow.dedup_hits = 10;
-  t.tick(narrow);
-  EXPECT_EQ(t.lanes(), 7u);  // shrink is gentle: one lane per idle window
-  engine::TunerWindow narrow_busy = narrow;
-  narrow_busy.rounds_parallel = 4;  // pool still busy: no shrink
-  t.tick(narrow_busy);
-  EXPECT_EQ(t.lanes(), 7u);
-}
-
-TEST(AutoTuner, EngineAppliesTicksOnlyAtWindowBoundariesWithVerdictParity) {
-  // A tuned monitor must produce exactly the sequential verdicts, and its
-  // effective thresholds may move only every AutoTuner::kWindow response
-  // rounds — never mid-window, so a feed can't see a knob oscillate.
-  for (ObjectKind kind : {ObjectKind::kQueue, ObjectKind::kCounter}) {
-    History h = test::random_linearizable_history(kind, 5, 120, 23);
-    auto spec_ref = make_spec(kind);
-    auto spec_tuned = make_spec(kind);
-    LinMonitor ref(*spec_ref, 1 << 18, 1);
-    LinMonitor tuned(*spec_tuned, 1 << 18, engine::auto_tuned_threads(2));
-    size_t changes = 0;
-    uint64_t responses = 0;
-    size_t prev_engage = tuned.stats().engage_width;
-    size_t prev_lanes = tuned.stats().lanes;
-    for (const Event& e : h) {
-      ref.feed(e);
-      tuned.feed(e);
-      ASSERT_EQ(tuned.ok(), ref.ok());
-      if (e.is_res()) ++responses;
-      engine::EngineStats s = tuned.stats();
-      if (s.engage_width != prev_engage || s.lanes != prev_lanes) {
-        ++changes;
-        EXPECT_EQ(responses % engine::AutoTuner::kWindow, 0u)
-            << "knob moved mid-window";
-        prev_engage = s.engage_width;
-        prev_lanes = s.lanes;
-      }
-    }
-    EXPECT_LE(changes, responses / engine::AutoTuner::kWindow);
-  }
-}
-
-TEST(AutoTuner, NarrowTunedWorkloadShedsIdleLanes) {
-  // A persistently narrow frontier cannot feed two lanes; the tuner should
-  // walk the lane count down to one and keep the engage threshold where it
-  // started (no thrash, no parallel rounds, dup-heavy counter workload).
-  History h = test::random_linearizable_history(ObjectKind::kCounter, 3, 200,
-                                                31);
-  auto spec = make_spec(ObjectKind::kCounter);
-  LinMonitor tuned(*spec, 1 << 18, engine::auto_tuned_threads(2));
-  ASSERT_EQ(tuned.stats().lanes, 2u);
-  std::vector<size_t> lane_history;
-  for (const Event& e : h) {
-    tuned.feed(e);
-    lane_history.push_back(tuned.stats().lanes);
-  }
-  EXPECT_EQ(lane_history.back(), 1u);
-  // Monotone descent: once shed, a lane never comes back on this workload.
-  for (size_t i = 1; i < lane_history.size(); ++i) {
-    EXPECT_LE(lane_history[i], lane_history[i - 1]);
-  }
-  EXPECT_GE(tuned.stats().tuner_updates, 1u);
-}
-
-// ---- task lanes -----------------------------------------------------------
-
-TEST(TaskLanes, ExecutesPostedTasksAndWaitsIdle) {
-  parallel::TaskLanes lanes(3);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    lanes.post([&sum, i] { sum.fetch_add(i); });
-  }
-  lanes.wait_idle();
-  EXPECT_EQ(sum.load(), 5050);
-  EXPECT_EQ(lanes.executed(), 100u);
-}
-
-TEST(TaskLanes, RethrowsTaskExceptionAtWaitIdle) {
-  parallel::TaskLanes lanes(2);
-  lanes.post([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(lanes.wait_idle(), std::runtime_error);
-  lanes.post([] {});  // lanes stay usable after a poisoned window
-  lanes.wait_idle();
-}
-
-TEST(TaskLanes, ZeroLanesRunInline) {
-  parallel::TaskLanes lanes(0);
-  int hits = 0;
-  lanes.post([&hits] { ++hits; });
-  EXPECT_EQ(hits, 1);
-  lanes.wait_idle();
 }
 
 }  // namespace

@@ -211,7 +211,7 @@ TEST(ObsJsonl, StableLineFormat) {
   JsonlSink sink(out);
   ASSERT_TRUE(sink.ok());
   TraceEvent ev;
-  ev.kind = SpanKind::kTunerDecision;
+  ev.kind = SpanKind::kRollback;
   ev.session = 3;
   ev.start_ns = 100;
   ev.dur_ns = 7;
@@ -221,10 +221,10 @@ TEST(ObsJsonl, StableLineFormat) {
   sink.record(ev);
   sink.flush();
   EXPECT_EQ(out.str(),
-            "{\"seq\":0,\"kind\":\"tuner_decision\",\"session\":3,"
+            "{\"seq\":0,\"kind\":\"rollback\",\"session\":3,"
             "\"t_ns\":100,\"dur_ns\":7,\"p0\":1,\"p1\":0,\"p2\":0,\"p3\":0,"
             "\"p4\":0,\"p5\":6}\n"
-            "{\"seq\":1,\"kind\":\"tuner_decision\",\"session\":3,"
+            "{\"seq\":1,\"kind\":\"rollback\",\"session\":3,"
             "\"t_ns\":100,\"dur_ns\":7,\"p0\":1,\"p1\":0,\"p2\":0,\"p3\":0,"
             "\"p4\":0,\"p5\":6}\n");
 }
@@ -267,9 +267,8 @@ TEST(ObsExport, EngineStatsJsonStableKeys) {
   for (const char* key :
        {"lanes", "events_fed", "rounds_sequential", "rounds_parallel",
         "peak_frontier", "dedup_probes", "dedup_hits", "states_recycled",
-        "engage_width", "retreat_width", "mode_switches", "tuner_updates",
-        "probe_batches", "prefetch_batches", "filter_in_place_rounds",
-        "priors_applied"}) {
+        "mode_switches", "probe_batches", "prefetch_batches",
+        "filter_in_place_rounds"}) {
     EXPECT_NE(json.find("\"" + std::string(key) + "\":"), std::string::npos)
         << key;
   }

@@ -232,34 +232,6 @@ TEST(OverflowSafety, SetLinSticky) {
 // Maximal open-op concurrency: bursts of 7 concurrent enqueues (a ~13k-config
 // closure per response) drained in FIFO order, repeatedly, on one monitor —
 // every feed exercises multi-round cross-shard handoff on the live pool.
-// Lane pinning is a placement hint only: a pinned executor (no-op on
-// single-core hosts and non-Linux platforms) must run phases and monitors
-// exactly like an unpinned one.
-TEST(ParallelPlumbing, PinnedExecutorMatchesUnpinned) {
-  parallel::ExecutorOptions eo;
-  eo.lanes = 2;
-  eo.pin_lanes = true;
-  auto pinned = std::make_shared<parallel::Executor>(eo);
-  EXPECT_EQ(pinned->lanes(), 2u);
-
-  std::atomic<size_t> hits{0};
-  pinned->run_phase(8, [&](size_t) { hits.fetch_add(1); });
-  EXPECT_EQ(hits.load(), 8u);
-
-  History h = random_linearizable_history(ObjectKind::kQueue, 4, 48, 21);
-  auto spec = make_queue_spec();
-  LinMonitor ref(*spec);
-  LinMonitor onp(*spec, /*max_configs=*/1 << 18, 2, pinned);
-  for (size_t i = 0; i < h.size(); ++i) {
-    ref.feed(h[i]);
-    onp.feed(h[i]);
-    ASSERT_EQ(ref.ok(), onp.ok()) << "event " << i;
-    ASSERT_EQ(ref.frontier_size(), onp.frontier_size()) << "event " << i;
-    ASSERT_EQ(ref.frontier_digest(), onp.frontier_digest()) << "event " << i;
-  }
-  EXPECT_TRUE(onp.ok());
-}
-
 TEST(ParallelStress, WideOpenOpBursts) {
   auto spec = make_queue_spec();
   LinMonitor m(*spec, /*max_configs=*/1 << 20, 4);

@@ -62,7 +62,6 @@ expect 2 "$bin" queue "$tmp/hists/broken.hist"
 expect 2 "$bin" queue "$tmp/does-not-exist.hist"
 expect 2 "$bin" frobnicator "${ok_files[0]}"
 expect 2 "$bin" queue "${ok_files[0]}" --bogus-flag
-expect 2 "$bin" queue "${ok_files[0]}" --tune            # --tune needs auto
 expect 3 "$bin" queue "$overflow"
 
 # ---- multi-history mode ----------------------------------------------------
@@ -129,9 +128,8 @@ PY
 # verdict exit code is unchanged.
 expect 0 "$bin" queue "${ok_files[0]}" --quiet --stats-json
 json_has "$tmp/out" lanes events_fed rounds_sequential rounds_parallel \
-  peak_frontier dedup_probes dedup_hits states_recycled engage_width \
-  retreat_width mode_switches tuner_updates probe_batches prefetch_batches \
-  filter_in_place_rounds priors_applied
+  peak_frontier dedup_probes dedup_hits states_recycled mode_switches \
+  probe_batches prefetch_batches filter_in_place_rounds
 
 # --metrics -: stdout is a single JSON document that round-trips through a
 # parser (the ISSUE acceptance contract), even when attached to a run that
@@ -215,9 +213,8 @@ expect 2 "$bin" queue "${ok_files[0]}" --enforced --witness
 # observability plane).
 expect 0 "$bin" queue "${ok_files[0]}" --enforced --quiet --stats-json
 json_has "$tmp/out" lanes events_fed rounds_sequential rounds_parallel \
-  peak_frontier dedup_probes dedup_hits states_recycled engage_width \
-  retreat_width mode_switches tuner_updates probe_batches prefetch_batches \
-  filter_in_place_rounds priors_applied
+  peak_frontier dedup_probes dedup_hits states_recycled mode_switches \
+  probe_batches prefetch_batches filter_in_place_rounds
 # --metrics -: a parseable document with engine instruments attached to the
 # enforcement checkers; the verdict exit code passes through.
 expect 0 "$bin" queue "${ok_files[0]}" --enforced --metrics -
@@ -237,7 +234,7 @@ fi
 expect 1 "$bin" queue "$tmp/hists/bad_fifo.hist" --enforced --metrics -
 json_has "$tmp/out" metrics
 # --threads auto works on the enforcement path too.
-expect 0 "$bin" queue "${ok_files[0]}" --enforced --threads auto --tune --quiet
+expect 0 "$bin" queue "${ok_files[0]}" --enforced --threads auto --quiet
 
 # Multi-mode --stats-json: one {file, stats} line per session.
 expect 0 "$bin" queue "${ok_files[@]}" --jobs 2 --quiet --stats-json

@@ -294,34 +294,5 @@ TEST(Executor, NestedPhasesComplete) {
   }
 }
 
-TEST(Executor, TaskLanesOverSharedExecutorTracksOnlyItsOwnTasks) {
-  auto exec = std::make_shared<parallel::Executor>(2);
-  parallel::TaskLanes a(2, exec), b(2, exec);
-  std::atomic<int> na{0}, nb{0};
-  for (int i = 0; i < 16; ++i) {
-    a.post([&na] { na.fetch_add(1); });
-    b.post([&nb] { nb.fetch_add(1); });
-  }
-  a.wait_idle();
-  EXPECT_EQ(na.load(), 16);
-  b.wait_idle();
-  EXPECT_EQ(nb.load(), 16);
-  EXPECT_EQ(a.executed(), 16u);
-  EXPECT_EQ(b.executed(), 16u);
-  EXPECT_LE(exec->threads_spawned(), 2u);
-}
-
-TEST(Executor, TaskLanesRethrowsAtWaitIdle) {
-  auto exec = std::make_shared<parallel::Executor>(1);
-  parallel::TaskLanes lanes(1, exec);
-  lanes.post([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(lanes.wait_idle(), std::runtime_error);
-  // Poison cleared; lanes reusable.
-  std::atomic<int> n{0};
-  lanes.post([&n] { n.fetch_add(1); });
-  lanes.wait_idle();
-  EXPECT_EQ(n.load(), 1);
-}
-
 }  // namespace
 }  // namespace selin

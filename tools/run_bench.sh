@@ -326,20 +326,16 @@ def parallel_scaling_facet(run):
 
 def leveled_replay_facet(run):
     """Rollback-storm throughput of the leveled checker by replay lane count
-    (BM_LeveledRollbackStorm: adaptive sharded replay monitors + async
-    snapshot lanes vs the sequential discipline at lanes=1), plus the
-    snapshot-mode A/B (BM_LeveledSnapshotMode).  Scaling requires
+    (BM_LeveledRollbackStorm: adaptive sharded replay monitors vs sequential
+    monitors at lanes=1, inline checkpoints in every arm).  Scaling requires
     cores >= lanes; num_cpus is recorded alongside."""
-    per_lanes, modes = {}, {}
+    per_lanes = {}
     for b in run["benchmarks"]:
         name = b.get("name", "")
         if b.get("run_type") == "aggregate" or "items_per_second" not in b:
             continue
         if name.startswith("BM_LeveledRollbackStorm/"):
             per_lanes[name.split("/")[1]] = b["items_per_second"]
-        elif name.startswith("BM_LeveledSnapshotMode/"):
-            arm = "async-stripes" if name.split("/")[1] == "1" else "inline"
-            modes[arm] = b["items_per_second"]
     if not per_lanes:
         return None
     base = per_lanes.get("1")
@@ -351,7 +347,6 @@ def leveled_replay_facet(run):
         "speedup_vs_1_lane": {
             s: (v / base if base else None) for s, v in per_lanes.items()
         },
-        "snapshot_mode_items_per_second": modes or None,
     }
 
 def multi_session_facet(run):

@@ -2,7 +2,7 @@
 //
 // Single-history mode:
 //   selin_check <object> <history-file> [--witness] [--quiet]
-//               [--threads N|auto] [--tune] [--stats]
+//               [--threads N|auto] [--stats]
 //   selin_check <object> -              (read from stdin)
 //
 // Multi-history mode (more than one file, or --jobs given): every file
@@ -11,7 +11,7 @@
 // (HistoryStreamReader), batches are scheduled round-robin, and the
 // sessions' membership tests run concurrently on --jobs worker lanes:
 //   selin_check <object> file1 file2 ... [--jobs N] [--quiet]
-//               [--threads N|auto] [--tune] [--stats]
+//               [--threads N|auto] [--stats]
 // A per-file verdict summary table is printed at the end (unless --quiet,
 // which prints only failing files).
 //
@@ -19,15 +19,12 @@
 //
 // --threads N (N > 1) runs the membership test on the parallel sharded
 // frontier engine; --threads auto lets the engine pick sequential vs sharded
-// per feed round by frontier width.  --tune (requires --threads auto)
-// attaches the engine::AutoTuner, which feeds the engine's own stats —
-// dedup hit rate, peak frontier width, round mix — back into the
-// engage/retreat thresholds and the lane count online, replacing the fixed
-// hysteresis constants.  In multi-history mode the knob applies per session,
-// on top of the shared --jobs lanes.  The witness (--witness, single-history
-// only) always comes from the sequential DFS, which is the only engine that
-// records a linearization order.  --stats prints the engine's execution
-// counters per history.
+// per feed round by frontier width (fixed engage/retreat hysteresis, see
+// engine/frontier_engine.hpp).  In multi-history mode the knob applies per
+// session, on top of the shared --jobs lanes.  The witness (--witness,
+// single-history only) always comes from the sequential DFS, which is the
+// only engine that records a linearization order.  --stats prints the
+// engine's execution counters per history.
 //
 // Observability outputs (both modes):
 //   --stats-json       print the engine counters as one JSON object per
@@ -41,8 +38,9 @@
 //                      document to stdout and implies --quiet, so stdout is
 //                      a single parseable JSON document.
 //   --trace <file>     attach an obs::JsonlSink: one JSON line per span
-//                      event (feed rounds, executor phases, tuner decisions,
-//                      drain rounds, session batches — see obs/trace.hpp).
+//                      event (feed rounds, executor phases, rollbacks,
+//                      resyncs, drain rounds, session batches — see
+//                      obs/trace.hpp).
 // Verdict exit codes are unchanged by these flags; an unwritable metrics or
 // trace file is a usage error (2).
 //
@@ -115,10 +113,10 @@ int usage() {
   std::cerr << "usage: selin_check <queue|stack|set|pqueue|counter|register|"
                "consensus> <file|-> [--witness] [--enforced] [--quiet] "
                "[--threads N|auto] "
-               "[--tune] [--stats] [--stats-json] [--metrics <file|->] "
+               "[--stats] [--stats-json] [--metrics <file|->] "
                "[--trace <file>]\n"
                "       selin_check <object> <file> <file> ... [--jobs N] "
-               "[--quiet] [--threads N|auto] [--tune] [--stats] "
+               "[--quiet] [--threads N|auto] [--stats] "
                "[--stats-json] [--metrics <file|->] [--trace <file>]\n";
   return 2;
 }
@@ -172,10 +170,7 @@ void print_stats(const engine::EngineStats& s) {
             << " dedup_probes=" << s.dedup_probes
             << " dedup_hit_rate=" << hit_rate
             << " states_recycled=" << s.states_recycled
-            << " engage=" << s.engage_width
-            << " retreat=" << s.retreat_width
-            << " mode_switches=" << s.mode_switches
-            << " tuner_updates=" << s.tuner_updates << "\n";
+            << " mode_switches=" << s.mode_switches << "\n";
 }
 
 int run_single(ObjectKind kind, const std::string& path, bool want_witness,
@@ -578,7 +573,7 @@ int main(int argc, char** argv) {
   auto kind = parse_object(argv[1]);
   if (!kind.has_value()) return usage();
   bool want_witness = false, quiet = false;
-  bool want_tune = false, jobs_given = false, want_enforced = false;
+  bool jobs_given = false, want_enforced = false;
   ObsOpts oo;
   size_t threads = 1;
   size_t jobs = 0;  // 0 = hardware-resolved
@@ -592,7 +587,6 @@ int main(int argc, char** argv) {
     else if (flag == "--stats-json") oo.stats_json = true;
     else if (flag == "--metrics" && i + 1 < argc) oo.metrics = argv[++i];
     else if (flag == "--trace" && i + 1 < argc) oo.trace = argv[++i];
-    else if (flag == "--tune") want_tune = true;
     else if (flag == "--threads" && i + 1 < argc) {
       std::string v = argv[++i];
       if (v == "auto") {
@@ -620,13 +614,6 @@ int main(int argc, char** argv) {
   if (files.empty()) return usage();
   // stdout carries the metrics document: keep it free of verdict prose.
   if (oo.metrics == "-") quiet = true;
-  if (want_tune) {
-    if (!engine::is_auto_threads(threads)) {
-      std::cerr << "selin_check: --tune requires --threads auto\n";
-      return usage();
-    }
-    threads |= engine::kTuneFlag;
-  }
 
   const bool multi = files.size() > 1 || jobs_given;
   if (want_enforced) {

@@ -21,9 +21,16 @@
 // without polling.  SIGINT/SIGTERM stop the daemon gracefully; it prints
 // one final `STATS <json>` line (the /stats document) and exits 0.
 //
+// Numeric flags are range-checked up front: --lanes 0..256 (0 = hardware),
+// --session-threads 1..256 or auto, and --batch-limit / --inbox-capacity
+// 1..2^32-1 (the hello ack carries both as 32-bit fields).  Anything else
+// is a usage error rather than an allocation failure on the first session.
+//
 // Exit codes: 0 = clean shutdown, 2 = usage error, 3 = startup failure
 // (bind/listen).
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -55,10 +62,17 @@ void on_signal(int) {
   }
 }
 
-bool parse_size(const char* s, size_t* out) {
+// Lane/thread cap shared with selin_check --threads/--jobs.
+constexpr size_t kMaxLanes = 256;
+
+// Parses a decimal in [lo, hi]; rejects signs, overflow and trailing text.
+bool parse_size(const char* s, size_t* out, size_t lo = 0,
+                size_t hi = SIZE_MAX) {
+  if (*s < '0' || *s > '9') return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
   *out = static_cast<size_t>(v);
   return true;
 }
@@ -81,9 +95,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--tcp") {
       const char* v = need_value();
       size_t port;
-      if (v == nullptr || !parse_size(v, &port) || port > 65535) {
-        return usage(2);
-      }
+      if (v == nullptr || !parse_size(v, &port, 0, 65535)) return usage(2);
       opts.tcp_port = static_cast<int>(port);
     } else if (arg == "--host") {
       const char* v = need_value();
@@ -91,17 +103,19 @@ int main(int argc, char** argv) {
       opts.tcp_host = v;
     } else if (arg == "--lanes") {
       const char* v = need_value();
-      if (v == nullptr || !parse_size(v, &opts.lanes)) return usage(2);
+      if (v == nullptr || !parse_size(v, &opts.lanes, 0, kMaxLanes)) {
+        return usage(2);
+      }
     } else if (arg == "--batch-limit") {
       const char* v = need_value();
-      if (v == nullptr || !parse_size(v, &opts.batch_limit) ||
-          opts.batch_limit == 0) {
+      if (v == nullptr ||
+          !parse_size(v, &opts.batch_limit, 1, UINT32_MAX)) {
         return usage(2);
       }
     } else if (arg == "--inbox-capacity") {
       const char* v = need_value();
-      if (v == nullptr || !parse_size(v, &opts.inbox_capacity) ||
-          opts.inbox_capacity == 0) {
+      if (v == nullptr ||
+          !parse_size(v, &opts.inbox_capacity, 1, UINT32_MAX)) {
         return usage(2);
       }
     } else if (arg == "--max-configs") {
@@ -112,8 +126,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(2);
       if (std::strcmp(v, "auto") == 0) {
         opts.session_threads = selin::engine::kAutoThreads;
-      } else if (!parse_size(v, &opts.session_threads) ||
-                 opts.session_threads == 0) {
+      } else if (!parse_size(v, &opts.session_threads, 1, kMaxLanes)) {
         return usage(2);
       }
     } else if (arg == "--max-sessions") {
