@@ -1,5 +1,6 @@
 #include "selin/core/astar.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
 namespace selin {
@@ -41,9 +42,17 @@ AStar::Result AStar::apply_op(ProcId i, const OpDesc& op) {
   // Line 02: N.Write(set_i).
   announce_->write(i, node);
   if (sink_ != nullptr) sink_->on_write(op);
+  // N and A are distinct base objects, each linearizable in the paper, so
+  // Line 02 takes effect before Line 03 and Line 04 before Line 05.  The
+  // snapshot's release stores and acquire loads do not order a store before
+  // a later load (x86 reorders exactly that), so without these two fences
+  // two processes can each miss the other's announcement and return views
+  // that are not ⊆-comparable (Remark 7.2(2)).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Lines 03-04: the black-box call into A.
   Value y = a_->apply(i, op);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
 
   // Lines 05-06: λ_i ← union of a Snapshot of N.
   std::vector<const SetNode*> heads = announce_->scan(i);

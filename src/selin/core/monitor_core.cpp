@@ -76,23 +76,29 @@ bool MonitorCore::check(size_t checker) {
   // merged incrementally: only chain segments beyond the previously seen
   // heads are new.
   std::vector<const RecNode*> heads = m_->scan(0);
-  std::vector<size_t>& dirty = cs.dirty_scratch;
-  dirty.clear();
+  std::vector<const RecNode*>& fresh = cs.fresh_scratch;
+  fresh.clear();
   for (size_t j = 0; j < heads.size(); ++j) {
     const RecNode* h = heads[j];
     const RecNode* old = cs.seen[j];
     uint32_t old_len = old == nullptr ? 0 : old->len;
-    // Collect the new records oldest-first (chains link newest→oldest).
-    std::vector<const RecNode*>& fresh = cs.fresh_scratch;
-    fresh.clear();
     for (const RecNode* n = h; n != nullptr && n->len > old_len; n = n->next) {
       fresh.push_back(n);
     }
-    for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
-      dirty.push_back(cs.builder.add(&(*it)->rec));
-    }
     cs.seen[j] = h;
   }
+  // Merge in level order.  X(τ) depends only on the set of records, and
+  // equal view sizes mean equal views (Remark 7.2(2)), so ascending view
+  // size lets new levels append instead of shifting the levels merged just
+  // before them; the lowest dirty level, which is all resync rolls back to,
+  // is the same in any order.
+  std::sort(fresh.begin(), fresh.end(),
+            [](const RecNode* a, const RecNode* b) {
+              return a->rec.view.size() < b->rec.view.size();
+            });
+  std::vector<size_t>& dirty = cs.dirty_scratch;
+  dirty.clear();
+  for (const RecNode* n : fresh) dirty.push_back(cs.builder.add(&n->rec));
   bool ok;
   if (!dirty.empty()) {
     // Line 10: the membership test X(τ) ∈ O, resumed once below the lowest

@@ -16,7 +16,9 @@ size_t this_thread_lane() {
 
 void Histogram::record(uint64_t v) {
   buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  // Release, paired with sum()'s acquire: a reader that sees v in the sum
+  // also sees the bucket increment above.
+  sum_.fetch_add(v, std::memory_order_release);
   uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < v &&
          !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
@@ -119,13 +121,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.gauge = e.g->value();
         break;
       case MetricKind::kHistogram:
-        v.count = e.h->count();
+        // The sum first: every record it covers is already in the buckets
+        // read after it, so the copy never holds a sum its count misses.
         v.sum = e.h->sum();
-        v.max = e.h->max();
         for (size_t b = 0; b < Histogram::kBuckets; ++b) {
           const uint64_t n = e.h->bucket(b);
+          v.count += n;
           if (n != 0) v.buckets.emplace_back(Histogram::bucket_bound(b), n);
         }
+        v.max = e.h->max();
         break;
     }
     snap.values.push_back(std::move(v));

@@ -16,9 +16,10 @@
 //     is reserved for single-writer (controller-thread) gauges.
 //
 //   * Histogram — fixed-bucket log2 distribution for latencies and widths.
-//     record() is two relaxed atomic increments plus a CAS-free max update;
-//     the bucket of value v is bit_width(v), so bucket b counts values in
-//     [2^(b-1), 2^b) and no configuration or allocation is ever needed.
+//     record() is two atomic increments (the sum's a release) plus a max
+//     update; the bucket of value v is bit_width(v), so bucket b counts
+//     values in [2^(b-1), 2^b) and no configuration or allocation is ever
+//     needed.
 //
 // MetricsRegistry owns instruments by (name, labels) identity: the first
 // caller registers, later callers get the same instrument back, and
@@ -114,7 +115,7 @@ class Histogram {
   void record(uint64_t v);
 
   uint64_t count() const;
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t sum() const { return sum_.load(std::memory_order_acquire); }
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
   uint64_t bucket(size_t b) const {
     return buckets_[b].load(std::memory_order_relaxed);
@@ -174,7 +175,9 @@ class MetricsRegistry {
 
   /// Consistent-enough copy of every instrument: each value is an atomic
   /// read; concurrent writers may land between reads of different
-  /// instruments (monotone counters only ever read low).
+  /// instruments (monotone counters only ever read low).  A histogram's sum
+  /// is read before its buckets, so its count covers every record the sum
+  /// does.
   MetricsSnapshot snapshot() const;
 
   size_t size() const;

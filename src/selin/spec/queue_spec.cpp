@@ -1,7 +1,7 @@
 // FIFO queue sequential specification (Figure 4 and Theorem 5.1 object).
 // Enqueue(v) -> true; Dequeue() -> head value, or `empty`.
-#include <deque>
 #include <sstream>
+#include <vector>
 
 #include "selin/spec/spec.hpp"
 #include "selin/util/hash.hpp"
@@ -9,10 +9,16 @@
 namespace selin {
 namespace {
 
+// The queue is items_[head_..]: a flat vector whose dequeued prefix is
+// dropped when the queue empties or the prefix passes half the vector, so a
+// copy takes one allocation and a long-lived state stays O(live length).
+// Copies, encode() and fingerprint() see only the live range.
 class QueueState final : public SeqState {
  public:
   std::unique_ptr<SeqState> clone() const override {
-    return std::make_unique<QueueState>(*this);
+    auto c = std::make_unique<QueueState>();
+    c->items_.assign(items_.begin() + static_cast<long>(head_), items_.end());
+    return c;
   }
 
   Value step(Method m, Value arg) override {
@@ -21,9 +27,16 @@ class QueueState final : public SeqState {
         items_.push_back(arg);
         return kTrue;
       case Method::kDequeue: {
-        if (items_.empty()) return kEmpty;
-        Value v = items_.front();
-        items_.pop_front();
+        if (head_ == items_.size()) return kEmpty;
+        Value v = items_[head_++];
+        if (head_ == items_.size()) {
+          items_.clear();
+          head_ = 0;
+        } else if (head_ > items_.size() / 2) {
+          items_.erase(items_.begin(),
+                       items_.begin() + static_cast<long>(head_));
+          head_ = 0;
+        }
         return v;
       }
       default:
@@ -34,25 +47,29 @@ class QueueState final : public SeqState {
   std::string encode() const override {
     std::ostringstream os;
     os << "Q";
-    for (Value v : items_) os << ":" << v;
+    for (size_t i = head_; i < items_.size(); ++i) os << ":" << items_[i];
     return os.str();
   }
 
   uint64_t fingerprint() const override {
     fph::Hasher h('Q');
-    for (Value v : items_) h.i64(v);
+    for (size_t i = head_; i < items_.size(); ++i) h.i64(items_[i]);
     return h.done();
   }
 
   bool assign_from(const SeqState& src) override {
     auto* o = dynamic_cast<const QueueState*>(&src);
     if (o == nullptr) return false;
-    items_ = o->items_;
+    if (o == this) return true;
+    items_.assign(o->items_.begin() + static_cast<long>(o->head_),
+                  o->items_.end());
+    head_ = 0;
     return true;
   }
 
  private:
-  std::deque<Value> items_;
+  std::vector<Value> items_;
+  size_t head_ = 0;
 };
 
 class QueueSpec final : public SeqSpec {

@@ -9,9 +9,11 @@ namespace selin {
 std::vector<OpDesc> XBuilder::delta(const View* prev, const View& view) {
   std::vector<OpDesc> invs;
   for (size_t p = 0; p < view.procs(); ++p) {
+    const SetNode* n = view.heads()[p];
+    // Most processes did nothing between two adjacent levels.
+    if (prev != nullptr && prev->heads()[p] == n) continue;
     uint32_t prev_len =
         prev == nullptr ? 0 : prev->chain_len(static_cast<ProcId>(p));
-    const SetNode* n = view.heads()[p];
     while (n != nullptr && n->len > prev_len) {
       invs.push_back(n->op);
       n = n->next;

@@ -34,41 +34,62 @@ TEST(AStar, RejectsForeignProcessId) {
   EXPECT_THROW(astar.apply_op(0, bad), std::invalid_argument);
 }
 
-// Remark 7.2 under real concurrency, for every snapshot kind.
-class AStarConcurrent : public ::testing::TestWithParam<SnapshotKind> {};
+// Remark 7.2 under real concurrency, for every snapshot kind.  The register
+// case checks Remark 7.2(2) where nothing inside A orders a process's
+// announcement (Line 02) before its snapshot (Line 05): its reads are plain
+// loads, so only A*'s own fences keep two processes from each missing the
+// other's announcement.  It runs short and many times, because one run
+// rarely lands in the window.
+struct ConcurrentCase {
+  SnapshotKind snapshot;
+  ObjectKind kind;
+  std::function<std::unique_ptr<IConcurrent>()> make;
+  size_t procs;
+  int ops_per_proc;
+  int runs;
+};
+
+class AStarConcurrent : public ::testing::TestWithParam<ConcurrentCase> {};
 
 TEST_P(AStarConcurrent, ViewPropertiesHold) {
-  constexpr size_t kProcs = 4;
-  constexpr int kOpsPerProc = 300;
-  auto q = make_ms_queue();
-  AStar astar(kProcs, *q, GetParam());
+  const ConcurrentCase& c = GetParam();
+  for (int run = 0; run < c.runs; ++run) {
+    auto impl = c.make();
+    AStar astar(c.procs, *impl, c.snapshot);
 
-  std::vector<std::vector<LambdaRecord>> per_proc(kProcs);
-  SpinBarrier barrier(kProcs);
-  std::vector<std::thread> threads;
-  for (ProcId p = 0; p < kProcs; ++p) {
-    threads.emplace_back([&, p] {
-      Rng rng(p * 977 + 1);
-      barrier.arrive_and_wait();
-      for (int i = 0; i < kOpsPerProc; ++i) {
-        auto [m, arg] = random_op(ObjectKind::kQueue, rng);
-        auto r = astar.apply(p, m, arg);
-        per_proc[p].push_back(LambdaRecord{r.op, r.y, std::move(r.view)});
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
+    std::vector<std::vector<LambdaRecord>> per_proc(c.procs);
+    SpinBarrier barrier(c.procs);
+    std::vector<std::thread> threads;
+    for (ProcId p = 0; p < c.procs; ++p) {
+      threads.emplace_back([&, p] {
+        Rng rng(static_cast<uint64_t>(run) * 7919 + p * 977 + 1);
+        barrier.arrive_and_wait();
+        for (int i = 0; i < c.ops_per_proc; ++i) {
+          auto [m, arg] = random_op(c.kind, rng);
+          auto r = astar.apply(p, m, arg);
+          per_proc[p].push_back(LambdaRecord{r.op, r.y, std::move(r.view)});
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
 
-  std::vector<LambdaRecord> all;
-  for (auto& v : per_proc) {
-    for (auto& r : v) all.push_back(std::move(r));
+    std::vector<LambdaRecord> all;
+    for (auto& v : per_proc) {
+      for (auto& r : v) all.push_back(std::move(r));
+    }
+    ASSERT_EQ(validate_views(all), std::nullopt) << "run " << run;
   }
-  EXPECT_EQ(validate_views(all), std::nullopt);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, AStarConcurrent,
-                         ::testing::Values(SnapshotKind::kDoubleCollect,
-                                           SnapshotKind::kAfek));
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, AStarConcurrent,
+    ::testing::Values(
+        ConcurrentCase{SnapshotKind::kDoubleCollect, ObjectKind::kQueue,
+                       make_ms_queue, 4, 300, 1},
+        ConcurrentCase{SnapshotKind::kAfek, ObjectKind::kQueue, make_ms_queue,
+                       4, 300, 1},
+        ConcurrentCase{SnapshotKind::kDoubleCollect, ObjectKind::kRegister,
+                       [] { return make_cas_register(0); }, 3, 120, 100}));
 
 // Lemma 7.2 (correctness preservation, ⇒ direction): with a correct A, the
 // sketch X(λ) of a concurrent A* run is linearizable.

@@ -73,6 +73,7 @@ TEST_P(CorrectImplStress, ConcurrentHistoryLinearizable) {
   auto impl = c.make();
   RecordingConcurrent recorded(*impl, 4096);
   SpinBarrier barrier(kProcs);
+  test::RoundGate rounds(kProcs);
   std::vector<std::thread> threads;
   for (ProcId p = 0; p < kProcs; ++p) {
     threads.emplace_back([&, p] {
@@ -80,7 +81,9 @@ TEST_P(CorrectImplStress, ConcurrentHistoryLinearizable) {
       barrier.arrive_and_wait();
       for (uint32_t i = 0; i < 100; ++i) {
         auto [m, arg] = random_op(c.kind, rng);
+        rounds.enter(p, i);
         recorded.apply(p, OpDesc{OpId{p, i}, m, arg});
+        rounds.leave(p, i);
       }
     });
   }

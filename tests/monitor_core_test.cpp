@@ -91,6 +91,44 @@ TEST(MonitorCore, LateRecordLandsInMiddleLevel) {
   EXPECT_TRUE(obj->contains(sk));
 }
 
+// check() merges all of a pass's fresh records in view-size order, so how
+// records are batched into passes must not show in the result: a checker
+// that merges after every publish and one that merges the whole run in a
+// single pass end with the same X(τ) and verdict.  The corrupt variant
+// rewrites one mid-run dequeue to a value never enqueued.
+TEST(MonitorCore, MergeBatchingDoesNotChangeSketch) {
+  constexpr size_t kProcs = 16;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (bool corrupt : {false, true}) {
+      test::SteppedQueueRun run = test::stepped_queue_run(kProcs, 600, 3, seed);
+      if (corrupt) {
+        for (size_t i = run.records.size() / 2; i < run.records.size(); ++i) {
+          if (run.records[i].op.method == Method::kDequeue) {
+            run.records[i].y = -1;
+            break;
+          }
+        }
+      }
+      auto obj = make_linearizable_object(make_queue_spec());
+      MonitorCore eager(kProcs, 1, *obj);
+      MonitorCore once(kProcs, 1, *obj);
+      bool eager_ok = true;
+      for (const LambdaRecord& r : run.records) {
+        eager.publish(r.op.id.pid, r.op, r.y, r.view);
+        eager_ok = eager.check(0) && eager_ok;
+        once.publish(r.op.id.pid, r.op, r.y, r.view);
+      }
+      const bool once_ok = once.check(0);
+      EXPECT_EQ(eager.check(0), once_ok) << "seed " << seed;
+      EXPECT_EQ(eager_ok, once_ok) << "seed " << seed;
+      EXPECT_EQ(once_ok, !corrupt) << "seed " << seed;
+      EXPECT_EQ(eager.record_count(0), run.records.size());
+      EXPECT_EQ(once.record_count(0), run.records.size());
+      EXPECT_TRUE(eager.sketch(0) == once.sketch(0)) << "seed " << seed;
+    }
+  }
+}
+
 TEST(MonitorCore, ConcurrentPublishAndCheckIsSafe) {
   constexpr size_t kProducers = 4;
   auto q = make_ms_queue();

@@ -2,7 +2,10 @@
 // seeded random-history generators used by the property tests.
 #pragma once
 
+#include <atomic>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -194,6 +197,113 @@ inline bool corrupt_response(History& h, uint64_t seed) {
   Value& v = h[i].result;
   v = (v == kEmpty) ? 777 : (v == kTrue ? kEmpty : v + 13);
   return true;
+}
+
+/// A bounded concurrency window for real-thread stress tests.  Threads run
+/// in lockstep rounds, and each round as groups of up to three threads, one
+/// group after another: a thread calls enter(p, i) before its operation i
+/// and leave(p, i) after it, and enter waits until every thread has left
+/// round i - 1 and every thread of an earlier group has left round i.  The
+/// threads of a group race.  Membership rotates by one position each round,
+/// so with four threads a different one runs alone after the other three
+/// each round, and every pair of threads races in half of the rounds; a
+/// thread preempted mid-operation overlaps at most two other operations.
+///
+/// Free-running under host load, one pending enqueue can overlap hundreds of
+/// operations, and the offline checker's queue and stack frontiers overflow
+/// their budget.  Ambiguity still compounds across rounds, because the order
+/// of concurrent enqueues stays open until their values are dequeued.  With
+/// every group fully overlapped and its results drawn from a random order
+/// (100 trials per script), the impls_test and universal_test queue and
+/// stack scripts overflow the 2^18 budget in up to 46% of trials in groups
+/// of 4, and peak at 1,728 configurations in rotating groups of 3.
+class RoundGate {
+ public:
+  explicit RoundGate(size_t procs) : left_(procs) {}
+
+  void enter(ProcId p, uint32_t round) const {
+    for (size_t q = 0; q < left_.size(); ++q) {
+      const uint32_t need =
+          group(q, round) < group(p, round) ? round + 1 : round;
+      while (left_[q].load(std::memory_order_acquire) < need) {
+        std::this_thread::yield();
+      }
+    }
+  }
+
+  void leave(ProcId p, uint32_t round) {
+    left_[p].store(round + 1, std::memory_order_release);
+  }
+
+ private:
+  static constexpr size_t kWidth = 3;
+
+  size_t group(size_t p, uint32_t round) const {
+    const size_t n = left_.size();
+    return (p + n - round % n) % n / kWidth;
+  }
+
+  std::vector<std::atomic<uint32_t>> left_;  // rounds each process has left
+};
+
+/// λ-records of a seeded single-threaded A* run over an MS queue, in the
+/// order a process would publish them: `procs` slots and up to `max_open`
+/// operations between announce and publish at a time.  An operation that
+/// starts while another is open is a dequeue, as in the enforced_queue
+/// benchmark: overlapping mutators overflow the checker's budget.  Each
+/// operation takes four steps (announce, invoke, complete, publish), so a
+/// record completed early can be published after later ones and land in
+/// the middle of the levels.  Owns the A* whose announcement chains the
+/// views point into.
+struct SteppedQueueRun {
+  std::unique_ptr<IConcurrent> impl;
+  std::unique_ptr<AStar> astar;
+  std::vector<LambdaRecord> records;
+};
+
+inline SteppedQueueRun stepped_queue_run(size_t procs, size_t ops,
+                                         size_t max_open, uint64_t seed) {
+  SteppedQueueRun run;
+  run.impl = make_ms_queue();
+  run.astar = std::make_unique<AStar>(procs, *run.impl);
+  SteppedAStar step(*run.astar);
+  Rng rng(seed);
+  struct Open {
+    ProcId p;
+    int stage;  // steps done after announce: 0, invoke 1, complete 2
+    AStar::Result r;
+  };
+  std::vector<Open> open;
+  std::vector<char> busy(procs, 0);
+  size_t started = 0;
+  while (started < ops || !open.empty()) {
+    if (started < ops && open.size() < max_open &&
+        (open.empty() || rng.chance(1, 2))) {
+      auto p = static_cast<ProcId>(rng.below(procs));
+      while (busy[p]) p = static_cast<ProcId>((p + 1) % procs);
+      std::pair<Method, Value> op{Method::kDequeue, kNoArg};
+      if (open.empty()) op = random_op(ObjectKind::kQueue, rng);
+      step.announce(p, op.first, op.second);
+      busy[p] = 1;
+      ++started;
+      open.push_back({p, 0, {}});
+      continue;
+    }
+    const size_t k = rng.below(open.size());
+    Open& o = open[k];
+    if (o.stage == 0) {
+      step.invoke(o.p);
+    } else if (o.stage == 1) {
+      o.r = step.complete(o.p);
+    } else {
+      run.records.push_back({o.r.op, o.r.y, std::move(o.r.view)});
+      busy[o.p] = 0;
+      open.erase(open.begin() + static_cast<long>(k));
+      continue;
+    }
+    ++o.stage;
+  }
+  return run;
 }
 
 }  // namespace selin::test

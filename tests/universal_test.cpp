@@ -31,6 +31,7 @@ TEST_P(UniversalSweep, ConcurrentHistoryLinearizable) {
   RecordingConcurrent recorded(*u, 4096);
 
   SpinBarrier barrier(kProcs);
+  test::RoundGate rounds(kProcs);
   std::vector<std::thread> threads;
   for (ProcId p = 0; p < kProcs; ++p) {
     threads.emplace_back([&, p, kind] {
@@ -38,7 +39,9 @@ TEST_P(UniversalSweep, ConcurrentHistoryLinearizable) {
       barrier.arrive_and_wait();
       for (uint32_t i = 0; i < 60; ++i) {
         auto [m, arg] = random_op(kind, rng);
+        rounds.enter(p, i);
         recorded.apply(p, OpDesc{OpId{p, i}, m, arg});
+        rounds.leave(p, i);
       }
     });
   }

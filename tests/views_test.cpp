@@ -3,6 +3,8 @@
 // XBuilder against the batch construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.hpp"
 
 namespace selin {
@@ -205,6 +207,63 @@ TEST(XBuilder, ReportsLowestChangedLevel) {
   EXPECT_TRUE(builder.levels()[1].invs[0].id == b.id);
   ASSERT_EQ(builder.levels()[2].invs.size(), 1u);
   EXPECT_TRUE(builder.levels()[2].invs[0].id == c.id);
+}
+
+// MonitorCore merges a check's fresh records in view-size order rather than
+// producer by producer; the levels must depend only on the set of records.
+// A 16-slot run with up to three ops open gives late records that land in
+// the middle of the levels, as in enforcement.
+TEST(XBuilder, LevelsIndependentOfMergeOrder) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    test::SteppedQueueRun run = test::stepped_queue_run(16, 400, 3, seed);
+    const std::vector<LambdaRecord>& recs = run.records;
+    std::vector<size_t> publish(recs.size());
+    for (size_t i = 0; i < publish.size(); ++i) publish[i] = i;
+    std::vector<size_t> per_producer = publish;
+    std::stable_sort(per_producer.begin(), per_producer.end(),
+                     [&](size_t a, size_t b) {
+                       return recs[a].op.id.pid < recs[b].op.id.pid;
+                     });
+    std::vector<size_t> by_size = publish;
+    std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+      return recs[a].view.size() < recs[b].view.size();
+    });
+    std::vector<std::vector<size_t>> orders{per_producer, by_size};
+    for (uint64_t s = 1; s <= 3; ++s) {
+      std::vector<size_t> order = publish;
+      Rng rng(seed * 100 + s);
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.below(i)]);
+      }
+      orders.push_back(order);
+    }
+
+    XBuilder ref;
+    size_t mid_inserts = 0;
+    for (size_t i : publish) {
+      const size_t before = ref.levels().size();
+      if (ref.add(&recs[i]) + 1 < before) ++mid_inserts;
+    }
+    ASSERT_GT(mid_inserts, 0u) << "seed " << seed << ": no late records";
+    const History flat = ref.flatten();
+    ASSERT_TRUE(flat == x_of_lambda(recs)) << "seed " << seed;
+    for (size_t o = 0; o < orders.size(); ++o) {
+      XBuilder b;
+      for (size_t i : orders[o]) b.add(&recs[i]);
+      ASSERT_EQ(b.levels().size(), ref.levels().size())
+          << "seed " << seed << " order " << o;
+      for (size_t l = 0; l < ref.levels().size(); ++l) {
+        const Level& want = ref.levels()[l];
+        const Level& got = b.levels()[l];
+        ASSERT_EQ(got.key, want.key) << "seed " << seed << " order " << o;
+        ASSERT_TRUE(got.invs == want.invs)
+            << "seed " << seed << " order " << o << " level " << l;
+        ASSERT_TRUE(got.ress == want.ress)
+            << "seed " << seed << " order " << o << " level " << l;
+      }
+      ASSERT_TRUE(b.flatten() == flat) << "seed " << seed << " order " << o;
+    }
+  }
 }
 
 TEST(LeveledChecker, AllStridesAgreeWithFromScratchUnderPermutations) {
