@@ -1,16 +1,61 @@
 #include "selin/io/history_io.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 namespace selin {
 
-std::optional<Method> parse_method(const std::string& name) {
-  static const std::pair<const char*, Method> kTable[] = {
+namespace {
+
+// std::isspace in the "C" locale, without the locale lookup.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// The longest valid line: res <pid> <seq> <Method> <arg> <result>.
+constexpr size_t kMaxTokens = 6;
+
+/// A line's whitespace-separated tokens up to its first '#', as views into
+/// the line.  Tokens past the array are counted but not kept: the arity
+/// errors need only the count.
+struct Tokens {
+  std::string_view tok[kMaxTokens];
+  size_t n = 0;
+
+  explicit Tokens(std::string_view line) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    while (p != end && *p != '#') {
+      if (is_space(*p)) {
+        ++p;
+        continue;
+      }
+      const char* const start = p;
+      while (p != end && *p != '#' && !is_space(*p)) ++p;
+      if (n < kMaxTokens) {
+        tok[n] = std::string_view(start, static_cast<size_t>(p - start));
+      }
+      ++n;
+    }
+  }
+};
+
+/// A pid or seq: the whole token is decimal digits, with a value below 2^32.
+bool parse_u32(std::string_view token, uint32_t& out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+std::optional<Method> parse_method(std::string_view name) {
+  static constexpr std::pair<std::string_view, Method> kTable[] = {
       {"Enqueue", Method::kEnqueue},     {"Dequeue", Method::kDequeue},
       {"Push", Method::kPush},           {"Pop", Method::kPop},
       {"Insert", Method::kInsert},       {"Remove", Method::kRemove},
@@ -45,123 +90,130 @@ bool method_takes_arg(Method m) {
   }
 }
 
-std::optional<Value> parse_value(const std::string& token) {
+std::optional<Value> parse_value(std::string_view token) {
+  if (token.empty()) return std::nullopt;
+  const char c = token[0];
+  if (c == '+' || c == '-' || (c >= '0' && c <= '9')) {
+    // from_chars takes '-' but not '+'; "+-1" stays an error.
+    if (c == '+') {
+      token.remove_prefix(1);
+      if (!token.empty() && token[0] == '-') return std::nullopt;
+    }
+    Value v = 0;
+    const char* const end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return v;
+  }
   if (token == "empty") return kEmpty;
   if (token == "ok") return kOk;
   if (token == "true") return kTrue;
   if (token == "false") return kFalse;
   if (token == "error") return kError;
-  try {
-    size_t pos = 0;
-    Value v = std::stoll(token, &pos);
-    if (pos != token.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return std::nullopt;
 }
 
-std::optional<Event> parse_history_line(const std::string& input,
+std::optional<Event> parse_history_line(std::string_view line,
                                         size_t lineno) {
-  // Tokenize in place (no line copy, no istringstream): this runs once per
-  // line of every streamed file, and tokens are short enough for SSO.
-  std::string_view line(input);
-  size_t hash = line.find('#');
-  if (hash != std::string_view::npos) line = line.substr(0, hash);
-  std::vector<std::string> tok;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    const size_t start = pos;
-    while (pos < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    if (pos > start) tok.emplace_back(line.substr(start, pos - start));
-  }
-  if (tok.empty()) return std::nullopt;
+  const Tokens t(line);
+  if (t.n == 0) return std::nullopt;
+  const std::string_view* tok = t.tok;
 
-  if (tok[0] != "inv" && tok[0] != "res") {
-    throw HistoryParseError(lineno,
-                            "expected 'inv' or 'res', got '" + tok[0] + "'");
+  const bool is_inv = tok[0] == "inv";
+  if (!is_inv && tok[0] != "res") {
+    throw HistoryParseError(lineno, "expected 'inv' or 'res', got '" +
+                                        std::string(tok[0]) + "'");
   }
-  bool is_inv = tok[0] == "inv";
-  if (tok.size() < 4) {
+  if (t.n < 4) {
     throw HistoryParseError(lineno, "too few fields");
   }
   OpDesc op;
-  try {
-    op.id.pid = static_cast<ProcId>(std::stoul(tok[1]));
-    op.id.seq = static_cast<uint32_t>(std::stoul(tok[2]));
-  } catch (const std::exception&) {
+  if (!parse_u32(tok[1], op.id.pid) || !parse_u32(tok[2], op.id.seq)) {
     throw HistoryParseError(lineno, "bad pid/seq");
   }
-  auto m = parse_method(tok[3]);
+  const std::optional<Method> m = parse_method(tok[3]);
   if (!m.has_value()) {
-    throw HistoryParseError(lineno, "unknown method '" + tok[3] + "'");
+    throw HistoryParseError(lineno,
+                            "unknown method '" + std::string(tok[3]) + "'");
   }
   op.method = *m;
   size_t next = 4;
   if (method_takes_arg(*m)) {
-    if (tok.size() <= next) {
+    if (t.n <= next) {
       throw HistoryParseError(lineno, "method requires an argument");
     }
-    auto arg = parse_value(tok[next++]);
+    const std::optional<Value> arg = parse_value(tok[next++]);
     if (!arg.has_value()) throw HistoryParseError(lineno, "bad argument");
     op.arg = *arg;
   }
   if (is_inv) {
-    if (tok.size() != next) {
+    if (t.n != next) {
       throw HistoryParseError(lineno, "trailing tokens on invocation");
     }
     return Event::inv(op);
   }
-  if (tok.size() != next + 1) {
+  if (t.n != next + 1) {
     throw HistoryParseError(lineno, "response requires exactly one result");
   }
-  auto res = parse_value(tok[next]);
+  const std::optional<Value> res = parse_value(tok[next]);
   if (!res.has_value()) throw HistoryParseError(lineno, "bad result");
   return Event::res(op, *res);
 }
 
-std::optional<Event> HistoryStreamReader::next() {
-  while (std::getline(*in_, linebuf_)) {
-    ++lineno_;
-    std::optional<Event> e = parse_history_line(linebuf_, lineno_);
-    if (!e.has_value()) continue;
-    // Incremental well-formedness, same rules as well_formed(): violations
-    // surface at the offending line rather than at end-of-stream.
-    const ProcId p = e->op.id.pid;
-    auto it = pending_.find(p);
-    if (e->is_inv()) {
-      if (it != pending_.end()) {
-        throw HistoryParseError(
-            lineno_, "history not well-formed: process p" + std::to_string(p) +
-                         " invokes while an operation is pending");
-      }
-      if (!seen_ops_[p].insert(e->op.id.seq)) {
-        throw HistoryParseError(
-            lineno_,
-            "history not well-formed: duplicate invocation of " +
-                to_string(e->op));
-      }
-      pending_.emplace(p, e->op);
-    } else {
-      if (it == pending_.end()) {
-        throw HistoryParseError(
-            lineno_, "history not well-formed: response without pending "
-                     "invocation: " + to_string(*e));
-      }
-      if (!(it->second == e->op)) {
-        throw HistoryParseError(
-            lineno_, "history not well-formed: response " + to_string(*e) +
-                         " does not match pending invocation");
-      }
-      pending_.erase(it);
+bool HistoryStreamReader::next_line(std::string_view& line) {
+  if (in_ == nullptr) {
+    if (text_.empty()) return false;
+    const size_t nl = text_.find('\n');
+    line = text_.substr(0, nl);
+    text_.remove_prefix(nl == std::string_view::npos ? text_.size() : nl + 1);
+    return true;
+  }
+  if (!std::getline(*in_, linebuf_)) return false;
+  line = linebuf_;
+  return true;
+}
+
+// Incremental well-formedness, same rules as well_formed(): violations
+// surface at the offending line rather than at end-of-stream.
+void HistoryStreamReader::check_well_formed(const Event& e) {
+  const ProcId p = e.op.id.pid;
+  ProcState& st = procs_[p];
+  if (e.is_inv()) {
+    if (st.open) {
+      throw HistoryParseError(
+          lineno_, "history not well-formed: process p" + std::to_string(p) +
+                       " invokes while an operation is pending");
     }
+    if (!st.seen.insert(e.op.id.seq)) {
+      throw HistoryParseError(
+          lineno_,
+          "history not well-formed: duplicate invocation of " +
+              to_string(e.op));
+    }
+    st.open = true;
+    st.pending = e.op;
+  } else {
+    if (!st.open) {
+      throw HistoryParseError(
+          lineno_, "history not well-formed: response without pending "
+                   "invocation: " + to_string(e));
+    }
+    if (!(st.pending == e.op)) {
+      throw HistoryParseError(
+          lineno_, "history not well-formed: response " + to_string(e) +
+                       " does not match pending invocation");
+    }
+    st.open = false;
+  }
+}
+
+std::optional<Event> HistoryStreamReader::next() {
+  std::string_view line;
+  while (next_line(line)) {
+    ++lineno_;
+    std::optional<Event> e = parse_history_line(line, lineno_);
+    if (!e.has_value()) continue;
+    check_well_formed(*e);
     ++count_;
     return e;
   }
@@ -180,40 +232,21 @@ size_t HistoryStreamReader::read_batch(std::vector<Event>& out, size_t max) {
 }
 
 History parse_history(std::istream& in) {
-  HistoryStreamReader reader(in);
   History h;
-  while (std::optional<Event> e = reader.next()) h.push_back(*e);
+  HistoryStreamReader(in).read_batch(h, std::numeric_limits<size_t>::max());
   return h;
 }
 
-History parse_history_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_history(in);
+History parse_history_string(std::string_view text) {
+  History h;
+  // One event per line at most.
+  h.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) +
+            1);
+  HistoryStreamReader(text).read_batch(h, std::numeric_limits<size_t>::max());
+  return h;
 }
 
 namespace {
-
-const char* method_spelling(Method m) {
-  switch (m) {
-    case Method::kEnqueue: return "Enqueue";
-    case Method::kDequeue: return "Dequeue";
-    case Method::kPush: return "Push";
-    case Method::kPop: return "Pop";
-    case Method::kInsert: return "Insert";
-    case Method::kRemove: return "Remove";
-    case Method::kContains: return "Contains";
-    case Method::kPqInsert: return "PqInsert";
-    case Method::kPqExtractMin: return "PqExtractMin";
-    case Method::kInc: return "Inc";
-    case Method::kCounterRead: return "CounterRead";
-    case Method::kRead: return "Read";
-    case Method::kWrite: return "Write";
-    case Method::kDecide: return "Decide";
-    case Method::kExchange: return "Exchange";
-    case Method::kWriteSnap: return "WriteSnap";
-  }
-  return "?";
-}
 
 std::string value_token(Value v) {
   if (v == kEmpty) return "empty";
@@ -227,7 +260,7 @@ std::string value_token(Value v) {
 void write_history(std::ostream& out, const History& h) {
   for (const Event& e : h) {
     out << (e.is_inv() ? "inv " : "res ") << e.op.id.pid << " " << e.op.id.seq
-        << " " << method_spelling(e.op.method);
+        << " " << method_name(e.op.method);
     if (method_takes_arg(e.op.method)) out << " " << value_token(e.op.arg);
     if (e.is_res()) out << " " << value_token(e.result);
     out << "\n";

@@ -11,9 +11,11 @@
 //     inv <pid> <seq> <Method> [arg]
 //     res <pid> <seq> <Method> [arg] <result>
 //
-// where <Method> is the enum spelling (Enqueue, Dequeue, Push, ...), [arg]
-// is required exactly for methods that take one, and values are integers or
-// the symbolic constants `empty`, `ok`, `true`, `false`, `error`.
+// where <pid> and <seq> are plain decimals below 2^32, <Method> is the enum
+// spelling (Enqueue, Dequeue, Push, ...), [arg] is required exactly for
+// methods that take one, and values are integers or the symbolic constants
+// `empty`, `ok`, `true`, `false`, `error`.  Tokens are separated by any
+// whitespace, so CRLF line endings parse too.
 //
 // Example:
 //     inv 0 0 Enqueue 5
@@ -26,6 +28,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -47,29 +50,33 @@ class HistoryParseError : public std::runtime_error {
 
 /// Parses the format above.  Throws HistoryParseError on malformed lines;
 /// the returned history is additionally checked for well-formedness.
+/// parse_history_string reads the text in place, without copying it.
 History parse_history(std::istream& in);
-History parse_history_string(const std::string& text);
+History parse_history_string(std::string_view text);
 
 /// Parses one line of the format above.  Returns nullopt for blank and
 /// comment-only lines; throws HistoryParseError (tagged with `lineno`) on a
-/// malformed line.  The building block both parse_history and the streaming
-/// reader share.
-std::optional<Event> parse_history_line(const std::string& line,
-                                        size_t lineno);
+/// malformed line.  The one line parser every source shares: it works on
+/// views into the line and allocates nothing unless it throws.
+std::optional<Event> parse_history_line(std::string_view line, size_t lineno);
 
-/// Incremental, line-at-a-time history reader for streaming consumption —
-/// the io front end of the multi-session service: `selin_check --jobs N`
-/// interleaves reads from many files through one of these per file, feeding
-/// each batch to its session without ever materializing a whole history.
+/// Incremental, line-at-a-time history reader — the io front end of the
+/// multi-session service: `selin_check --jobs N` interleaves reads from
+/// many files through one of these per file, feeding each batch to its
+/// session without ever materializing a whole history.  parse_history and
+/// parse_history_string are this reader run to the end, so every source
+/// goes through the same line parser and the same well-formedness check.
 ///
 /// Well-formedness is enforced *incrementally* with the same rules
 /// well_formed() applies to complete histories (no overlapping operations
 /// per process, no duplicate op ids, responses match their pending
 /// invocation), so a violation surfaces at the offending line instead of at
-/// end-of-stream.  The stream must outlive the reader.
+/// end-of-stream.  The stream, or the text, must outlive the reader.
 class HistoryStreamReader {
  public:
   explicit HistoryStreamReader(std::istream& in) : in_(&in) {}
+  /// Reads the lines of `text` in place.
+  explicit HistoryStreamReader(std::string_view text) : text_(text) {}
 
   /// Next event, or nullopt at end-of-stream.  Throws HistoryParseError on
   /// a malformed line or a well-formedness violation.
@@ -109,12 +116,25 @@ class HistoryStreamReader {
     }
   };
 
-  std::istream* in_;
+  /// Everything the well-formedness check knows about one process, so an
+  /// event costs one map lookup.
+  struct ProcState {
+    bool open = false;  // `pending` awaits its response
+    OpDesc pending;
+    SeenSeqs seen;
+  };
+
+  /// The next line of the source, without its '\n'; false at its end.
+  bool next_line(std::string_view& line);
+  /// Throws HistoryParseError if `e` breaks well-formedness.
+  void check_well_formed(const Event& e);
+
+  std::istream* in_ = nullptr;  // the stream source, or null for a text
+  std::string_view text_;       // the text source's unread rest
+  std::string linebuf_;         // the stream source's current line
   size_t lineno_ = 0;
   size_t count_ = 0;
-  std::string linebuf_;
-  std::unordered_map<ProcId, OpDesc> pending_;   // per-process open op
-  std::unordered_map<ProcId, SeenSeqs> seen_ops_;
+  std::unordered_map<ProcId, ProcState> procs_;
 };
 
 /// Serializes a history in the format above (round-trips with parse).
@@ -122,10 +142,11 @@ void write_history(std::ostream& out, const History& h);
 std::string history_to_string(const History& h);
 
 /// Method-name spellings used by the format.
-std::optional<Method> parse_method(const std::string& name);
+std::optional<Method> parse_method(std::string_view name);
 bool method_takes_arg(Method m);
 
-/// Parses `empty`/`ok`/`true`/`false`/`error` or a decimal integer.
-std::optional<Value> parse_value(const std::string& token);
+/// Parses `empty`/`ok`/`true`/`false`/`error` or a decimal integer with an
+/// optional sign in the int64 range.
+std::optional<Value> parse_value(std::string_view token);
 
 }  // namespace selin

@@ -19,7 +19,6 @@
 // fill its ~5-minute budget under the sanitizers.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <vector>
@@ -30,14 +29,7 @@
 namespace selin {
 namespace {
 
-/// SELIN_FUZZ_ROUNDS multiplier (>= 1); each "round" is one fresh seed.
-size_t fuzz_rounds() {
-  if (const char* s = std::getenv("SELIN_FUZZ_ROUNDS")) {
-    long v = std::atol(s);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 1;
-}
+using selin::test::fuzz_rounds;  // each "round" is one fresh seed
 
 // Structure-independent hash stand-ins (the engines use fph::* Zobrist
 // element hashes; any xor-combinable 64-bit mix exercises the same

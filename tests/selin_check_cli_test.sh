@@ -63,6 +63,11 @@ expect 2 "$bin" queue "$tmp/does-not-exist.hist"
 expect 2 "$bin" frobnicator "${ok_files[0]}"
 expect 2 "$bin" queue "${ok_files[0]}" --bogus-flag
 expect 3 "$bin" queue "$overflow"
+# A pid of 2^32 is a parse error: read through a narrowing cast it once
+# became pid 0 and merged two processes of the trace.
+pid_wrap="$tmp/pid_wrap.hist"
+printf 'inv 4294967296 0 Dequeue\n' > "$pid_wrap"
+expect 2 "$bin" queue "$pid_wrap"
 
 # ---- multi-history mode ----------------------------------------------------
 # All accepting: 0, and the summary table lists every file as OK.

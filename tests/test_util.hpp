@@ -3,6 +3,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -12,6 +13,16 @@
 #include "selin/selin.hpp"
 
 namespace selin::test {
+
+/// Round multiplier of the fuzz tests: SELIN_FUZZ_ROUNDS (default 1), so
+/// plain ctest is a fast smoke and the CI fuzz legs raise it.
+inline size_t fuzz_rounds() {
+  if (const char* s = std::getenv("SELIN_FUZZ_ROUNDS")) {
+    long v = std::atol(s);
+    if (v > 0) return static_cast<size_t>(v);
+  }
+  return 1;
+}
 
 /// Builds OpDescs with automatic per-process sequence numbers.
 class OpFactory {

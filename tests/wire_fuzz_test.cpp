@@ -22,7 +22,6 @@
 // idiom: plain ctest is a fast smoke, the CI fuzz legs raise it.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -36,13 +35,7 @@
 namespace selin::net {
 namespace {
 
-size_t fuzz_rounds() {
-  if (const char* s = std::getenv("SELIN_FUZZ_ROUNDS")) {
-    long v = std::atol(s);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 1;
-}
+using selin::test::fuzz_rounds;
 
 bool events_equal(const Event& a, const Event& b) {
   return a.kind == b.kind && a.op == b.op && a.result == b.result;
