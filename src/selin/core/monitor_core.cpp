@@ -9,10 +9,13 @@ namespace selin {
 void MonitorCore::init_checkers(size_t n_producers, const Options& options) {
   LeveledChecker::Options opts;
   opts.threads = options.checker_threads;
-  for (CheckerSlot& c : checkers_) {
+  if (checkers_.size() > 1) tips_ = std::vector<TipSlot>(checkers_.size());
+  for (size_t i = 0; i < checkers_.size(); ++i) {
+    CheckerSlot& c = checkers_[i];
     c.seen.assign(n_producers, nullptr);
     c.checker = std::make_unique<LeveledChecker>(*obj_, opts);
     if (options.obs != nullptr) c.checker->set_obs(options.obs);
+    if (!tips_.empty()) c.checker->share_tips(tips_, i);
   }
 }
 
@@ -124,10 +127,6 @@ History MonitorCore::sketch(size_t checker) const {
 
 size_t MonitorCore::record_count(size_t checker) const {
   return checkers_[checker].builder.record_count();
-}
-
-engine::EngineStats MonitorCore::checker_stats(size_t checker) const {
-  return checkers_[checker].checker->stats();
 }
 
 engine::EngineStats MonitorCore::stats() const {

@@ -6,8 +6,10 @@
 // / 03-04 of Figure 12); checkers snapshot M, merge the newly visible
 // records into their private XBuilder, and re-evaluate membership through
 // their private LeveledChecker (Lines 08-10).  All cross-thread
-// communication goes through the snapshot object — read/write base objects
-// only, per Theorem 8.1(1).
+// communication goes through the snapshot object and through one
+// single-writer tip register per checker, where checkers publish monitor
+// states for each other to adopt (LeveledChecker::share_tips) — read/write
+// base objects only, per Theorem 8.1(1).
 //
 // The checking side rides the modern membership engine: each checker's
 // LeveledChecker feeds stride segments through feed_batch into a
@@ -113,8 +115,11 @@ class MonitorCore {
   /// λ-records currently merged by this checker (diagnostics).
   size_t record_count(size_t checker) const;
 
-  /// Engine counters of one checker's live monitor.
-  engine::EngineStats checker_stats(size_t checker) const;
+  /// One checker's leveled evaluator (diagnostics: engine counters,
+  /// checkpoints, rollbacks, tip adoptions).
+  const LeveledChecker& leveled(size_t checker) const {
+    return *checkers_[checker].checker;
+  }
 
   /// Engine counters aggregated across all checkers (engine::accumulate) —
   /// what an enforced object reports under --stats-json / --metrics.
@@ -143,6 +148,11 @@ class MonitorCore {
   const GenLinObject* obj_;
   std::unique_ptr<Snapshot<const RecNode*>> m_;  // the object M
   std::vector<ProducerSlot> producers_;
+  /// One single-writer tip register per checker, through which checkers
+  /// share monitor states (LeveledChecker::share_tips); empty with a
+  /// single checker, which has nobody to share with.  Declared before
+  /// checkers_ so that it outlives them.
+  std::vector<TipSlot> tips_;
   std::vector<CheckerSlot> checkers_;
 };
 

@@ -132,6 +132,25 @@ class FrontierEngine {
 
   FrontierEngine& operator=(const FrontierEngine&) = delete;
 
+  /// Overwrite the fed state (frontier, open ops, verdict) with a copy of
+  /// `o`'s, built from this engine's state pool.  Counters, scratch
+  /// capacity and the obs attachment stay this engine's own, so restoring a
+  /// checkpoint does not erase the work done since the fork.  Sequential
+  /// representation only: returns false, touching nothing, when either
+  /// frontier is sharded.
+  bool assign_from(const FrontierEngine& o) {
+    if (parallel_active_ || o.parallel_active_) return false;
+    ok_ = o.ok_;
+    overflowed_ = o.overflowed_;
+    open_ = o.open_;
+    for (Config& c : frontier_) eng_.pool.release(std::move(c.state));
+    frontier_.clear();
+    for (const Config& c : o.frontier_) {
+      frontier_.push_back(c.clone_with(eng_.pool));
+    }
+    return true;
+  }
+
   void feed(const Event& e) { feed_batch({&e, 1}); }
 
   /// Batched feed: the per-event closure/dedup work is amortized across

@@ -54,6 +54,11 @@ std::unique_ptr<MembershipMonitor> LinMonitor::clone() const {
   return std::make_unique<LinMonitor>(*this);
 }
 
+bool LinMonitor::assign_from(const MembershipMonitor& src) {
+  const auto* o = dynamic_cast<const LinMonitor*>(&src);
+  return o != nullptr && impl_->eng.assign_from(o->impl_->eng);
+}
+
 bool linearizable(const SeqSpec& spec, const History& h, size_t max_configs,
                   size_t threads) {
   LinMonitor m(spec, max_configs, threads);

@@ -74,6 +74,8 @@ class LinMonitor final : public MembershipMonitor {
   void feed_batch(std::span<const Event> events) override;
   bool ok() const override;
   std::unique_ptr<MembershipMonitor> clone() const override;
+  /// engine::FrontierEngine::assign_from; false for a non-LinMonitor `src`.
+  bool assign_from(const MembershipMonitor& src) override;
 
   /// Forwarded to the underlying engine (engine::FrontierEngine::set_obs);
   /// clones inherit the attachment.

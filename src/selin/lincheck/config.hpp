@@ -35,17 +35,6 @@
 #include "selin/util/interval_set.hpp"
 #include "selin/util/small_vec.hpp"
 
-// Fingerprint collision audit: every dedup probe is cross-checked against
-// the canonical string key.  On by default in debug builds; force with
-// -DSELIN_FP_AUDIT=1 (CMake option SELIN_FP_AUDIT).
-#ifndef SELIN_FP_AUDIT
-#ifdef NDEBUG
-#define SELIN_FP_AUDIT 0
-#else
-#define SELIN_FP_AUDIT 1
-#endif
-#endif
-
 namespace selin::lincheck {
 
 /// Seq-major storage key of an op id: seq in the high word, pid in the low

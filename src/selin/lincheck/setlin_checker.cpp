@@ -52,6 +52,11 @@ std::unique_ptr<MembershipMonitor> SetLinMonitor::clone() const {
   return std::make_unique<SetLinMonitor>(*this);
 }
 
+bool SetLinMonitor::assign_from(const MembershipMonitor& src) {
+  const auto* o = dynamic_cast<const SetLinMonitor*>(&src);
+  return o != nullptr && impl_->eng.assign_from(o->impl_->eng);
+}
+
 bool set_linearizable(const SetSeqSpec& spec, const History& h,
                       size_t max_configs, size_t threads) {
   SetLinMonitor m(spec, max_configs, threads);

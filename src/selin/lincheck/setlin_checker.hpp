@@ -40,6 +40,8 @@ class SetLinMonitor final : public MembershipMonitor {
   void feed_batch(std::span<const Event> events) override;
   bool ok() const override;
   std::unique_ptr<MembershipMonitor> clone() const override;
+  /// See LinMonitor::assign_from.
+  bool assign_from(const MembershipMonitor& src) override;
 
   /// Forwarded to the underlying engine; clones inherit the attachment.
   void attach_obs(const obs::EngineHooks* hooks) override;

@@ -100,6 +100,17 @@ class MembershipMonitor {
   virtual bool ok() const = 0;
   virtual std::unique_ptr<MembershipMonitor> clone() const = 0;
 
+  /// Overwrite the membership state (what has been fed, and the verdict)
+  /// with a copy of `src`'s, which has the same concrete type.  Unlike
+  /// clone(), *this keeps its own engine counters, scratch capacity and obs
+  /// attachment, so a monitor restored this way still reports the work it
+  /// did.  Default: unsupported, returns false; callers fall back to
+  /// clone().
+  virtual bool assign_from(const MembershipMonitor& src) {
+    (void)src;
+    return false;
+  }
+
   /// Attach observability instruments (obs/hooks.hpp; nullptr detaches).
   /// The bundle must outlive the monitor and every clone taken from it —
   /// clones inherit the attachment.  Default: no-op, for monitors without

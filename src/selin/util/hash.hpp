@@ -18,6 +18,18 @@
 #include <cstdint>
 #include <string_view>
 
+// Fingerprint collision audit: every dedup probe is cross-checked against
+// the canonical string key, and every adopted level-prefix digest against
+// the prefix it names (views/leveled_history.cpp).  On by default in debug
+// builds; force with -DSELIN_FP_AUDIT=1 (CMake option SELIN_FP_AUDIT).
+#ifndef SELIN_FP_AUDIT
+#ifdef NDEBUG
+#define SELIN_FP_AUDIT 0
+#else
+#define SELIN_FP_AUDIT 1
+#endif
+#endif
+
 namespace selin::fph {
 
 inline constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;

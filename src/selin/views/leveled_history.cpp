@@ -1,8 +1,10 @@
 #include "selin/views/leveled_history.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "selin/obs/hooks.hpp"
+#include "selin/util/hash.hpp"
 
 namespace selin {
 
@@ -69,6 +71,34 @@ History XBuilder::flatten() const {
   return out;
 }
 
+namespace {
+
+// Seeds the prefix digest chain (digests_[0], the empty prefix).
+constexpr uint64_t kPrefixTag = 0x1E7E1ED0D16E5700ull;
+
+// The words a level contributes to its prefix digest: its key, then each
+// invocation (id, method, arg) and each response (id, method, arg, value),
+// each list preceded by its length.
+template <typename Fn>
+void level_words(const Level& lvl, Fn&& word) {
+  word(lvl.key);
+  word(lvl.invs.size());
+  for (const OpDesc& op : lvl.invs) {
+    word(op.id.packed());
+    word(static_cast<uint64_t>(op.method));
+    word(static_cast<uint64_t>(op.arg));
+  }
+  word(lvl.ress.size());
+  for (const auto& [op, y] : lvl.ress) {
+    word(op.id.packed());
+    word(static_cast<uint64_t>(op.method));
+    word(static_cast<uint64_t>(op.arg));
+    word(static_cast<uint64_t>(y));
+  }
+}
+
+}  // namespace
+
 LeveledChecker::LeveledChecker(const GenLinObject& obj, const Options& opts)
     : obj_(&obj), stride_(opts.stride == 0 ? 1 : opts.stride),
       threads_(opts.threads) {}
@@ -86,10 +116,20 @@ void LeveledChecker::set_obs(const obs::LeveledHooks* hooks) {
   }
 }
 
+void LeveledChecker::share_tips(std::span<TipSlot> slots, size_t self) {
+  slots_ = slots;
+  self_ = self;
+}
+
+std::unique_ptr<MembershipMonitor> LeveledChecker::fresh_monitor() const {
+  std::unique_ptr<MembershipMonitor> m = obj_->monitor(threads_);
+  if (obs_ != nullptr) m->attach_obs(obs_->engine);
+  return m;
+}
+
 void LeveledChecker::ensure_monitor() {
   if (cur_ == nullptr) {
-    cur_ = obj_->monitor(threads_);
-    if (obs_ != nullptr) cur_->attach_obs(obs_->engine);
+    cur_ = fresh_monitor();
     fed_ = 0;
   }
 }
@@ -99,13 +139,13 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
   // GenLin objects are prefix-closed, hence a failing prefix settles the
   // verdict anyway.  Each stride segment goes to the monitor as one batch,
   // so the frontier engine runs its closure once per segment's response
-  // runs instead of once per response; segments never span a stride
-  // boundary, keeping the checkpoint policy level-exact.
+  // runs instead of once per response; segments end where the next
+  // checkpoint is due, keeping the checkpoint policy level-exact.
   const auto& levels = builder.levels();
   ensure_monitor();
   while (fed_ < levels.size()) {
-    const size_t until =
-        std::min(levels.size(), (fed_ / stride_ + 1) * stride_);
+    const size_t due = last_checkpoint_level() + stride_;
+    const size_t until = std::min(levels.size(), due);
     batch_.clear();
     for (size_t i = fed_; i < until; ++i) {
       const Level& lvl = levels[i];
@@ -116,28 +156,40 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
     }
     cur_->feed_batch(batch_);
     fed_ = until;
-    if (fed_ % stride_ == 0) checkpoints_.push_back(cur_->clone());
+    if (fed_ == due) checkpoints_.push_back({fed_, cur_->clone()});
   }
+}
+
+void LeveledChecker::truncate_checkpoints(size_t level) {
+  while (!checkpoints_.empty() && checkpoints_.back().level > level) {
+    checkpoints_.pop_back();
+  }
+}
+
+void LeveledChecker::restore(const MembershipMonitor* src, size_t level) {
+  std::unique_ptr<MembershipMonitor> initial;
+  if (src == nullptr) {
+    initial = fresh_monitor();
+    src = initial.get();
+  }
+  if (!cur_->assign_from(*src)) {
+    cur_ = initial != nullptr ? std::move(initial) : src->clone();
+  }
+  fed_ = level;
 }
 
 void LeveledChecker::rollback(size_t from_level) {
   ++rollbacks_;
   const size_t fed_before = fed_;
-  // Checkpoints at or below from_level; in range because from_level < fed_
-  // and checkpoints_.size() == fed_ / stride_.
-  const size_t keep = from_level / stride_;
-  if (keep == 0) {
-    cur_ = obj_->monitor(threads_);
-    if (obs_ != nullptr) cur_->attach_obs(obs_->engine);
-    fed_ = 0;
+  // Release the stale checkpoints eagerly, before the restore — a rollback
+  // must not leave monitors above the truncation point alive until some
+  // later feed happens to overwrite them.
+  truncate_checkpoints(from_level);
+  if (checkpoints_.empty()) {
+    restore(nullptr, 0);
   } else {
-    cur_ = checkpoints_[keep - 1]->clone();
-    fed_ = keep * stride_;
+    restore(checkpoints_.back().monitor.get(), checkpoints_.back().level);
   }
-  // Release the stale clones eagerly — a rollback must not leave monitors
-  // above the truncation point alive until some later feed happens to
-  // overwrite them.
-  checkpoints_.resize(keep);
   if (obs_ != nullptr) {
     const size_t replay = fed_before - fed_;
     if (obs_->rollback_depth != nullptr) obs_->rollback_depth->record(replay);
@@ -148,10 +200,125 @@ void LeveledChecker::rollback(size_t from_level) {
       ev.start_ns = obs::now_ns();
       ev.p0 = from_level;
       ev.p1 = replay;
-      ev.p2 = keep;
+      ev.p2 = checkpoints_.size();
       obs_->trace->record(ev);
     }
   }
+}
+
+void LeveledChecker::refresh_digests(const XBuilder& builder, size_t dirty) {
+  const auto& levels = builder.levels();
+  if (digests_.empty()) digests_.push_back(fph::Hasher(kPrefixTag).done());
+  // digests_[0..k] describe prefixes below every dirty level: still valid.
+  size_t k = std::min(dirty, digests_.size() - 1);
+  digests_.resize(levels.size() + 1);
+#if SELIN_FP_AUDIT
+  audit_ends_.resize(levels.size() + 1);  // audit_ends_[0] stays 0
+  audit_words_.resize(audit_ends_[k]);
+#endif
+  for (; k < levels.size(); ++k) {
+    fph::Hasher h(kPrefixTag);
+    h.u64(digests_[k]);
+    level_words(levels[k], [&](uint64_t w) {
+      h.u64(w);
+#if SELIN_FP_AUDIT
+      audit_words_.push_back(w);
+#endif
+    });
+    digests_[k + 1] = h.done();
+#if SELIN_FP_AUDIT
+    audit_ends_[k + 1] = audit_words_.size();
+#endif
+  }
+}
+
+bool LeveledChecker::adopt_tip(size_t resume, size_t levels) {
+  // Hazard protocol: name a tip in a hazard pointer, then re-read the slot;
+  // if the slot still holds it, its owner cannot recycle it until the
+  // hazard is cleared.  A slot that changed in between is skipped, never
+  // retried.  hazard[best_h] guards the best tip so far, the other probes.
+  std::atomic<const Tip*>* hazard = slots_[self_].hazard;
+  const Tip* best = nullptr;
+  int best_h = 1;
+  for (size_t j = 0; j < slots_.size(); ++j) {
+    if (j == self_) continue;
+    const Tip* t = slots_[j].tip.load();
+    if (t == nullptr) continue;
+    const int h = 1 - best_h;
+    hazard[h].store(t);
+    if (slots_[j].tip.load() != t) continue;
+    const size_t k = t->levels;
+    if (k <= resume || k > levels || (best != nullptr && k <= best->levels)) {
+      continue;
+    }
+    if (t->digest != digests_[k]) {
+      ++tips_rejected_;
+      continue;
+    }
+    best = t;
+    best_h = h;
+  }
+  hazard[1 - best_h].store(nullptr);
+  if (best == nullptr) return false;
+#if SELIN_FP_AUDIT
+  if (!std::equal(best->audit_words.begin(), best->audit_words.end(),
+                  audit_words_.begin(),
+                  audit_words_.begin() +
+                      static_cast<long>(audit_ends_[best->levels]))) {
+    hazard[best_h].store(nullptr);
+    throw std::runtime_error(
+        "selin: fingerprint collision detected (level prefix digest)");
+  }
+#endif
+  restore(best->monitor.get(), best->levels);
+  hazard[best_h].store(nullptr);
+  ++tip_adoptions_;
+  // A level reached by adoption gets a checkpoint within a stride below it,
+  // as a fed one does, so a later miss never replays from further down than
+  // the jump it skipped.
+  if (fed_ >= last_checkpoint_level() + stride_) {
+    checkpoints_.push_back({fed_, cur_->clone()});
+  }
+  return true;
+}
+
+std::unique_ptr<Tip> LeveledChecker::reusable_tip() {
+  if (retired_.empty()) return nullptr;
+  hazards_.clear();
+  for (const TipSlot& s : slots_) {
+    for (const auto& h : s.hazard) {
+      if (const Tip* t = h.load(); t != nullptr) hazards_.push_back(t);
+    }
+  }
+  // At most 2 * slots hazards exist, so more retired tips than that always
+  // leave one free: the retired list stays O(slots) long.
+  for (auto it = retired_.begin(); it != retired_.end(); ++it) {
+    if (std::find(hazards_.begin(), hazards_.end(), it->get()) ==
+        hazards_.end()) {
+      std::unique_ptr<Tip> t = std::move(*it);
+      retired_.erase(it);
+      return t;
+    }
+  }
+  return nullptr;
+}
+
+void LeveledChecker::publish_tip() {
+  std::unique_ptr<Tip> t = reusable_tip();
+  if (t == nullptr) t = std::make_unique<Tip>();
+  if (t->monitor == nullptr || !t->monitor->assign_from(*cur_)) {
+    t->monitor = cur_->clone();
+  }
+  t->levels = fed_;
+  t->digest = digests_[fed_];
+#if SELIN_FP_AUDIT
+  t->audit_words.assign(
+      audit_words_.begin(),
+      audit_words_.begin() + static_cast<long>(audit_ends_[fed_]));
+#endif
+  slots_[self_].tip.store(t.get());
+  if (published_ != nullptr) retired_.push_back(std::move(published_));
+  published_ = std::move(t);
 }
 
 bool LeveledChecker::resync(const XBuilder& builder, size_t from_level) {
@@ -165,20 +332,34 @@ bool LeveledChecker::resync(const XBuilder& builder,
   const uint64_t replayed_before = replayed_levels_;
   const auto& levels = builder.levels();
   ensure_monitor();
-  size_t from = fed_;
-  for (size_t d : dirty_levels) from = std::min(from, d);
+  size_t dirty = levels.size();
+  for (size_t d : dirty_levels) dirty = std::min(dirty, d);
+  const size_t from = std::min(fed_, dirty);
   if (dirty_levels.size() > 1) {
     peak_storm_records_ = std::max(peak_storm_records_, dirty_levels.size());
   }
-  if (from < fed_) {
-    const size_t old_fed = fed_;
-    rollback(from);
-    // Replayed = previously fed levels re-fed below the old frontier; the
-    // merge's brand-new levels would have been fed either way.
+  const size_t old_fed = fed_;
+  bool adopted = false;
+  if (!slots_.empty()) {
+    refresh_digests(builder, dirty);
+    // Checkpoints above `from` describe changed levels.  Without a tip,
+    // this checker resumes from the live monitor when nothing below it
+    // changed, else from the nearest checkpoint at or below `from`.
+    truncate_checkpoints(from);
+    adopted = adopt_tip(from < fed_ ? last_checkpoint_level() : fed_,
+                        levels.size());
+  }
+  if (!adopted && from < fed_) rollback(from);
+  // Replayed = previously fed levels re-fed below the old frontier; the
+  // merge's brand-new levels would have been fed either way.
+  if (fed_ < old_fed) {
     replayed_levels_ += std::min(old_fed, levels.size()) - fed_;
   }
   append_batch(builder);
   ok_ = cur_->ok();
+  // Reached only when the feed did not overflow, so an overflowed state is
+  // never shared.
+  if (!slots_.empty()) publish_tip();
   if (obs_ != nullptr) {
     const uint64_t dur = obs::now_ns() - t0;
     if (obs_->resync_ns != nullptr) obs_->resync_ns->record(dur);

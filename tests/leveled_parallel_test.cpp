@@ -5,10 +5,10 @@
 //   * rollback-storm determinism — repeated parallel runs produce the
 //     identical verdict sequence (the TSan CI leg runs this test);
 //   * eager checkpoint release on rollback — live-monitor accounting
-//     through a counting wrapper object, plus checkpoint_count().
+//     through a counting wrapper object, plus checkpoint_count();
+//   * engine counters that keep the events a rollback replays.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 
 #include "test_util.hpp"
@@ -147,60 +147,7 @@ TEST(LeveledParallel, RollbackStormDeterminism) {
 
 // ---- eager checkpoint release ---------------------------------------------
 
-// GenLinObject wrapper whose monitors count live instances, so tests can
-// observe how many monitor clones (live frontier + checkpoints) a checker
-// keeps alive at its peak.
-class CountingMonitor final : public MembershipMonitor {
- public:
-  CountingMonitor(std::unique_ptr<MembershipMonitor> inner,
-                  std::shared_ptr<std::atomic<int>> live,
-                  std::shared_ptr<std::atomic<int>> peak)
-      : inner_(std::move(inner)), live_(std::move(live)),
-        peak_(std::move(peak)) {
-    int now = live_->fetch_add(1) + 1;
-    int prev = peak_->load();
-    while (prev < now && !peak_->compare_exchange_weak(prev, now)) {
-    }
-  }
-  ~CountingMonitor() override { live_->fetch_sub(1); }
-
-  void feed(const Event& e) override { inner_->feed(e); }
-  bool ok() const override { return inner_->ok(); }
-  std::unique_ptr<MembershipMonitor> clone() const override {
-    return std::make_unique<CountingMonitor>(inner_->clone(), live_, peak_);
-  }
-
- private:
-  std::unique_ptr<MembershipMonitor> inner_;
-  std::shared_ptr<std::atomic<int>> live_;
-  std::shared_ptr<std::atomic<int>> peak_;
-};
-
-class CountingObject final : public GenLinObject {
- public:
-  explicit CountingObject(std::unique_ptr<GenLinObject> base)
-      : base_(std::move(base)),
-        live_(std::make_shared<std::atomic<int>>(0)),
-        peak_(std::make_shared<std::atomic<int>>(0)) {}
-
-  const char* name() const override { return base_->name(); }
-  std::unique_ptr<MembershipMonitor> monitor() const override {
-    return std::make_unique<CountingMonitor>(base_->monitor(), live_, peak_);
-  }
-  std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
-    return std::make_unique<CountingMonitor>(base_->monitor(threads), live_,
-                                             peak_);
-  }
-
-  int live() const { return live_->load(); }
-  int peak() const { return peak_->load(); }
-  void reset_peak() { peak_->store(live_->load()); }
-
- private:
-  std::unique_ptr<GenLinObject> base_;
-  std::shared_ptr<std::atomic<int>> live_;
-  std::shared_ptr<std::atomic<int>> peak_;
-};
+using test::CountingObject;
 
 TEST(LeveledParallel, RollbackReleasesCheckpointsEagerly) {
   // 60 prompt levels from process 0 plus one straggler from process 1 that
@@ -246,6 +193,56 @@ TEST(LeveledParallel, RollbackReleasesCheckpointsEagerly) {
   // clone.  Without eager release the 10 stale clones double up (>= 26).
   EXPECT_LE(obj.peak(), 17);
   EXPECT_GT(checker.rollbacks(), 0u);
+}
+
+TEST(LeveledParallel, StatsCountReplayedEvents) {
+  // RollbackReleasesCheckpointsEagerly's shape on a plain counter object:
+  // the straggler restores the checkpoint at level 20 and replays from
+  // there.  A restore copies the checkpoint's state but not its counters,
+  // so events_fed keeps the 121 events fed before (60 responses, 61
+  // invocations) and adds the 82 of levels [20, 61) fed again, where a
+  // checkpoint clone would report only its own lineage (40 + 82).
+  test::OpFactory f;
+  ChainBuilder cb(2);
+  auto spec = make_counter_spec();
+  auto state = spec->initial();
+  std::vector<LambdaRecord> records;
+  LambdaRecord straggler;
+  for (int i = 0; i < 60; ++i) {
+    if (i == 20) {
+      OpDesc late = f.op(1, Method::kInc);
+      cb.announce(late);
+      straggler = LambdaRecord{late, state->step(Method::kInc, kNoArg),
+                               cb.snap()};
+    }
+    OpDesc op = f.op(0, Method::kInc);
+    cb.announce(op);
+    records.push_back({op, state->step(Method::kInc, kNoArg), cb.snap()});
+  }
+
+  auto obj = make_linearizable_object(make_counter_spec());
+  XBuilder b;
+  LeveledChecker checker(*obj, LeveledChecker::Options{4, 0});
+  for (LambdaRecord& r : records) {
+    ASSERT_TRUE(checker.resync(b, b.add(&r)));
+  }
+  const auto events_in = [&b](size_t lo, size_t hi) {
+    uint64_t n = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      n += b.levels()[i].invs.size() + b.levels()[i].ress.size();
+    }
+    return n;
+  };
+  const uint64_t before = checker.stats().events_fed;
+  ASSERT_EQ(before, events_in(0, 60));
+  ASSERT_EQ(before, 121u);
+
+  const size_t at = b.add(&straggler);
+  ASSERT_EQ(at, 20u);
+  ASSERT_TRUE(checker.resync(b, at));
+  EXPECT_EQ(checker.replayed_levels(), 40u);
+  EXPECT_EQ(events_in(20, 61), 82u);
+  EXPECT_EQ(checker.stats().events_fed, before + events_in(20, 61));
 }
 
 }  // namespace

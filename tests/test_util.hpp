@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -255,6 +256,70 @@ class RoundGate {
   }
 
   std::vector<std::atomic<uint32_t>> left_;  // rounds each process has left
+};
+
+/// GenLinObject wrapper whose monitors count live instances, so tests can
+/// observe how many monitors (live frontiers, checkpoints, shared tips) a
+/// checker keeps alive, and at its peak.  Feeds and restores forward to the
+/// wrapped monitor, so a restore through assign_from allocates nothing, as
+/// with the real monitors.
+class CountingMonitor final : public MembershipMonitor {
+ public:
+  CountingMonitor(std::unique_ptr<MembershipMonitor> inner,
+                  std::shared_ptr<std::atomic<int>> live,
+                  std::shared_ptr<std::atomic<int>> peak)
+      : inner_(std::move(inner)), live_(std::move(live)),
+        peak_(std::move(peak)) {
+    int now = live_->fetch_add(1) + 1;
+    int prev = peak_->load();
+    while (prev < now && !peak_->compare_exchange_weak(prev, now)) {
+    }
+  }
+  ~CountingMonitor() override { live_->fetch_sub(1); }
+
+  void feed(const Event& e) override { inner_->feed(e); }
+  void feed_batch(std::span<const Event> events) override {
+    inner_->feed_batch(events);
+  }
+  bool ok() const override { return inner_->ok(); }
+  std::unique_ptr<MembershipMonitor> clone() const override {
+    return std::make_unique<CountingMonitor>(inner_->clone(), live_, peak_);
+  }
+  bool assign_from(const MembershipMonitor& src) override {
+    const auto* o = dynamic_cast<const CountingMonitor*>(&src);
+    return o != nullptr && inner_->assign_from(*o->inner_);
+  }
+
+ private:
+  std::unique_ptr<MembershipMonitor> inner_;
+  std::shared_ptr<std::atomic<int>> live_;
+  std::shared_ptr<std::atomic<int>> peak_;
+};
+
+class CountingObject final : public GenLinObject {
+ public:
+  explicit CountingObject(std::unique_ptr<GenLinObject> base)
+      : base_(std::move(base)),
+        live_(std::make_shared<std::atomic<int>>(0)),
+        peak_(std::make_shared<std::atomic<int>>(0)) {}
+
+  const char* name() const override { return base_->name(); }
+  std::unique_ptr<MembershipMonitor> monitor() const override {
+    return std::make_unique<CountingMonitor>(base_->monitor(), live_, peak_);
+  }
+  std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
+    return std::make_unique<CountingMonitor>(base_->monitor(threads), live_,
+                                             peak_);
+  }
+
+  int live() const { return live_->load(); }
+  int peak() const { return peak_->load(); }
+  void reset_peak() { peak_->store(live_->load()); }
+
+ private:
+  std::unique_ptr<GenLinObject> base_;
+  std::shared_ptr<std::atomic<int>> live_;
+  std::shared_ptr<std::atomic<int>> peak_;
 };
 
 /// λ-records of a seeded single-threaded A* run over an MS queue, in the
