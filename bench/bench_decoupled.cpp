@@ -100,7 +100,7 @@ void BM_VerifierPassVsBacklog(benchmark::State& state) {
 
 BENCHMARK(BM_VerifierPassVsBacklog)->Arg(10)->Arg(100)->Arg(1000);
 
-// Batch amortization on the ported engine path: total cost of producing
+// Batch amortization of the verifier pass: total cost of producing
 // AND verifying a fixed op stream when the verifier passes every k applies
 // (k=1 is the coupled-equivalent cadence; larger k approaches one level
 // fed per op — the shape the `enforced` facet records as its decoupled
@@ -113,9 +113,7 @@ void BM_VerifierBatchAmortization(benchmark::State& state) {
     state.PauseTiming();
     auto impl = make_ms_queue();
     auto obj = make_linearizable_object(make_queue_spec());
-    Decoupled::Options opts;
-    opts.checker_threads = engine::kAutoThreads;
-    Decoupled d(8, 1, *impl, *obj, Decoupled::ErrorReport{}, opts);
+    Decoupled d(8, 1, *impl, *obj);
     Rng rng(13);
     state.ResumeTiming();
     for (int64_t i = 0; i < kOps; ++i) {

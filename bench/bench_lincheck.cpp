@@ -137,108 +137,4 @@ void BM_FrontierVsConcurrency(benchmark::State& state) {
 
 BENCHMARK(BM_FrontierVsConcurrency)->DenseRange(1, 7);
 
-// Parallel frontier scaling (the `parallel_scaling` facet of
-// BENCH_lincheck.json): verified-op throughput of the sharded engine versus
-// the shard count on a frontier-width-sweep workload.  The history holds k
-// forever-ambiguous overlapping push pairs — the frontier stays 2^k wide —
-// under a stream of overlapping push/pop pairs, so every response re-expands
-// a 2^k-configuration closure: exactly the work profile the shards split.
-// Shard counts beyond the host's cores measure oversubscription, not
-// speedup; run_bench.sh records items_per_second per shard count.
-History make_wide_frontier_history(size_t k, size_t trailing_pairs) {
-  History h;
-  Value v = 1000;
-  uint32_t seq0 = 0, seq1 = 0, seq2 = 0, seq3 = 0;
-  for (size_t i = 0; i < k; ++i) {
-    OpDesc a{OpId{0, seq0++}, Method::kPush, v++};
-    OpDesc b{OpId{1, seq1++}, Method::kPush, v++};
-    h.push_back(Event::inv(a));
-    h.push_back(Event::inv(b));
-    h.push_back(Event::res(a, kTrue));
-    h.push_back(Event::res(b, kTrue));
-  }
-  for (size_t i = 0; i < trailing_pairs; ++i) {
-    OpDesc push{OpId{2, seq2++}, Method::kPush, v};
-    OpDesc pop{OpId{3, seq3++}, Method::kPop};
-    h.push_back(Event::inv(push));
-    h.push_back(Event::inv(pop));
-    h.push_back(Event::res(push, kTrue));
-    h.push_back(Event::res(pop, v));
-    ++v;
-  }
-  return h;
-}
-
-void BM_ParallelFrontierScaling(benchmark::State& state) {
-  size_t shards = static_cast<size_t>(state.range(0));
-  constexpr size_t kAmbiguity = 12;      // frontier width 2^12 = 4096
-  constexpr size_t kTrailingPairs = 24;  // 48 closure-triggering responses
-  auto spec = make_stack_spec();
-  History h = make_wide_frontier_history(kAmbiguity, kTrailingPairs);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linearizable(*spec, h, /*max_configs=*/1 << 22, shards));
-  }
-  state.SetLabel("shards=" + std::to_string(shards));
-  state.SetItemsProcessed(state.iterations() * kTrailingPairs * 2);
-}
-
-BENCHMARK(BM_ParallelFrontierScaling)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// Adaptive engine on a width-swinging workload: phases of wide ambiguity
-// (2^10 frontier) resolved back down to width 1, repeated.  threads=auto
-// should track the sequential engine on the narrow phases and the sharded
-// engine on the wide ones; compare against the fixed-mode rows (arg 0 =
-// auto, otherwise the literal thread count).
-History make_width_swing_history(size_t phases, size_t k) {
-  History h;
-  Value v = 1;
-  uint32_t seq0 = 0, seq1 = 0, seq2 = 0;
-  for (size_t ph = 0; ph < phases; ++ph) {
-    std::vector<std::pair<Value, Value>> pairs;
-    for (size_t i = 0; i < k; ++i) {
-      OpDesc a{OpId{0, seq0++}, Method::kPush, v++};
-      OpDesc b{OpId{1, seq1++}, Method::kPush, v++};
-      pairs.emplace_back(a.arg, b.arg);
-      h.push_back(Event::inv(a));
-      h.push_back(Event::inv(b));
-      h.push_back(Event::res(a, kTrue));
-      h.push_back(Event::res(b, kTrue));
-    }
-    for (size_t i = k; i-- > 0;) {
-      for (Value popped : {pairs[i].second, pairs[i].first}) {
-        OpDesc d{OpId{2, seq2++}, Method::kPop};
-        h.push_back(Event::inv(d));
-        h.push_back(Event::res(d, popped));
-      }
-    }
-  }
-  return h;
-}
-
-void BM_AdaptiveWidthSwing(benchmark::State& state) {
-  size_t threads = static_cast<size_t>(state.range(0));
-  if (threads == 0) threads = engine::kAutoThreads;
-  auto spec = make_stack_spec();
-  History h = make_width_swing_history(/*phases=*/3, /*k=*/10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        linearizable(*spec, h, /*max_configs=*/1 << 22, threads));
-  }
-  state.SetLabel(state.range(0) == 0
-                     ? "threads=auto"
-                     : "threads=" + std::to_string(threads));
-  state.SetItemsProcessed(state.iterations() * h.size() / 2);
-}
-
-BENCHMARK(BM_AdaptiveWidthSwing)
-    ->Arg(1)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 }  // namespace

@@ -94,28 +94,23 @@ void BM_CertificateCost(benchmark::State& state) {
 
 BENCHMARK(BM_CertificateCost)->Arg(100)->Arg(1000)->Arg(10000);
 
-// The `enforced` facet's A/B: verified-op throughput of the seed-era
-// sequential enforcement discipline versus the ported engine paths, same
-// host, same single-driver schedule over kProcs process slots.
+// The `enforced` facet's A/B: verified-op throughput of the coupled and the
+// decoupled enforcement deployments, same host, same single-driver schedule
+// over kProcs process slots.
 //
-//   mode 0  seed-coupled    SelfEnforced, sequential defaults: every apply
-//                           pays an inline membership pass whose merge
-//                           spans everything published since that process
-//                           slot last checked (~kProcs records).
-//   mode 1  ported-coupled  same deployment on the engine knobs — the
-//                           resync feeds its dirty batch through
-//                           feed_batch, so the merge amortizes closure work
-//                           across the batch.
-//   mode 2  ported-decoupled  Decoupled with one shared verifier pass per
-//                           kBatch applies (Figure 12's deployment): the
-//                           pass merges the whole backlog as one dirty
-//                           batch, ~1 level fed per op.  Iterations is a
-//                           multiple of kBatch, so the last pass lands on
-//                           the final iteration and every op is verified
-//                           inside the timed region.
+//   mode 0  coupled    SelfEnforced (Figure 11): every apply pays an inline
+//                      membership pass whose merge spans everything
+//                      published since that process slot last checked
+//                      (~kProcs records), fed as one dirty batch.
+//   mode 1  decoupled  Decoupled with one shared verifier pass per kBatch
+//                      applies (Figure 12's deployment): the pass merges
+//                      the whole backlog as one dirty batch, ~1 level fed
+//                      per op.  Iterations is a multiple of kBatch, so the
+//                      last pass lands on the final iteration and every op
+//                      is verified inside the timed region.
 //
-// items/s = verified operations per second in every mode; the facet's
-// speedup_vs_seed row in BENCH_lincheck.json is mode N / mode 0.
+// items/s = verified operations per second in both modes; the facet's
+// speedup row in BENCH_lincheck.json is decoupled / coupled.
 void BM_EnforcedVerifiedOps(benchmark::State& state) {
   StepCounter::set_enabled(false);
   const int64_t mode = state.range(0);
@@ -125,15 +120,10 @@ void BM_EnforcedVerifiedOps(benchmark::State& state) {
   auto obj = make_linearizable_object(make_queue_spec());
   std::unique_ptr<SelfEnforced> se;
   std::unique_ptr<Decoupled> dec;
-  if (mode == 2) {
-    Decoupled::Options opts;
-    opts.checker_threads = engine::kAutoThreads;
-    dec = std::make_unique<Decoupled>(kProcs, 1, *impl, *obj,
-                                      Decoupled::ErrorReport{}, opts);
+  if (mode == 1) {
+    dec = std::make_unique<Decoupled>(kProcs, 1, *impl, *obj);
   } else {
-    SelfEnforced::Options opts;
-    if (mode == 1) opts.checker_threads = engine::kAutoThreads;
-    se = std::make_unique<SelfEnforced>(kProcs, *impl, *obj, opts);
+    se = std::make_unique<SelfEnforced>(kProcs, *impl, *obj);
   }
   Rng rng(9);
   uint64_t errors = 0;
@@ -141,7 +131,7 @@ void BM_EnforcedVerifiedOps(benchmark::State& state) {
   for (auto _ : state) {
     auto [m, arg] = random_op(ObjectKind::kQueue, rng);
     auto p = static_cast<ProcId>(i % kProcs);
-    if (mode == 2) {
+    if (mode == 1) {
       benchmark::DoNotOptimize(dec->apply(p, m, arg));
       if (++i % kBatch == 0) benchmark::DoNotOptimize(dec->verify_once(0));
     } else {
@@ -149,7 +139,7 @@ void BM_EnforcedVerifiedOps(benchmark::State& state) {
       ++i;
     }
   }
-  if (mode == 2) {
+  if (mode == 1) {
     if (i % kBatch != 0) dec->verify_once(0);  // cover a partial tail
     errors = dec->error_count();
   } else {
@@ -157,11 +147,9 @@ void BM_EnforcedVerifiedOps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["errors"] = benchmark::Counter(static_cast<double>(errors));
-  state.SetLabel(mode == 0   ? "seed-coupled"
-                 : mode == 1 ? "ported-coupled"
-                             : "ported-decoupled");
+  state.SetLabel(mode == 0 ? "coupled" : "decoupled");
 }
 
-BENCHMARK(BM_EnforcedVerifiedOps)->Arg(0)->Arg(1)->Arg(2)->Iterations(8192);
+BENCHMARK(BM_EnforcedVerifiedOps)->Arg(0)->Arg(1)->Iterations(8192);
 
 }  // namespace

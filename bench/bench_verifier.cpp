@@ -56,47 +56,6 @@ BENCHMARK(BM_VerifierThroughput)
     ->UseRealTime()
     ->Iterations(10000);
 
-// The same loop on the ported engine knobs (adaptive monitors) — the V_O
-// arm of the enforcement port, re-recorded against BM_VerifierThroughput's
-// seed-era rows.
-void BM_VerifierThroughputPorted(benchmark::State& state) {
-  static std::unique_ptr<IConcurrent> impl;
-  static std::unique_ptr<GenLinObject> obj;
-  static std::unique_ptr<AStar> astar;
-  static std::unique_ptr<Verifier> verifier;
-  ObjectKind kind = kind_of(state.range(0));
-  if (state.thread_index() == 0) {
-    StepCounter::set_enabled(false);
-    impl = make_correct_impl(kind);
-    obj = make_linearizable_object(make_spec(kind));
-    astar = std::make_unique<AStar>(static_cast<size_t>(state.threads()),
-                                    *impl);
-    Verifier::Options opts;
-    opts.checker_threads = engine::kAutoThreads;
-    verifier = std::make_unique<Verifier>(*astar, *obj,
-                                          Verifier::ErrorReport{}, opts);
-  }
-  auto p = static_cast<ProcId>(state.thread_index());
-  Rng rng(p * 13 + 17);
-  for (auto _ : state) {
-    auto [m, arg] = random_op(kind, rng);
-    benchmark::DoNotOptimize(verifier->step(p, m, arg));
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    state.SetLabel(object_kind_name(kind));
-    state.counters["errors"] =
-        benchmark::Counter(static_cast<double>(verifier->error_count()));
-  }
-}
-
-BENCHMARK(BM_VerifierThroughputPorted)
-    ->DenseRange(0, 5)
-    ->Threads(1)
-    ->Threads(4)
-    ->UseRealTime()
-    ->Iterations(10000);
-
 // Snapshot choice sensitivity for the full verifier loop.
 void BM_VerifierSnapshotChoice(benchmark::State& state) {
   static std::unique_ptr<IConcurrent> impl;

@@ -7,8 +7,7 @@ Decoupled::Decoupled(size_t n_producers, size_t n_verifiers, IConcurrent& a,
                      Options options)
     : astar_(n_producers, a, options.announce_snapshot, options.trace),
       core_(n_producers, n_verifiers, obj,
-            MonitorCore::Options{options.monitor_snapshot,
-                                 options.checker_threads, options.obs}),
+            MonitorCore::Options{options.monitor_snapshot, options.obs}),
       on_error_(std::move(on_error)) {}
 
 Decoupled::Decoupled(size_t n_producers, size_t n_verifiers, IConcurrent& a,

@@ -14,11 +14,10 @@
 // merges *every* record published since its last pass and feeds them as one
 // dirty batch, so the fingerprinted feed_batch path runs one closure per
 // response run instead of one full membership pass per operation — the
-// deployment shape where many producers share few checking contexts (and
-// many Decoupled instances share one executor through their GenLinObjects)
-// gets the batched amortization end to end.  Options carries the engine
-// knobs; the positional constructor keeps the seed-era sequential defaults
-// for A/B comparison.
+// deployment shape where many producers share few checking contexts gets
+// the batched amortization end to end.  Options carries the snapshot
+// flavors, the trace sink and the obs hooks; the positional constructor
+// sets only the snapshot flavors.
 #pragma once
 
 #include <atomic>
@@ -38,8 +37,7 @@ class Decoupled {
     SnapshotKind announce_snapshot = SnapshotKind::kDoubleCollect;
     SnapshotKind monitor_snapshot = SnapshotKind::kDoubleCollect;
     AStarTraceSink* trace = nullptr;
-    /// Membership-engine knobs (see MonitorCore::Options).
-    size_t checker_threads = 0;
+    /// Forwarded to MonitorCore::Options::obs.
     const obs::LeveledHooks* obs = nullptr;
   };
 

@@ -7,13 +7,11 @@
 namespace selin {
 
 void MonitorCore::init_checkers(size_t n_producers, const Options& options) {
-  LeveledChecker::Options opts;
-  opts.threads = options.checker_threads;
   if (checkers_.size() > 1) tips_ = std::vector<TipSlot>(checkers_.size());
   for (size_t i = 0; i < checkers_.size(); ++i) {
     CheckerSlot& c = checkers_[i];
     c.seen.assign(n_producers, nullptr);
-    c.checker = std::make_unique<LeveledChecker>(*obj_, opts);
+    c.checker = std::make_unique<LeveledChecker>(*obj_);
     if (options.obs != nullptr) c.checker->set_obs(options.obs);
     if (!tips_.empty()) c.checker->share_tips(tips_, i);
   }
@@ -39,20 +37,6 @@ MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
       checkers_(n_checkers) {
   init_checkers(n_producers, options);
 }
-
-MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
-                         const GenLinObject& obj, SnapshotKind kind,
-                         size_t checker_threads)
-    : MonitorCore(n_producers, n_checkers, obj,
-                  Options{kind, checker_threads, nullptr}) {}
-
-MonitorCore::MonitorCore(size_t n_producers, size_t n_checkers,
-                         const GenLinObject& obj,
-                         std::unique_ptr<Snapshot<const RecNode*>> m,
-                         size_t checker_threads)
-    : MonitorCore(n_producers, n_checkers, obj, std::move(m),
-                  Options{SnapshotKind::kDoubleCollect, checker_threads,
-                          nullptr}) {}
 
 MonitorCore::~MonitorCore() = default;
 
@@ -131,11 +115,9 @@ size_t MonitorCore::record_count(size_t checker) const {
 
 engine::EngineStats MonitorCore::stats() const {
   engine::EngineStats total;
-  total.lanes = 0;  // all-zero identity for the max-merged fields
   for (const CheckerSlot& cs : checkers_) {
     engine::accumulate(total, cs.checker->stats());
   }
-  if (total.lanes == 0) total.lanes = 1;
   return total;
 }
 

@@ -13,13 +13,11 @@
 //
 // The checking side rides the modern membership engine: each checker's
 // LeveledChecker feeds stride segments through feed_batch into a
-// fingerprinted FrontierEngine monitor, and Options carries the engine
-// knobs (threads=auto, obs hooks) so enforcement deployments get the same
-// batched/adaptive hot path as plain history checking; the monitors run
-// their parallel rounds on the executor the GenLinObject was built with.
-// An exploration-budget overflow (CheckerOverflow) is absorbed into a
-// sticky per-checker kOverflowed status instead of escaping the wait-free
-// loop.
+// fingerprinted FrontierEngine monitor, so enforcement deployments get the
+// same batched hot path as plain history checking, and Options carries the
+// snapshot flavor and obs hooks.  An exploration-budget overflow
+// (CheckerOverflow) is absorbed into a sticky per-checker kOverflowed
+// status instead of escaping the wait-free loop.
 #pragma once
 
 #include <memory>
@@ -43,26 +41,21 @@ struct RecNode {
   uint32_t len;
 };
 
+/// Settings shared by every checker context of a MonitorCore (spelled
+/// MonitorCore::Options; declared outside the class so that `= {}` can
+/// default it there).
+struct MonitorCoreOptions {
+  /// Snapshot flavor for a core-built M (ignored when the caller provides
+  /// M, e.g. the ABD record object).
+  SnapshotKind snapshot = SnapshotKind::kDoubleCollect;
+  /// Instrumentation bundle attached to every checker (and through it to
+  /// the membership monitors); must outlive the core.  nullptr = none.
+  const obs::LeveledHooks* obs = nullptr;
+};
+
 class MonitorCore {
  public:
-  /// Engine knobs shared by every checker context.  Defaults reproduce the
-  /// seed-era fully sequential discipline, so the unported call sites (and
-  /// the A/B baseline arms in bench_self_enforced) are unchanged.
-  struct Options {
-    /// Snapshot flavor for a core-built M (ignored when the caller provides
-    /// M, e.g. the ABD record object).
-    SnapshotKind snapshot = SnapshotKind::kDoubleCollect;
-    /// Forwarded to each checker's membership monitors (0 = the object's
-    /// default; > 1 runs the membership test P_O on the parallel sharded
-    /// frontier engine; engine::kAutoThreads picks sequential vs sharded
-    /// per feed round — the monitor threads belong to the checker that
-    /// owns them, so the wait-free cross-thread protocol through M is
-    /// unchanged).
-    size_t checker_threads = 0;
-    /// Instrumentation bundle attached to every checker (and through it to
-    /// the membership monitors); must outlive the core.  nullptr = none.
-    const obs::LeveledHooks* obs = nullptr;
-  };
+  using Options = MonitorCoreOptions;
 
   /// Verdict state of one checking context.  kOverflowed means the
   /// exploration budget was exceeded: membership is *unknown*, the status
@@ -74,21 +67,12 @@ class MonitorCore {
   /// n_producers writable entries in M; n_checkers independent checking
   /// contexts (per-process in Figures 10/11; per-verifier in Figure 12).
   MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
-              const Options& options);
+              const Options& options = {});
 
   /// Same, with a caller-provided record object M (e.g. ABD, Section 9.4).
   MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
               std::unique_ptr<Snapshot<const RecNode*>> m,
-              const Options& options);
-
-  /// Seed-era signatures, kept delegating so existing call sites (and the
-  /// sequential A/B baseline) compile unchanged.
-  MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
-              SnapshotKind kind = SnapshotKind::kDoubleCollect,
-              size_t checker_threads = 0);
-  MonitorCore(size_t n_producers, size_t n_checkers, const GenLinObject& obj,
-              std::unique_ptr<Snapshot<const RecNode*>> m,
-              size_t checker_threads = 0);
+              const Options& options = {});
   ~MonitorCore();
 
   /// res_i ← res_i ∪ {(p_i, op_i, y_i, λ_i)}; M.Write(res_i).

@@ -6,8 +6,7 @@ SelfEnforced::SelfEnforced(size_t n, IConcurrent& a, const GenLinObject& obj,
                            Options options)
     : astar_(n, a, options.announce_snapshot, options.trace),
       core_(n, n, obj,
-            MonitorCore::Options{options.monitor_snapshot,
-                                 options.checker_threads, options.obs}) {}
+            MonitorCore::Options{options.monitor_snapshot, options.obs}) {}
 
 SelfEnforced::Outcome SelfEnforced::apply(ProcId i, Method m, Value arg) {
   // Lines 01-02: (y_i, λ_i) ← Apply(op_i) of A*.

@@ -12,11 +12,10 @@
 // returns ERROR with a witness; and a certificate history similar to the
 // current history is available on demand (certificate()).
 //
-// The membership side runs on the modern engine: Options carries the
-// checker-threads knob and obs hooks down to MonitorCore, so V_{O,A}'s
-// per-operation test X(τ_i) ∈ O rides the fingerprinted batched frontier
-// engine instead of the seed-era sequential checker.  Defaults keep the
-// sequential discipline (the A/B baseline).
+// The membership side runs on the modern engine: V_{O,A}'s per-operation
+// test X(τ_i) ∈ O rides MonitorCore's fingerprinted batched frontier
+// engine, and Options carries the snapshot flavors and obs hooks down to
+// it.
 #pragma once
 
 #include <atomic>
@@ -32,9 +31,7 @@ class SelfEnforced {
     SnapshotKind announce_snapshot = SnapshotKind::kDoubleCollect;
     SnapshotKind monitor_snapshot = SnapshotKind::kDoubleCollect;
     AStarTraceSink* trace = nullptr;
-    /// Membership-engine knobs (see MonitorCore::Options); defaults are the
-    /// seed-era sequential checker.
-    size_t checker_threads = 0;
+    /// Forwarded to MonitorCore::Options::obs.
     const obs::LeveledHooks* obs = nullptr;
   };
 
@@ -57,16 +54,15 @@ class SelfEnforced {
 
   /// Caller-provided base objects for N and M — e.g. ABD snapshots, making
   /// the whole stack run over message passing (Section 9.4).  The Options
-  /// overload forwards the engine knobs; snapshot kinds are ignored (the
-  /// provided objects are the snapshots).
+  /// overload forwards the trace sink and obs hooks; snapshot kinds are
+  /// ignored (the provided objects are the snapshots).
   SelfEnforced(size_t n, IConcurrent& a, const GenLinObject& obj,
                std::unique_ptr<Snapshot<const SetNode*>> announce,
                std::unique_ptr<Snapshot<const RecNode*>> records,
                Options options)
       : astar_(n, a, std::move(announce), options.trace),
         core_(n, n, obj, std::move(records),
-              MonitorCore::Options{options.monitor_snapshot,
-                                   options.checker_threads, options.obs}) {}
+              MonitorCore::Options{options.monitor_snapshot, options.obs}) {}
   SelfEnforced(size_t n, IConcurrent& a, const GenLinObject& obj,
                std::unique_ptr<Snapshot<const SetNode*>> announce,
                std::unique_ptr<Snapshot<const RecNode*>> records)

@@ -6,8 +6,7 @@ Verifier::Verifier(AStar& astar, const GenLinObject& obj, ErrorReport on_error,
                    Options options)
     : astar_(&astar),
       core_(astar.procs(), astar.procs(), obj,
-            MonitorCore::Options{options.monitor_snapshot,
-                                 options.checker_threads, options.obs}),
+            MonitorCore::Options{options.monitor_snapshot, options.obs}),
       on_error_(std::move(on_error)) {}
 
 Verifier::Verifier(AStar& astar, const GenLinObject& obj, ErrorReport on_error,

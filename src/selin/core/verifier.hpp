@@ -33,9 +33,7 @@ class Verifier {
 
   struct Options {
     SnapshotKind monitor_snapshot = SnapshotKind::kDoubleCollect;
-    /// Membership-engine knobs (see MonitorCore::Options); defaults keep
-    /// the seed-era sequential checker.
-    size_t checker_threads = 0;
+    /// Forwarded to MonitorCore::Options::obs.
     const obs::LeveledHooks* obs = nullptr;
   };
 

@@ -8,126 +8,66 @@
 // filter on the observed response value.  FrontierEngine<Policy> owns that
 // skeleton once:
 //
-//   * the sequential engine (a plain vector + one DedupEngine),
-//   * the sharded parallel engine (ShardPool + fingerprint-routed
-//     ShardedFrontier, lazily constructed),
-//   * adaptive sequential↔sharded execution (`threads` with the auto bit,
-//     see stats.hpp) chosen per feed round by frontier-width hysteresis,
+//   * the frontier (a plain vector + one DedupEngine),
 //   * open-op bookkeeping, dedup, state recycling, cloning,
 //   * the feed-boundary exception discipline (sticky overflowed(), every
 //     in-flight state released, CheckerOverflow rethrown),
 //   * execution stats (EngineStats).
 //
+// Each test runs sequentially on the calling thread, as each process's
+// local test does in the paper (Section 3): the construction's concurrency
+// comes from the n checking processes, not from inside one test.
+//
 // A Policy captures everything semantics-specific:
 //
 //   struct Policy {
 //     using Config = ...;            // lincheck::Config or engine::IConfig
-//     struct alignas(64) Scratch {}; // per-lane expansion scratch
+//     struct Scratch {};             // expansion scratch, reused per round
+//     static constexpr bool kLazyExpand;  // which expansion hook it offers
 //     std::unique_ptr<SeqState> initial_state() const;
 //     template <typename GetCfg, typename Emit>
 //     void expand(lincheck::StatePool& pool, Scratch& scratch,
 //                 std::span<const OpDesc> open, GetCfg&& cfg,
-//                 Emit&& emit) const;         // successors of one config;
-//         // cfg() returns the configuration and MUST be re-fetched after
-//         // every emit (the sequential engine expands in place and emit may
-//         // reallocate the closure vector)
+//                 Emit&& emit) const;         // successors of one config
+//         // (kLazyExpand == false); cfg() returns the configuration and
+//         // MUST be re-fetched after every emit (the engine expands in
+//         // place and emit may reallocate the closure vector).  Policies
+//         // with kLazyExpand offer expand_lazy instead (see LinPolicy).
 //     bool match(Config& c, const Event& res) const;  // response filter;
 //         // true keeps (and mutates) the configuration, false drops it
 //   };
-//
-// The closure set and the filtered frontier are fixpoints, independent of
-// how work is split, so verdicts and frontier sizes are identical across
-// threads ∈ {1, N, auto} — tests/engine_parity_test.cpp asserts this per
-// event across every concrete spec.
-//
-// Adaptive mode: sharding pays off only when a round has enough work to
-// amortize dispatch, and the round's work is governed by the width of the
-// frontier being expanded.  An adaptive engine therefore watches the
-// frontier width between feeds: at or above kAutoEngageWidth it migrates the
-// frontier into the sharded representation (routing by fingerprint; the
-// frontier is already deduplicated, so migration is a move), below
-// kAutoRetreatWidth it drains the shards back into the flat vector.  The gap
-// between the thresholds is hysteresis — a frontier oscillating around one
-// boundary does not thrash representations.  Narrow-frontier feeds skip
-// shard dispatch (and its outbox/routing overhead) entirely; the worker
-// threads themselves are spawned lazily by the pool on the first genuinely
-// wide phase.
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "selin/engine/stats.hpp"
+#include "selin/lincheck/checker.hpp"
+#include "selin/lincheck/config.hpp"
 #include "selin/obs/hooks.hpp"
-#include "selin/parallel/sharded_frontier.hpp"
 
 namespace selin::engine {
-
-/// Frontier width at/above which an adaptive engine runs the round sharded.
-inline constexpr size_t kAutoEngageWidth = 384;
-/// Width below which it falls back to the sequential representation.
-inline constexpr size_t kAutoRetreatWidth = 96;
-/// Lane cap when the auto knob resolves the lane count from the hardware
-/// (beyond this the outbox handoff dominates on the workloads we model).
-inline constexpr size_t kAutoMaxLanes = 8;
-
-/// Lanes an adaptive engine uses for its parallel rounds: the explicit
-/// request, or hardware_concurrency clamped to [1, kAutoMaxLanes].
-inline size_t resolve_auto_lanes(size_t requested) {
-  if (requested != 0) return requested;
-  size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<size_t>(hw, 1, kAutoMaxLanes);
-}
 
 template <typename Policy>
 class FrontierEngine {
  public:
   using Config = typename Policy::Config;
 
-  /// `executor`: shared lane provider for the parallel rounds (nullptr =
-  /// the pool creates a private one lazily, the single-tenant shape).  A
-  /// multi-tenant deployment hands every engine the same executor so N
-  /// concurrent monitors share one set of worker threads sized to the
-  /// hardware instead of spawning lanes each.
-  FrontierEngine(Policy policy, size_t max_configs, size_t threads,
-                 std::shared_ptr<parallel::Executor> executor = nullptr)
-      : policy_(std::move(policy)), max_configs_(max_configs),
-        exec_(std::move(executor)) {
-    if (is_auto_threads(threads)) {
-      adaptive_ = true;
-      lanes_ = resolve_auto_lanes(auto_lane_request(threads));
-    } else {
-      lanes_ = threads == 0 ? 1 : threads;
-    }
-    scratch_.resize(lanes_);
+  FrontierEngine(Policy policy, size_t max_configs)
+      : policy_(std::move(policy)), max_configs_(max_configs) {
     Config c;
     c.state = policy_.initial_state();
-    if (!adaptive_ && lanes_ > 1) {
-      make_shards();
-      shards_->seed(std::move(c));
-      parallel_active_ = true;
-    } else {
-      frontier_.push_back(std::move(c));
-    }
+    frontier_.push_back(std::move(c));
   }
 
   FrontierEngine(const FrontierEngine& o)
-      : policy_(o.policy_), max_configs_(o.max_configs_), exec_(o.exec_),
-        lanes_(o.lanes_), adaptive_(o.adaptive_), ok_(o.ok_),
+      : policy_(o.policy_), max_configs_(o.max_configs_), ok_(o.ok_),
         overflowed_(o.overflowed_), obs_(o.obs_), open_(o.open_),
         base_stats_(o.stats()) {
-    scratch_.resize(lanes_);
-    if (o.parallel_active_) {
-      make_shards();
-      shards_->clone_from(*o.shards_);
-      parallel_active_ = true;
-    } else {
-      frontier_.reserve(o.frontier_.size());
-      for (const Config& c : o.frontier_) frontier_.push_back(c.clone());
-    }
+    frontier_.reserve(o.frontier_.size());
+    for (const Config& c : o.frontier_) frontier_.push_back(c.clone());
   }
 
   FrontierEngine& operator=(const FrontierEngine&) = delete;
@@ -135,11 +75,9 @@ class FrontierEngine {
   /// Overwrite the fed state (frontier, open ops, verdict) with a copy of
   /// `o`'s, built from this engine's state pool.  Counters, scratch
   /// capacity and the obs attachment stay this engine's own, so restoring a
-  /// checkpoint does not erase the work done since the fork.  Sequential
-  /// representation only: returns false, touching nothing, when either
-  /// frontier is sharded.
-  bool assign_from(const FrontierEngine& o) {
-    if (parallel_active_ || o.parallel_active_) return false;
+  /// checkpoint does not erase the work done since the fork.  The facades
+  /// forward MembershipMonitor::assign_from here.
+  void assign_from(const FrontierEngine& o) {
     ok_ = o.ok_;
     overflowed_ = o.overflowed_;
     open_ = o.open_;
@@ -148,7 +86,6 @@ class FrontierEngine {
     for (const Config& c : o.frontier_) {
       frontier_.push_back(c.clone_with(eng_.pool));
     }
-    return true;
   }
 
   void feed(const Event& e) { feed_batch({&e, 1}); }
@@ -161,7 +98,7 @@ class FrontierEngine {
   /// (the intermediate re-closure the per-event path performs adds nothing;
   /// see feed_res_run).  Verdicts and post-response frontier sizes are
   /// bit-identical to feeding the same events one at a time
-  /// (tests/engine_parity_test.cpp asserts this per spec and per mode);
+  /// (tests/engine_parity_test.cpp asserts this per spec and chunking);
   /// only the stats differ: a run counts as one round, not one per
   /// response.
   void feed_batch(std::span<const Event> events) {
@@ -192,109 +129,60 @@ class FrontierEngine {
   /// into the same instruments.
   void set_obs(const obs::EngineHooks* hooks) { obs_ = hooks; }
 
-  size_t frontier_size() const {
-    return parallel_active_ ? shards_->size() : frontier_.size();
-  }
+  size_t frontier_size() const { return frontier_.size(); }
 
-  /// Counters aggregated across the sequential engine and every lane.
+  /// Counters of the engine: the round/peak/event counts plus the dedup
+  /// engine's probe and recycling counts.
   EngineStats stats() const {
     EngineStats s = base_stats_;
-    s.lanes = lanes_;
-    accumulate(s, eng_);
-    if (pool_ != nullptr) {
-      for (size_t i = 0; i < pool_->threads(); ++i) {
-        accumulate(s, pool_->engine(i));
-      }
-    }
+    s.dedup_probes += eng_.probes;
+    s.dedup_hits += eng_.hits;
+    s.states_recycled += eng_.pool.recycled();
+    s.probe_batches += eng_.batches;
+    s.prefetch_batches += eng_.prefetch_batches;
     return s;
   }
 
   /// Order-independent digest of the live frontier: XOR of the mixed
-  /// fingerprint of every configuration.  The frontier is a fixpoint, so
-  /// the digest is identical across execution modes and — because the
-  /// fingerprints are representation-independent — across op-set storage
-  /// layouts (tests/engine_parity_test.cpp asserts both).
+  /// fingerprint of every configuration.  The fingerprints are
+  /// representation-independent, so the digest is identical across op-set
+  /// storage layouts and between per-event and batched feeding
+  /// (tests/engine_parity_test.cpp asserts both).
   uint64_t frontier_digest() const {
     uint64_t d = 0;
-    for_each_config(
-        [&d](const Config& c) { d ^= fph::mix(c.fingerprint()); });
+    for (const Config& c : frontier_) d ^= fph::mix(c.fingerprint());
     return d;
   }
 
   /// Walks every live configuration, so it is deliberately not folded into
-  /// stats(), which stays O(lanes).
+  /// stats(), which stays O(1).
   FrontierFootprint footprint() const {
     FrontierFootprint f;
-    for_each_config([&f](const Config& c) {
+    for (const Config& c : frontier_) {
       ++f.configs;
       f.opset_elems += c.opset_elems();
       f.opset_bytes += c.opset_bytes();
       f.opset_smallvec_bytes += c.opset_smallvec_bytes();
-    });
+    }
     return f;
   }
 
  private:
-  template <typename Fn>
-  void for_each_config(Fn&& fn) const {
-    if (parallel_active_) {
-      shards_->for_each(fn);
-    } else {
-      for (const Config& c : frontier_) fn(c);
-    }
-  }
-
-  static void accumulate(EngineStats& s, const lincheck::DedupEngine& e) {
-    s.dedup_probes += e.probes;
-    s.dedup_hits += e.hits;
-    s.states_recycled += e.pool.recycled();
-    s.probe_batches += e.batches;
-    s.prefetch_batches += e.prefetch_batches;
-  }
-
-  void make_shards() {
-    pool_ = std::make_unique<parallel::ShardPool>(lanes_, exec_);
-    shards_ =
-        std::make_unique<parallel::ShardedFrontier<Config>>(*pool_,
-                                                            max_configs_);
-  }
-
   std::span<const OpDesc> open_span() const {
     return {open_.data(), open_.size()};
   }
 
-  /// Adaptive representation switch, between feeds only (both directions
-  /// move already-deduplicated configurations, so the frontier's content is
-  /// untouched and verdicts cannot depend on when a switch happens).
-  void adapt() {
-    if (lanes_ <= 1) return;
-    const size_t width = frontier_size();
-    if (!parallel_active_ && width >= kAutoEngageWidth) {
-      if (shards_ == nullptr) make_shards();
-      shards_->adopt(std::move(frontier_));
-      frontier_.clear();
-      parallel_active_ = true;
-      ++base_stats_.mode_switches;
-    } else if (parallel_active_ && width < kAutoRetreatWidth) {
-      shards_->drain(frontier_);
-      parallel_active_ = false;
-      ++base_stats_.mode_switches;
-    }
-  }
-
   /// Post-round observability (only reached with hooks attached): the round
-  /// latency histogram for the mode that ran, and the kFeedRound span.
-  void observe_round(bool par, uint64_t t0, size_t run_len) {
+  /// latency histogram and the kFeedRound span.
+  void observe_round(uint64_t t0, size_t run_len) {
     const uint64_t dur = obs::now_ns() - t0;
-    obs::Histogram* h = par ? obs_->round_ns_par : obs_->round_ns_seq;
-    if (h != nullptr) h->record(dur);
+    if (obs_->round_ns != nullptr) obs_->round_ns->record(dur);
     if (obs_->trace != nullptr) {
       obs::TraceEvent ev;
       ev.kind = obs::SpanKind::kFeedRound;
       ev.session = obs_->session;
       ev.start_ns = t0;
       ev.dur_ns = dur;
-      ev.p0 = par ? 1 : 0;
       ev.p1 = frontier_size();
       ev.p2 = run_len;
       ev.p3 = base_stats_.events_fed;
@@ -360,7 +248,7 @@ class FrontierEngine {
   /// arrive as (stepped state, op, value, fingerprint) — no Config yet.
   /// Fingerprints batch-probe into `seen`; only admitted candidates pay the
   /// linearized-set copy, so the duplicate-heavy case skips the
-  /// clone-then-release churn entirely.  Buffers flush at every expand()
+  /// clone-then-release churn entirely.  Buffers flush at every expand_lazy()
   /// return (and at kMaxBatch mid-expand), preserving emission order.
   void expand_closure_lazy(std::vector<Config>& result) {
     auto flush = [&] {
@@ -395,7 +283,7 @@ class FrontierEngine {
     for (size_t i = 0; i < result.size(); ++i) {
       auto cfg = [&result, i]() -> const Config& { return result[i]; };
       policy_.expand_lazy(
-          eng_.pool, scratch_[0], open_span(), cfg,
+          eng_.pool, scratch_, open_span(), cfg,
           [&](std::unique_ptr<SeqState> st, OpId id, Value v, uint64_t fp) {
             lazy_.push_back(LazyCand{std::move(st), id, v, fp, i});
             if (lazy_.size() == FpSet::kMaxBatch) flush();
@@ -430,7 +318,7 @@ class FrontierEngine {
     };
     for (size_t i = 0; i < result.size(); ++i) {
       auto cfg = [&result, i]() -> const Config& { return result[i]; };
-      policy_.expand(eng_.pool, scratch_[0], open_span(), cfg,
+      policy_.expand(eng_.pool, scratch_, open_span(), cfg,
                      [&](Config&& next) {
                        pend_.push_back(std::move(next));
                        if (pend_.size() == FpSet::kMaxBatch) flush();
@@ -454,17 +342,10 @@ class FrontierEngine {
   /// linearize-batch, machine-invoke/machine-respond).
   void feed_res_run(std::span<const Event> run) {
     try {
-      if (adaptive_) adapt();
-      const bool par = parallel_active_;
       const uint64_t t0 = obs_ != nullptr ? obs::now_ns() : 0;
-      if (par) {
-        ++base_stats_.rounds_parallel;
-        run_res_parallel(run);
-      } else {
-        ++base_stats_.rounds_sequential;
-        run_res_sequential(run);
-      }
-      if (obs_ != nullptr) observe_round(par, t0, run.size());
+      ++base_stats_.rounds_sequential;
+      run_res_sequential(run);
+      if (obs_ != nullptr) observe_round(t0, run.size());
     } catch (...) {
       // The half-expanded frontier no longer reflects the fed prefix.
       // Release everything and poison the engine (sticky overflowed())
@@ -476,8 +357,8 @@ class FrontierEngine {
     }
   }
 
-  /// Response bookkeeping shared by both representations: the op leaves the
-  /// open set, the width counters see the post-filter frontier.  Returns
+  /// Response bookkeeping: the op leaves the open set, the width counters
+  /// see the post-filter frontier.  Returns
   /// false once the frontier is empty (verdict settled; the rest of the run
   /// is ignored, exactly as per-event feeds ignore events after !ok()).
   bool settle_response(const Event& e, size_t width) {
@@ -559,20 +440,6 @@ class FrontierEngine {
     hot_bloom_.resize(out);
   }
 
-  void run_res_parallel(std::span<const Event> run) {
-    shards_->closure([this](size_t s, const Config& c, auto& emit) {
-      auto cfg = [&c]() -> const Config& { return c; };
-      policy_.expand(pool_->engine(s).pool, scratch_[s], open_span(), cfg,
-                     emit);
-    });
-    for (const Event& e : run) {
-      ++base_stats_.events_fed;
-      shards_->filter(
-          [this, &e](size_t, Config& c) { return policy_.match(c, e); });
-      if (!settle_response(e, shards_->size())) break;
-    }
-  }
-
   void release_everything() {
     for (Config& c : frontier_) eng_.pool.release(std::move(c.state));
     frontier_.clear();
@@ -582,7 +449,6 @@ class FrontierEngine {
     pend_.clear();
     hot_fp_.clear();
     hot_bloom_.clear();
-    if (shards_ != nullptr) shards_->release_all();
   }
 
   void erase_open(OpId id) {
@@ -597,12 +463,6 @@ class FrontierEngine {
 
   Policy policy_;
   size_t max_configs_;
-  // Shared worker lanes for the parallel path; clones inherit it, so every
-  // monitor forked from a service-owned one stays on the service's pool.
-  std::shared_ptr<parallel::Executor> exec_;
-  size_t lanes_ = 1;        // shard/lane count of the parallel path
-  bool adaptive_ = false;   // per-round engine choice (threads = auto)
-  bool parallel_active_ = false;  // which representation holds the frontier
   bool ok_ = true;
   bool overflowed_ = false;
 
@@ -612,11 +472,11 @@ class FrontierEngine {
 
   std::vector<OpDesc> open_;  // invoked, response not yet fed
 
-  // Sequential representation.
   std::vector<Config> frontier_;
   lincheck::DedupEngine eng_;
+  typename Policy::Scratch scratch_;  // expansion scratch, reused per round
 
-  // Data-oriented hot-path storage for the sequential engine.  hot_fp_ and
+  // Data-oriented hot-path storage.  hot_fp_ and
   // hot_bloom_ are SoA rows parallel to the closure vector (fingerprint and
   // match-key Bloom bits of result[i]); fp_buf_ is the batch-probe scratch;
   // lazy_/pend_ buffer not-yet-admitted expansion candidates between probe
@@ -635,13 +495,6 @@ class FrontierEngine {
   std::vector<uint64_t> fp_buf_;
   std::vector<LazyCand> lazy_;     // lazy candidates (Policy::kLazyExpand)
   std::vector<Config> pend_;       // buffered Configs (batch policies)
-
-  // Sharded representation (constructed lazily; adaptive engines may never
-  // need it, and eagerly cloned monitors must stay cheap while dormant).
-  std::unique_ptr<parallel::ShardPool> pool_;
-  std::unique_ptr<parallel::ShardedFrontier<Config>> shards_;
-
-  std::vector<typename Policy::Scratch> scratch_;  // one per lane
 
   // Rounds/peak/events live here; dedup and recycling counters are read
   // from the engines at stats() time.  Copies snapshot the source's full

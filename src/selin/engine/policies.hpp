@@ -3,8 +3,8 @@
 // Each policy supplies exactly what differs between the checkers: the
 // configuration type, the closure moves (expand), and the response filter
 // (match).  Everything else — frontier maintenance, dedup, recycling,
-// sharding, adaptive execution, overflow discipline, stats — lives once in
-// FrontierEngine (frontier_engine.hpp).
+// overflow discipline, stats — lives once in FrontierEngine
+// (frontier_engine.hpp).
 //
 //   LinPolicy       one open operation linearizes per move (Wing & Gong
 //                   configurations; Definition 4.2).
@@ -15,9 +15,8 @@
 //                   history-open operations, or machine-respond a
 //                   machine-open operation (Castañeda–Rajsbaum–Raynal [17]).
 //
-// Scratch structs are per-lane (the engine allocates one per shard lane) and
-// cache-line aligned so neighboring lanes never share a line while the
-// expansion loops rewrite the vector headers.
+// Each engine owns one Scratch and hands it to every expansion, so the
+// vectors inside keep their capacity across rounds.
 #pragma once
 
 #include <algorithm>
@@ -39,9 +38,9 @@ namespace selin::engine {
 
 struct LinPolicy {
   using Config = lincheck::Config;
-  struct alignas(64) Scratch {};
+  struct Scratch {};
 
-  /// The sequential engine runs this policy through expand_lazy (candidate
+  /// The engine runs this policy through expand_lazy (candidate
   /// fingerprints first, Config assembly only after the dedup probe admits).
   static constexpr bool kLazyExpand = true;
 
@@ -49,28 +48,16 @@ struct LinPolicy {
 
   std::unique_ptr<SeqState> initial_state() const { return spec->initial(); }
 
-  template <typename GetCfg, typename Emit>
-  void expand(lincheck::StatePool& pool, Scratch&,
-              std::span<const OpDesc> open, GetCfg&& cfg, Emit&& emit) const {
-    for (const OpDesc& od : open) {
-      const Config& c = cfg();  // re-fetch: the previous emit may have moved it
-      if (c.find(od.id) != nullptr) continue;
-      Config next = c.clone_with(pool);
-      Value assigned = next.state->step(od.method, od.arg);
-      next.add(od.id, assigned);
-      emit(std::move(next));
-    }
-  }
-
-  /// Two-stage expansion for the batched-probe closure: per applicable open
-  /// op, step a pooled state clone and hand the engine the successor's
-  /// fingerprint *without* building the Config — the linearized set of the
-  /// successor is the parent's plus one entry, so its hash (and hence the
-  /// full fingerprint) is one XOR away from the parent's cached hash.  The
-  /// engine probes the fingerprints in a prefetched batch and copies the
-  /// parent's set only for admitted candidates; rejected ones cost a state
-  /// round-trip through the pool and nothing else.
-  /// emit(state, id, assigned, fp); same emission order as expand().
+  /// Successors of one configuration, one per applicable open op (the op
+  /// linearizes with the value the spec assigns).  Per op, step a pooled
+  /// state clone and hand the engine the successor's fingerprint *without*
+  /// building the Config — the linearized set of the successor is the
+  /// parent's plus one entry, so its hash (and hence the full fingerprint)
+  /// is one XOR away from the parent's cached hash.  The engine probes the
+  /// fingerprints in a prefetched batch and copies the parent's set only
+  /// for admitted candidates; rejected ones cost a state round-trip through
+  /// the pool and nothing else.
+  /// emit(state, id, assigned, fp), in the order of `open`.
   template <typename GetCfg, typename EmitCand>
   void expand_lazy(lincheck::StatePool& pool, Scratch&,
                    std::span<const OpDesc> open, GetCfg&& cfg,
@@ -145,7 +132,7 @@ struct LinPolicy {
 
 struct SetLinPolicy {
   using Config = lincheck::Config;
-  struct alignas(64) Scratch {
+  struct Scratch {
     std::vector<OpDesc> cand;
     std::vector<OpDesc> batch;
     std::vector<Value> out;
@@ -351,7 +338,7 @@ struct IConfig {
 
 struct IntervalPolicy {
   using Config = IConfig;
-  struct alignas(64) Scratch {
+  struct Scratch {
     std::vector<OpDesc> eligible;
     std::vector<OpDesc> batch;
     std::vector<uint64_t> keys;  // seq-major batch keys for the range union

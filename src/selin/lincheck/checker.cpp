@@ -17,15 +17,11 @@ using lincheck::DedupEngine;
 struct LinMonitor::Impl {
   engine::FrontierEngine<engine::LinPolicy> eng;
 
-  Impl(const SeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec)
-      : eng(engine::LinPolicy{&s}, cap, threads, std::move(exec)) {}
+  Impl(const SeqSpec& s, size_t cap) : eng(engine::LinPolicy{&s}, cap) {}
 };
 
-LinMonitor::LinMonitor(const SeqSpec& spec, size_t max_configs, size_t threads,
-                       std::shared_ptr<parallel::Executor> executor)
-    : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor))) {}
+LinMonitor::LinMonitor(const SeqSpec& spec, size_t max_configs)
+    : impl_(std::make_unique<Impl>(spec, max_configs)) {}
 
 LinMonitor::LinMonitor(const LinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}
@@ -56,12 +52,13 @@ std::unique_ptr<MembershipMonitor> LinMonitor::clone() const {
 
 bool LinMonitor::assign_from(const MembershipMonitor& src) {
   const auto* o = dynamic_cast<const LinMonitor*>(&src);
-  return o != nullptr && impl_->eng.assign_from(o->impl_->eng);
+  if (o == nullptr) return false;
+  impl_->eng.assign_from(o->impl_->eng);
+  return true;
 }
 
-bool linearizable(const SeqSpec& spec, const History& h, size_t max_configs,
-                  size_t threads) {
-  LinMonitor m(spec, max_configs, threads);
+bool linearizable(const SeqSpec& spec, const History& h, size_t max_configs) {
+  LinMonitor m(spec, max_configs);
   for (const Event& e : h) {
     m.feed(e);
     if (!m.ok()) return false;

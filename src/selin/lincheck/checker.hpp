@@ -33,10 +33,6 @@
 #include "selin/history/history.hpp"
 #include "selin/spec/spec.hpp"
 
-namespace selin::parallel {
-class Executor;
-}  // namespace selin::parallel
-
 namespace selin {
 
 /// Thrown when the configuration frontier exceeds the exploration budget;
@@ -52,19 +48,10 @@ class CheckerOverflow : public std::runtime_error {
 /// Incremental linearizability monitor for a deterministic sequential spec.
 ///
 /// A thin facade over engine::FrontierEngine (engine/frontier_engine.hpp)
-/// with the linearizability policy.  `threads > 1` runs closure expansion
-/// and response filtering on a fingerprint-routed shard pool with `threads`
-/// shards; `engine::kAutoThreads` (or `engine::auto_threads(n)`) switches
-/// between the sequential and sharded paths per feed round by frontier-width
-/// hysteresis.  Verdicts and frontier sizes are identical across all modes;
-/// `threads == 1`, the sequential engine, remains the default.
+/// with the linearizability policy.
 class LinMonitor final : public MembershipMonitor {
  public:
-  /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
-  /// private pool created lazily — the single-tenant default).
-  explicit LinMonitor(const SeqSpec& spec, size_t max_configs = 1 << 18,
-                      size_t threads = 1,
-                      std::shared_ptr<parallel::Executor> executor = nullptr);
+  explicit LinMonitor(const SeqSpec& spec, size_t max_configs = 1 << 18);
   LinMonitor(const LinMonitor& other);
   ~LinMonitor() override;
 
@@ -95,7 +82,7 @@ class LinMonitor final : public MembershipMonitor {
   engine::EngineStats stats() const;
 
   /// Order-independent digest of the live frontier (XOR of mixed config
-  /// fingerprints) — representation/mode parity checks.
+  /// fingerprints) — representation and batching parity checks.
   uint64_t frontier_digest() const;
 
   /// Op-set footprint of the live frontier (bench_frontier_memory); walks
@@ -109,7 +96,7 @@ class LinMonitor final : public MembershipMonitor {
 
 /// One-shot test: is `h` linearizable with respect to `spec`?
 bool linearizable(const SeqSpec& spec, const History& h,
-                  size_t max_configs = 1 << 18, size_t threads = 1);
+                  size_t max_configs = 1 << 18);
 
 /// DFS with memoization returning a linearization S (a sequential history of
 /// complete operations, Definition 4.2) when one exists.

@@ -227,20 +227,9 @@ struct DedupEngine {
 #endif
   }
 
-  /// Dedup probe: true iff `c` (Config or IConfig) is new to `set`.
-  template <typename C>
-  bool probe(FpSet& set, const C& c) {
-    uint64_t fp = c.fingerprint();
-    audit(fp, [&c] { return c.key(); });
-    ++probes;
-    bool fresh = set.insert(fp);
-    if (!fresh) ++hits;
-    return fresh;
-  }
-
   /// Batched dedup probe over precomputed fingerprints (n <= 64): one
   /// capacity check and one prefetch sweep for the whole group, probe order
-  /// and counter deltas identical to n probe() calls.  Bit i of the result
+  /// and counter deltas identical to n single inserts.  Bit i of the result
   /// is set iff fps[i] was fresh.  `key(i)` builds the i-th candidate's
   /// canonical audit key lazily (audit builds only).
   template <typename KeyFn>

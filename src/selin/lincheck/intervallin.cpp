@@ -15,16 +15,13 @@ namespace selin {
 struct IntervalLinMonitor::Impl {
   engine::FrontierEngine<engine::IntervalPolicy> eng;
 
-  Impl(const IntervalSeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec)
-      : eng(engine::IntervalPolicy{&s}, cap, threads, std::move(exec)) {}
+  Impl(const IntervalSeqSpec& s, size_t cap)
+      : eng(engine::IntervalPolicy{&s}, cap) {}
 };
 
-IntervalLinMonitor::IntervalLinMonitor(
-    const IntervalSeqSpec& spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor)
-    : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor))) {}
+IntervalLinMonitor::IntervalLinMonitor(const IntervalSeqSpec& spec,
+                                       size_t max_configs)
+    : impl_(std::make_unique<Impl>(spec, max_configs)) {}
 
 IntervalLinMonitor::IntervalLinMonitor(const IntervalLinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}
@@ -59,9 +56,16 @@ std::unique_ptr<MembershipMonitor> IntervalLinMonitor::clone() const {
   return std::make_unique<IntervalLinMonitor>(*this);
 }
 
+bool IntervalLinMonitor::assign_from(const MembershipMonitor& src) {
+  const auto* o = dynamic_cast<const IntervalLinMonitor*>(&src);
+  if (o == nullptr) return false;
+  impl_->eng.assign_from(o->impl_->eng);
+  return true;
+}
+
 bool interval_linearizable(const IntervalSeqSpec& spec, const History& h,
-                           size_t max_configs, size_t threads) {
-  IntervalLinMonitor m(spec, max_configs, threads);
+                           size_t max_configs) {
+  IntervalLinMonitor m(spec, max_configs);
   for (const Event& e : h) {
     m.feed(e);
     if (!m.ok()) return false;
@@ -73,24 +77,16 @@ namespace {
 
 class IntervalLinObject final : public GenLinObject {
  public:
-  IntervalLinObject(std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs,
-                    size_t threads, std::shared_ptr<parallel::Executor> exec)
-      : spec_(std::move(spec)), max_configs_(max_configs), threads_(threads),
-        exec_(std::move(exec)) {}
+  IntervalLinObject(std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs)
+      : spec_(std::move(spec)), max_configs_(max_configs) {}
   const char* name() const override { return spec_->name(); }
   std::unique_ptr<MembershipMonitor> monitor() const override {
-    return monitor(threads_);
-  }
-  std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
-    return std::make_unique<IntervalLinMonitor>(
-        *spec_, max_configs_, threads == 0 ? threads_ : threads, exec_);
+    return std::make_unique<IntervalLinMonitor>(*spec_, max_configs_);
   }
 
  private:
   std::unique_ptr<IntervalSeqSpec> spec_;
   size_t max_configs_;
-  size_t threads_;
-  std::shared_ptr<parallel::Executor> exec_;
 };
 
 // ---- Write-snapshot as an interval-sequential machine ----------------------
@@ -154,10 +150,8 @@ class WsIntervalSpec final : public IntervalSeqSpec {
 }  // namespace
 
 std::unique_ptr<GenLinObject> make_interval_linearizable_object(
-    std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs, size_t threads,
-    std::shared_ptr<parallel::Executor> executor) {
-  return std::make_unique<IntervalLinObject>(std::move(spec), max_configs,
-                                             threads, std::move(executor));
+    std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs) {
+  return std::make_unique<IntervalLinObject>(std::move(spec), max_configs);
 }
 
 std::unique_ptr<IntervalSeqSpec> make_write_snapshot_interval_spec() {

@@ -32,10 +32,6 @@
 #include "selin/history/history.hpp"
 #include "selin/spec/spec.hpp"
 
-namespace selin::parallel {
-class Executor;
-}  // namespace selin::parallel
-
 namespace selin {
 
 /// Deterministic-response interval-sequential specification.
@@ -56,18 +52,10 @@ class IntervalSeqSpec {
 };
 
 /// A facade over engine::FrontierEngine with the interval policy.
-/// `threads > 1` expands the two-move closure on a fingerprint-routed shard
-/// pool; `engine::kAutoThreads` picks sequential vs sharded per feed round.
-/// Verdicts and frontier sizes are identical across all modes; the
-/// sequential engine at `threads == 1` is the default.
 class IntervalLinMonitor final : public MembershipMonitor {
  public:
-  /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
-  /// private pool created lazily — the single-tenant default).
-  explicit IntervalLinMonitor(
-      const IntervalSeqSpec& spec, size_t max_configs = 1 << 18,
-      size_t threads = 1,
-      std::shared_ptr<parallel::Executor> executor = nullptr);
+  explicit IntervalLinMonitor(const IntervalSeqSpec& spec,
+                              size_t max_configs = 1 << 18);
   IntervalLinMonitor(const IntervalLinMonitor& other);
   ~IntervalLinMonitor() override;
 
@@ -77,6 +65,8 @@ class IntervalLinMonitor final : public MembershipMonitor {
   void feed_batch(std::span<const Event> events) override;
   bool ok() const override;
   std::unique_ptr<MembershipMonitor> clone() const override;
+  /// See LinMonitor::assign_from.
+  bool assign_from(const MembershipMonitor& src) override;
 
   /// Forwarded to the underlying engine; clones inherit the attachment.
   void attach_obs(const obs::EngineHooks* hooks) override;
@@ -91,7 +81,7 @@ class IntervalLinMonitor final : public MembershipMonitor {
   engine::EngineStats stats() const;
 
   /// Order-independent digest of the live frontier (XOR of mixed config
-  /// fingerprints) — representation/mode parity checks.
+  /// fingerprints) — representation and batching parity checks.
   uint64_t frontier_digest() const;
 
   /// Op-set footprint of the live frontier (bench_frontier_memory); walks
@@ -105,13 +95,11 @@ class IntervalLinMonitor final : public MembershipMonitor {
 
 /// One-shot test: is `h` interval-linearizable w.r.t. `spec`?
 bool interval_linearizable(const IntervalSeqSpec& spec, const History& h,
-                           size_t max_configs = 1 << 18, size_t threads = 1);
+                           size_t max_configs = 1 << 18);
 
-/// GenLin adapter (owns the spec).  `executor` is the shared lane provider
-/// for every monitor the object hands out (nullptr = private pools).
+/// GenLin adapter (owns the spec).
 std::unique_ptr<GenLinObject> make_interval_linearizable_object(
-    std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
+    std::unique_ptr<IntervalSeqSpec> spec, size_t max_configs = 1 << 18);
 
 /// The write-snapshot task as an interval-sequential specification (outputs
 /// are bitmask views; n ≤ 64) — cross-validated in tests against the direct

@@ -6,31 +6,18 @@
 
 #include <memory>
 
-#include "selin/engine/stats.hpp"
 #include "selin/spec/spec.hpp"
-
-namespace selin::parallel {
-class Executor;
-}  // namespace selin::parallel
 
 namespace selin {
 
 /// The abstract object of all histories linearizable w.r.t. `spec`.
-/// Owns the spec.  `threads > 1` makes monitor() hand out parallel
-/// (fingerprint-sharded) membership monitors by default, and
-/// `engine::kAutoThreads` adaptive ones (sequential↔sharded per feed round);
-/// either way, monitor(threads) can override per deployment.  `executor`
-/// (nullptr = private per-monitor pools) is the shared lane provider every
-/// monitor this object hands out runs its parallel rounds on — a
-/// multi-tenant deployment passes one executor to every object so total
-/// threads stay bounded by its lane cap.
+/// Owns the spec; every monitor it hands out has `max_configs` as its
+/// exploration budget.
 std::unique_ptr<GenLinObject> make_linearizable_object(
-    std::unique_ptr<SeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
+    std::unique_ptr<SeqSpec> spec, size_t max_configs = 1 << 18);
 
 /// The abstract object of all histories set-linearizable w.r.t. `spec`.
 std::unique_ptr<GenLinObject> make_set_linearizable_object(
-    std::unique_ptr<SetSeqSpec> spec, size_t max_configs = 1 << 18,
-    size_t threads = 1, std::shared_ptr<parallel::Executor> executor = nullptr);
+    std::unique_ptr<SetSeqSpec> spec, size_t max_configs = 1 << 18);
 
 }  // namespace selin

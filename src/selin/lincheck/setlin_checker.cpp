@@ -12,16 +12,12 @@ namespace selin {
 struct SetLinMonitor::Impl {
   engine::FrontierEngine<engine::SetLinPolicy> eng;
 
-  Impl(const SetSeqSpec& s, size_t cap, size_t threads,
-       std::shared_ptr<parallel::Executor> exec)
-      : eng(engine::SetLinPolicy{&s}, cap, threads, std::move(exec)) {}
+  Impl(const SetSeqSpec& s, size_t cap)
+      : eng(engine::SetLinPolicy{&s}, cap) {}
 };
 
-SetLinMonitor::SetLinMonitor(const SetSeqSpec& spec, size_t max_configs,
-                             size_t threads,
-                             std::shared_ptr<parallel::Executor> executor)
-    : impl_(std::make_unique<Impl>(spec, max_configs, threads,
-                                   std::move(executor))) {}
+SetLinMonitor::SetLinMonitor(const SetSeqSpec& spec, size_t max_configs)
+    : impl_(std::make_unique<Impl>(spec, max_configs)) {}
 
 SetLinMonitor::SetLinMonitor(const SetLinMonitor& other)
     : impl_(std::make_unique<Impl>(*other.impl_)) {}
@@ -54,12 +50,14 @@ std::unique_ptr<MembershipMonitor> SetLinMonitor::clone() const {
 
 bool SetLinMonitor::assign_from(const MembershipMonitor& src) {
   const auto* o = dynamic_cast<const SetLinMonitor*>(&src);
-  return o != nullptr && impl_->eng.assign_from(o->impl_->eng);
+  if (o == nullptr) return false;
+  impl_->eng.assign_from(o->impl_->eng);
+  return true;
 }
 
 bool set_linearizable(const SetSeqSpec& spec, const History& h,
-                      size_t max_configs, size_t threads) {
-  SetLinMonitor m(spec, max_configs, threads);
+                      size_t max_configs) {
+  SetLinMonitor m(spec, max_configs);
   for (const Event& e : h) {
     m.feed(e);
     if (!m.ok()) return false;

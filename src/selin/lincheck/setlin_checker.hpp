@@ -13,24 +13,13 @@
 #include "selin/history/history.hpp"
 #include "selin/spec/spec.hpp"
 
-namespace selin::parallel {
-class Executor;
-}  // namespace selin::parallel
-
 namespace selin {
 
 /// A facade over engine::FrontierEngine with the set-linearizability policy.
-/// `threads > 1` expands batch closures on a fingerprint-routed shard pool;
-/// `engine::kAutoThreads` picks sequential vs sharded per feed round.
-/// Verdicts and frontier sizes are identical across all modes; the
-/// sequential engine at `threads == 1` is the default.
 class SetLinMonitor final : public MembershipMonitor {
  public:
-  /// `executor`: shared worker lanes for the parallel rounds (nullptr = a
-  /// private pool created lazily — the single-tenant default).
-  explicit SetLinMonitor(
-      const SetSeqSpec& spec, size_t max_configs = 1 << 18, size_t threads = 1,
-      std::shared_ptr<parallel::Executor> executor = nullptr);
+  explicit SetLinMonitor(const SetSeqSpec& spec,
+                         size_t max_configs = 1 << 18);
   SetLinMonitor(const SetLinMonitor& other);
   ~SetLinMonitor() override;
 
@@ -56,7 +45,7 @@ class SetLinMonitor final : public MembershipMonitor {
   engine::EngineStats stats() const;
 
   /// Order-independent digest of the live frontier (XOR of mixed config
-  /// fingerprints) — representation/mode parity checks.
+  /// fingerprints) — representation and batching parity checks.
   uint64_t frontier_digest() const;
 
   /// Op-set footprint of the live frontier (bench_frontier_memory); walks
@@ -70,6 +59,6 @@ class SetLinMonitor final : public MembershipMonitor {
 
 /// One-shot test: is `h` set-linearizable with respect to `spec`?
 bool set_linearizable(const SetSeqSpec& spec, const History& h,
-                      size_t max_configs = 1 << 18, size_t threads = 1);
+                      size_t max_configs = 1 << 18);
 
 }  // namespace selin

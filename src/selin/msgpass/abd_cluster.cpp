@@ -14,7 +14,6 @@ AbdCluster::AbdCluster(const AbdClusterOptions& opts)
                                    opts.executor, opts.observe, opts.trace}) {
   service::SessionOptions sopts;
   sopts.max_configs = opts.max_configs;
-  sopts.threads = opts.checker_threads;
   sopts.inbox_capacity = opts.inbox_capacity;
   sids_.reserve(opts.keys);
   for (size_t k = 0; k < opts.keys; ++k) {
@@ -96,11 +95,9 @@ bool AbdCluster::all_ok() {
 
 engine::EngineStats AbdCluster::stats() {
   engine::EngineStats total;
-  total.lanes = 0;
   for (service::SessionId sid : sids_) {
     engine::accumulate(total, svc_.session(sid).stats());
   }
-  if (total.lanes == 0) total.lanes = 1;
   return total;
 }
 

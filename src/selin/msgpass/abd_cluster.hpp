@@ -63,11 +63,10 @@ struct AbdClusterOptions {
   /// Monitoring-plane knobs (service::MonitorService / SessionOptions).
   size_t lanes = 0;
   size_t batch_limit = 256;
-  size_t checker_threads = 1;
   size_t max_configs = 1 << 18;
   size_t inbox_capacity = 1 << 14;
-  /// Shared lane provider for every session's engine — pass the deployment
-  /// executor to keep one bounded thread pool end to end.
+  /// Shared lane provider for the service's drain rounds — pass the
+  /// deployment executor to keep one bounded thread pool end to end.
   std::shared_ptr<parallel::Executor> executor;
   bool observe = false;
   obs::TraceSink* trace = nullptr;

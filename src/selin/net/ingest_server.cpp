@@ -499,7 +499,6 @@ void IngestServer::handle_hello(Conn& c, const FrameView& f) {
   if (name.empty()) name = "anon";
   service::SessionOptions sopts;
   sopts.max_configs = opts_.max_configs;
-  sopts.threads = opts_.session_threads;
   sopts.inbox_capacity = opts_.inbox_capacity;
   service::SessionId sid;
   {

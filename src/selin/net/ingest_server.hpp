@@ -78,8 +78,6 @@ struct IngestOptions {
   size_t inbox_capacity = 1 << 14;
   /// Per-session exploration budget.
   size_t max_configs = 1 << 18;
-  /// Per-session monitor threads knob (engine::kAutoThreads allowed).
-  size_t session_threads = 1;
   /// Open-session cap; a kHello past it is refused with kError.  0 = none.
   size_t max_sessions = 0;
   /// Evict sessions whose connection has been silent this long; 0 = never.

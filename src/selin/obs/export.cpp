@@ -181,15 +181,12 @@ std::string prometheus_text(const MetricsRegistry& reg) {
 
 std::string engine_stats_json(const engine::EngineStats& s) {
   std::string out = "{";
-  out += "\"lanes\":" + std::to_string(s.lanes);
-  out += ",\"events_fed\":" + std::to_string(s.events_fed);
+  out += "\"events_fed\":" + std::to_string(s.events_fed);
   out += ",\"rounds_sequential\":" + std::to_string(s.rounds_sequential);
-  out += ",\"rounds_parallel\":" + std::to_string(s.rounds_parallel);
   out += ",\"peak_frontier\":" + std::to_string(s.peak_frontier);
   out += ",\"dedup_probes\":" + std::to_string(s.dedup_probes);
   out += ",\"dedup_hits\":" + std::to_string(s.dedup_hits);
   out += ",\"states_recycled\":" + std::to_string(s.states_recycled);
-  out += ",\"mode_switches\":" + std::to_string(s.mode_switches);
   out += ",\"probe_batches\":" + std::to_string(s.probe_batches);
   out += ",\"prefetch_batches\":" + std::to_string(s.prefetch_batches);
   out += ",\"filter_in_place_rounds\":" +
@@ -203,15 +200,12 @@ void sample_engine_stats(MetricsRegistry& reg, const engine::EngineStats& s,
   auto set = [&reg, &labels](const char* name, uint64_t v) {
     reg.gauge(name, labels).set(static_cast<int64_t>(v));
   };
-  set("engine_lanes", s.lanes);
   set("engine_events_fed", s.events_fed);
   set("engine_rounds_sequential", s.rounds_sequential);
-  set("engine_rounds_parallel", s.rounds_parallel);
   set("engine_peak_frontier", s.peak_frontier);
   set("engine_dedup_probes", s.dedup_probes);
   set("engine_dedup_hits", s.dedup_hits);
   set("engine_states_recycled", s.states_recycled);
-  set("engine_mode_switches", s.mode_switches);
   set("engine_probe_batches", s.probe_batches);
   set("engine_prefetch_batches", s.prefetch_batches);
   set("engine_filter_in_place_rounds", s.filter_in_place_rounds);

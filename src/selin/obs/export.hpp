@@ -36,9 +36,9 @@ std::string prometheus_text(const MetricsSnapshot& snap);
 std::string prometheus_text(const MetricsRegistry& reg);
 
 /// One JSON object with every EngineStats counter under a stable key
-/// (lanes, events_fed, rounds_sequential, rounds_parallel, peak_frontier,
-/// dedup_probes, dedup_hits, states_recycled, mode_switches, probe_batches,
-/// prefetch_batches, filter_in_place_rounds).
+/// (events_fed, rounds_sequential, peak_frontier, dedup_probes, dedup_hits,
+/// states_recycled, probe_batches, prefetch_batches,
+/// filter_in_place_rounds).
 std::string engine_stats_json(const engine::EngineStats& s);
 
 /// Mirrors `s` into gauges named engine_<counter> (labels applied to each),

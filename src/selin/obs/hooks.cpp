@@ -12,10 +12,8 @@ Labels with(Labels base, std::string key, std::string value) {
 EngineHooks make_engine_hooks(MetricsRegistry& reg, Labels labels,
                               TraceSink* trace, uint64_t session) {
   EngineHooks h;
-  h.round_ns_seq =
-      &reg.histogram("engine_round_ns", with(labels, "mode", "seq"));
-  h.round_ns_par =
-      &reg.histogram("engine_round_ns", with(labels, "mode", "par"));
+  // The mode="seq" label keeps the series name scrapers already key on.
+  h.round_ns = &reg.histogram("engine_round_ns", with(labels, "mode", "seq"));
   h.frontier_width = &reg.histogram("engine_frontier_width", labels);
   h.trace = trace;
   h.session = session;

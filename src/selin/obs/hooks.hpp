@@ -29,8 +29,7 @@ namespace selin::obs {
 
 /// FrontierEngine instrumentation (engine/frontier_engine.hpp).
 struct EngineHooks {
-  Histogram* round_ns_seq = nullptr;   ///< closure-round wall ns, sequential
-  Histogram* round_ns_par = nullptr;   ///< closure-round wall ns, sharded
+  Histogram* round_ns = nullptr;       ///< closure-round wall ns
   Histogram* frontier_width = nullptr; ///< post-response frontier width
   TraceSink* trace = nullptr;          ///< kFeedRound spans
   uint64_t session = 0;

@@ -50,7 +50,7 @@
 namespace selin::obs {
 
 /// Slots a sharded instrument spreads its writers over.  A power of two so
-/// the lane hash is a mask; 16 covers kAutoMaxLanes-sized pools twice over.
+/// the lane hash is a mask.
 inline constexpr size_t kMetricLanes = 16;
 
 /// Stable per-thread lane in [0, kMetricLanes): threads pick distinct lanes

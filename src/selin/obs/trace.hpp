@@ -33,8 +33,8 @@ namespace selin::obs {
 /// each enumerator); unused slots are zero.
 enum class SpanKind : uint8_t {
   /// One engine closure round servicing a run of responses.
-  /// p0 = mode (0 sequential, 1 parallel), p1 = post-run frontier width,
-  /// p2 = responses in the run, p3 = total events fed so far.
+  /// p1 = post-run frontier width, p2 = responses in the run, p3 = total
+  /// events fed so far.
   kFeedRound,
   /// One Executor::run_phase dispatch.
   /// p0 = slices, p1 = slices run by the caller, p2 = slices run by workers.

@@ -8,8 +8,9 @@ namespace selin::parallel {
 
 namespace {
 // Spin iterations before an idle worker parks on the condition variable.
-// Phases arrive in bursts while a monitor feeds, so the next one usually
-// lands within the spin window; yielding keeps oversubscribed hosts live.
+// Drain rounds arrive in bursts while a service has backlog, so the next
+// phase usually lands within the spin window; yielding keeps oversubscribed
+// hosts live.
 constexpr int kSpinIters = 256;
 
 size_t resolve_lanes(size_t requested) {

@@ -1,14 +1,9 @@
-// Shared execution resource of every parallel facility in selin.
+// Shared worker threads of the monitoring service.
 //
-// Before the executor, every ShardPool spawned its own worker lanes for
-// SPMD frontier phases, each with its own shutdown discipline.  One
-// monitored object cost a handful of private threads — fine for one
-// monitor, fatal for a service multiplexing thousands of independent
-// sessions (thousands of mostly idle lanes oversubscribe the host long
-// before the checkers saturate it).
-//
-// Executor is the one owner of worker threads.  Clients *lease* lanes per
-// phase instead of holding them:
+// A service multiplexing thousands of independent sessions cannot afford a
+// thread set per session: thousands of mostly idle lanes oversubscribe the
+// host long before the checkers saturate it.  Executor is the one owner of
+// worker threads.  Clients *lease* lanes per phase instead of holding them:
 //
 //   * run_phase(n, job) — SPMD dispatch: job(i) for i in [0, n).  Slice 0
 //     runs on the calling thread; slices 1..n-1 are published for the worker
@@ -16,19 +11,19 @@
 //     own slice is done, so a saturated executor degrades to inline
 //     execution instead of blocking — which also makes nested phases
 //     deadlock-free by construction.  Returns when every slice has
-//     finished; rethrows the first job exception.  This is ShardPool's
-//     dispatch primitive.
+//     finished; rethrows the first job exception.  MonitorService runs
+//     each drain round as one phase, one slice per pending session.
 //
 // Worker lanes are spawned lazily on the first phase and parked on a
 // spin-then-condition-variable pickup: an executor that never receives
 // work costs nothing but this object, and an idle one consumes no CPU.
 // Destruction joins the lanes — the single shutdown path.
 //
-// Sharing: one Executor can serve any number of ShardPools and
-// MonitorService sessions concurrently; total threads stay bounded by
-// lanes() no matter how many clients multiplex over it.  Phases of
-// different clients never synchronize through the executor beyond FIFO
-// pickup, so each phase keeps its own completion counter.
+// Sharing: one Executor can serve any number of MonitorServices
+// concurrently; total threads stay bounded by lanes() no matter how many
+// clients multiplex over it.  Phases of different clients never
+// synchronize through the executor beyond FIFO pickup, so each phase keeps
+// its own completion counter.
 #pragma once
 
 #include <atomic>
@@ -115,9 +110,3 @@ class Executor {
 };
 
 }  // namespace selin::parallel
-
-namespace selin::engine {
-// The executor conceptually belongs to the engine layer (FrontierEngine and
-// the monitor factories take it); spell it either way.
-using Executor = ::selin::parallel::Executor;
-}  // namespace selin::engine

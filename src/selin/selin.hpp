@@ -26,8 +26,6 @@
 #include "selin/msgpass/abd.hpp"
 #include "selin/msgpass/abd_cluster.hpp"
 #include "selin/parallel/executor.hpp"
-#include "selin/parallel/shard_pool.hpp"
-#include "selin/parallel/sharded_frontier.hpp"
 #include "selin/service/monitor_service.hpp"
 #include "selin/sim/impossibility.hpp"
 #include "selin/sim/recorder.hpp"

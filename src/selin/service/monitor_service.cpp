@@ -7,11 +7,10 @@
 namespace selin::service {
 
 Session::Session(std::string name, std::unique_ptr<SeqSpec> spec,
-                 const SessionOptions& opts,
-                 std::shared_ptr<parallel::Executor> exec, uint64_t id,
-                 bool observe, obs::TraceSink* trace)
+                 const SessionOptions& opts, uint64_t id, bool observe,
+                 obs::TraceSink* trace)
     : name_(std::move(name)), spec_(std::move(spec)),
-      monitor_(*spec_, opts.max_configs, opts.threads, std::move(exec)),
+      monitor_(*spec_, opts.max_configs),
       inbox_cap_(opts.inbox_capacity == 0 ? 1 : opts.inbox_capacity),
       id_(id) {
   if (observe) {
@@ -137,8 +136,8 @@ SessionId MonitorService::open(std::string name,
                                std::unique_ptr<SeqSpec> spec,
                                const SessionOptions& opts) {
   auto session = std::unique_ptr<Session>(
-      new Session(std::move(name), std::move(spec), opts, exec_,
-                  sessions_.size(), reg_ != nullptr, trace_));
+      new Session(std::move(name), std::move(spec), opts, sessions_.size(),
+                  reg_ != nullptr, trace_));
   std::lock_guard<std::mutex> lock(sessions_mu_);
   sessions_.push_back(std::move(session));
   return sessions_.size() - 1;

@@ -1,8 +1,8 @@
 // Multi-tenant monitoring service: many independent (spec, history) streams
 // multiplexed over one shared executor.
 //
-// The paper's pipeline is single-tenant — one history, one monitor, and
-// (after the parallel PRs) private worker lanes per checker.  A deployment
+// The paper's pipeline is single-tenant — one history, one monitor.  A
+// deployment
 // watching thousands of concurrently monitored objects cannot afford a
 // thread set per object; what it needs is the shape of Pod's generalized
 // consensus layer (PAPERS.md): many client streams multiplexed over one
@@ -67,8 +67,8 @@ struct ServiceOptions {
   /// Max events drained from one session per round — the fairness quantum:
   /// a firehose session cannot starve the others for longer than one batch.
   size_t batch_limit = 256;
-  /// Share an existing executor (e.g. with other services or checkers)
-  /// instead of creating one.
+  /// Share an existing executor (e.g. with other services) instead of
+  /// creating one.
   std::shared_ptr<parallel::Executor> executor;
   /// Build the observability plane: a per-session MetricsRegistry with the
   /// engine instrument set (labelled session=<name>), service drain-round
@@ -85,11 +85,6 @@ struct ServiceOptions {
 struct SessionOptions {
   /// Exploration budget of the session's membership monitor.
   size_t max_configs = 1 << 18;
-  /// Per-session monitor threads knob (1 = sequential within the session —
-  /// the default: cross-session parallelism usually saturates the executor
-  /// first; > 1 / engine::auto_threads(n) shard wide frontiers over the
-  /// same shared executor).
-  size_t threads = 1;
   /// Event capacity of the MPSC inbox (Session::try_publish).  The bound is
   /// the backpressure point of the live-ingest path: a publish that would
   /// exceed it is rejected whole.  Per-session memory stays bounded by
@@ -157,9 +152,8 @@ class Session {
   friend class MonitorService;
 
   Session(std::string name, std::unique_ptr<SeqSpec> spec,
-          const SessionOptions& opts,
-          std::shared_ptr<parallel::Executor> exec, uint64_t id,
-          bool observe, obs::TraceSink* trace);
+          const SessionOptions& opts, uint64_t id, bool observe,
+          obs::TraceSink* trace);
 
   /// Feed up to `limit` buffered events into the monitor (executor-phase
   /// job: touches only this session).  CheckerOverflow is absorbed into the

@@ -133,16 +133,6 @@ class GenLinObject {
   virtual const char* name() const = 0;
   virtual std::unique_ptr<MembershipMonitor> monitor() const = 0;
 
-  /// A monitor running its membership test on up to `threads` shards (the
-  /// parallel frontier engine); objects without a parallel engine fall back
-  /// to the default monitor.  `threads == 0` means "the object's default";
-  /// engine::kAutoThreads (engine/stats.hpp) requests adaptive
-  /// sequential↔sharded execution chosen per feed round.
-  virtual std::unique_ptr<MembershipMonitor> monitor(size_t threads) const {
-    (void)threads;
-    return monitor();
-  }
-
   /// One-shot membership test (P_O).  Default: replay through a monitor.
   virtual bool contains(const History& h) const;
 };

@@ -99,9 +99,9 @@ void level_words(const Level& lvl, Fn&& word) {
 
 }  // namespace
 
-LeveledChecker::LeveledChecker(const GenLinObject& obj, const Options& opts)
-    : obj_(&obj), stride_(opts.stride == 0 ? 1 : opts.stride),
-      threads_(opts.threads) {}
+LeveledChecker::LeveledChecker(const GenLinObject& obj,
+                               size_t checkpoint_stride)
+    : obj_(&obj), stride_(checkpoint_stride == 0 ? 1 : checkpoint_stride) {}
 
 LeveledChecker::~LeveledChecker() = default;
 
@@ -122,7 +122,7 @@ void LeveledChecker::share_tips(std::span<TipSlot> slots, size_t self) {
 }
 
 std::unique_ptr<MembershipMonitor> LeveledChecker::fresh_monitor() const {
-  std::unique_ptr<MembershipMonitor> m = obj_->monitor(threads_);
+  std::unique_ptr<MembershipMonitor> m = obj_->monitor();
   if (obs_ != nullptr) m->attach_obs(obs_->engine);
   return m;
 }

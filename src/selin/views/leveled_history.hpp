@@ -24,9 +24,7 @@
 // locally tests" discipline.  The tips add one single-writer register per
 // checker plus two hazard pointers, read and written with plain atomic
 // loads and stores, so the construction keeps to read/write base objects
-// and stays wait-free.  The membership monitors may still run the sharded
-// frontier engine (the `threads` knob), whose helper threads are not
-// visible through the snapshot object M.
+// and stays wait-free.
 #pragma once
 
 #include <atomic>
@@ -111,33 +109,16 @@ struct alignas(64) TipSlot {
 /// Replaying a monitor fold is inherently sequential in its *state* (the
 /// configuration frontier after level k feeds level k+1), so rollback
 /// replay cannot be split across checkpoint segments without changing what
-/// is computed.  What parallelizes honestly is the replayed monitor itself:
-/// it can run the sharded/adaptive frontier engine (`threads` —
-/// engine::kAutoThreads is the natural fit: most replays are narrow, and
-/// precisely the expensive rollback storms go wide enough to engage the
-/// shards).  Every stride boundary clones the live monitor inline.
+/// is computed.  Every stride boundary clones the live monitor inline.
 class LeveledChecker {
  public:
-  /// Tuned default for `checkpoint_stride` (bench_ablation sweeps it);
-  /// callers that only want to set later parameters name this instead of
-  /// repeating the number.
+  /// Tuned default for `checkpoint_stride` (bench_ablation sweeps it).
   static constexpr size_t kDefaultStride = 16;
 
-  struct Options {
-    /// Trades rollback-replay cost against checkpoint memory/clone cost.
-    size_t stride = kDefaultStride;
-    /// Forwarded to the object's monitor factory (0 = object default; > 1
-    /// the parallel sharded frontier engine; engine::kAutoThreads the
-    /// adaptive one).
-    size_t threads = 0;
-  };
-
+  /// `checkpoint_stride` trades rollback-replay cost against checkpoint
+  /// memory/clone cost (0 is treated as 1).
   explicit LeveledChecker(const GenLinObject& obj,
-                          size_t checkpoint_stride = kDefaultStride,
-                          size_t threads = 0)
-      : LeveledChecker(obj, Options{checkpoint_stride, threads}) {}
-
-  LeveledChecker(const GenLinObject& obj, const Options& opts);
+                          size_t checkpoint_stride = kDefaultStride);
   LeveledChecker(const LeveledChecker&) = delete;
   LeveledChecker& operator=(const LeveledChecker&) = delete;
   ~LeveledChecker();
@@ -241,7 +222,6 @@ class LeveledChecker {
 
   const GenLinObject* obj_;
   size_t stride_;
-  size_t threads_ = 0;
   std::unique_ptr<MembershipMonitor> cur_;  // state after levels [0, fed_)
   size_t fed_ = 0;                          // levels consumed by cur_
   /// Ascending levels in (0, fed_].  Every level this checker reached, by

@@ -1,11 +1,9 @@
-// Differential tests for the enforcement/distributed port onto the modern
-// engine: the seed-era sequential checking discipline (MonitorCore defaults)
-// and the ported engine path (checker_threads / shared executor)
-// must agree on every enforcement decision — bit-identical Outcome
-// sequences across threads ∈ {1, 2, auto} for SelfEnforced, identical
-// verdict sequences for Decoupled, and identical ABD-backed outcomes under
-// lossy/reordered links.  Plus the port's new failure-mode contracts:
-// sticky exploration-budget overflow and the shared-executor thread budget.
+// Tests for the enforcement/distributed port onto the modern engine:
+// SelfEnforced flags exactly the faulty implementation, a batched Decoupled
+// verifier reaches the same decisions as one that verifies after every
+// apply, and ABD-backed enforcement stays error-free under lossy/reordered
+// links.  Plus the port's failure-mode contracts: sticky exploration-budget
+// overflow at the MonitorCore and SelfEnforced levels.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,21 +20,15 @@ struct OutcomeRec {
   Value value;
   bool error;
   bool overflow;
-
-  friend bool operator==(const OutcomeRec& a, const OutcomeRec& b) {
-    return a.value == b.value && a.error == b.error &&
-           a.overflow == b.overflow;
-  }
 };
 
 // One deterministic single-driver SelfEnforced run: `ops` operations round-
 // robin over `procs` process slots, impl chosen by `faulty`.
-std::vector<OutcomeRec> run_self_enforced(SelfEnforced::Options options,
-                                          bool faulty, size_t procs,
-                                          int ops, uint64_t seed) {
+std::vector<OutcomeRec> run_self_enforced(bool faulty, size_t procs, int ops,
+                                          uint64_t seed) {
   auto q = faulty ? make_thm51_queue() : make_ms_queue();
   auto obj = make_linearizable_object(make_queue_spec());
-  SelfEnforced se(procs, *q, *obj, std::move(options));
+  SelfEnforced se(procs, *q, *obj);
   Rng rng(seed);
   std::vector<OutcomeRec> out;
   out.reserve(ops);
@@ -49,12 +41,9 @@ std::vector<OutcomeRec> run_self_enforced(SelfEnforced::Options options,
   return out;
 }
 
-TEST(EnforcedPort, SelfEnforcedOutcomesBitIdenticalAcrossThreadKnobs) {
-  // The acceptance-criteria pin: same schedule, same enforcement decisions,
-  // whatever the engine execution mode — threads ∈ {seed-era 0, 1, 2, auto}.
+TEST(EnforcedPort, SelfEnforcedFlagsOnlyTheFaultyImpl) {
   for (bool faulty : {false, true}) {
-    SelfEnforced::Options seed_era;  // the sequential baseline arm
-    auto baseline = run_self_enforced(seed_era, faulty, 3, 120, 42);
+    auto baseline = run_self_enforced(faulty, 3, 120, 42);
     if (faulty) {
       // thm51's first dequeue lies; once detected, every later op of the
       // detecting process returns ERROR (Theorem 8.2's sticky prefix).
@@ -64,19 +53,6 @@ TEST(EnforcedPort, SelfEnforcedOutcomesBitIdenticalAcrossThreadKnobs) {
     } else {
       for (const auto& o : baseline) ASSERT_FALSE(o.error);
     }
-
-    std::vector<SelfEnforced::Options> arms(3);
-    arms[0].checker_threads = 1;
-    arms[1].checker_threads = 2;
-    arms[2].checker_threads = engine::auto_threads(2);
-    for (size_t a = 0; a < arms.size(); ++a) {
-      auto got = run_self_enforced(arms[a], faulty, 3, 120, 42);
-      ASSERT_EQ(got.size(), baseline.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], baseline[i])
-            << "faulty=" << faulty << " arm=" << a << " op=" << i;
-      }
-    }
   }
 }
 
@@ -84,8 +60,7 @@ TEST(EnforcedPort, DecoupledBatchedVerifierMatchesSeedEraVerdicts) {
   // Seed-era shape: verify after every apply.  Ported shape: one batched
   // verifier pass per 32 applies (the amortization the facet measures).
   // Detection granularity differs by design; the *decisions* must agree:
-  // correct A never trips either, faulty A trips both, and the ported
-  // verdict sequence is identical across engine thread knobs.
+  // correct A never trips either, faulty A trips both.
   for (bool faulty : {false, true}) {
     auto drive = [&](Decoupled& d, size_t batch) {
       Rng rng(7);
@@ -104,69 +79,49 @@ TEST(EnforcedPort, DecoupledBatchedVerifierMatchesSeedEraVerdicts) {
     Decoupled seed_era(4, 1, *q_seed, *obj_seed);
     auto seed_verdicts = drive(seed_era, 1);
 
-    std::vector<std::vector<bool>> ported_runs;
-    for (size_t threads :
-         {size_t{1}, size_t{2}, engine::auto_threads(2)}) {
-      auto q = faulty ? make_thm51_queue() : make_ms_queue();
-      auto obj = make_linearizable_object(make_queue_spec());
-      Decoupled::Options opts;
-      opts.checker_threads = threads;
-      Decoupled ported(4, 1, *q, *obj, {}, opts);
-      ported_runs.push_back(drive(ported, 32));
-    }
-    for (size_t r = 1; r < ported_runs.size(); ++r) {
-      ASSERT_EQ(ported_runs[r], ported_runs[0]) << "faulty=" << faulty;
-    }
+    auto q = faulty ? make_thm51_queue() : make_ms_queue();
+    auto obj = make_linearizable_object(make_queue_spec());
+    Decoupled ported(4, 1, *q, *obj);
+    auto ported_verdicts = drive(ported, 32);
 
     bool seed_tripped = false;
     for (bool v : seed_verdicts) seed_tripped |= !v;
     bool ported_tripped = false;
-    for (bool v : ported_runs[0]) ported_tripped |= !v;
+    for (bool v : ported_verdicts) ported_tripped |= !v;
     EXPECT_EQ(seed_tripped, faulty);
     EXPECT_EQ(ported_tripped, faulty);
-    EXPECT_EQ(seed_verdicts.back(), ported_runs[0].back());
+    EXPECT_EQ(seed_verdicts.back(), ported_verdicts.back());
   }
 }
 
-TEST(EnforcedPort, AbdOutcomesBitIdenticalUnderLossyReorderedLinks) {
+TEST(EnforcedPort, AbdOutcomesErrorFreeUnderLossyReorderedLinks) {
   // The whole stack over message passing (Section 9.4) with the adversarial
   // network on: lossy links with retransmission plus reordered delivery.
-  // A single sequential driver over a linearizable register makes the
-  // response sequence schedule-independent, so every engine arm must
-  // produce the same outcomes — and no errors.
-  auto run = [&](size_t checker_threads) {
-    AbdService::Options net;
-    net.replicas = 3;
-    net.seed = 11;
-    net.max_delay_us = 2;
-    net.drop_permille = 80;
-    net.reorder = true;
-    auto svc = std::make_shared<AbdService>(net);
-    auto announce =
-        std::make_unique<AbdSnapshot<const SetNode*>>(svc, 2, nullptr, 100);
-    auto records =
-        std::make_unique<AbdSnapshot<const RecNode*>>(svc, 2, nullptr, 200);
-    auto reg = make_abd_register(svc, 1'000'000, 0);
-    auto obj = make_linearizable_object(make_register_spec(0));
-    SelfEnforced::Options opts;
-    opts.checker_threads = checker_threads;
-    SelfEnforced se(2, *reg, *obj, std::move(announce), std::move(records),
-                    opts);
-    std::vector<OutcomeRec> out;
-    for (int i = 0; i < 12; ++i) {
-      ProcId p = static_cast<ProcId>(i % 2);
-      auto o = (i % 3 == 0) ? se.apply(p, Method::kWrite, i)
-                            : se.apply(p, Method::kRead);
-      out.push_back(OutcomeRec{o.value, o.error, o.overflow});
+  // A single sequential driver over a linearizable register must see no
+  // errors.
+  AbdService::Options net;
+  net.replicas = 3;
+  net.seed = 11;
+  net.max_delay_us = 2;
+  net.drop_permille = 80;
+  net.reorder = true;
+  auto svc = std::make_shared<AbdService>(net);
+  auto announce =
+      std::make_unique<AbdSnapshot<const SetNode*>>(svc, 2, nullptr, 100);
+  auto records =
+      std::make_unique<AbdSnapshot<const RecNode*>>(svc, 2, nullptr, 200);
+  auto reg = make_abd_register(svc, 1'000'000, 0);
+  auto obj = make_linearizable_object(make_register_spec(0));
+  SelfEnforced se(2, *reg, *obj, std::move(announce), std::move(records));
+  for (int i = 0; i < 12; ++i) {
+    ProcId p = static_cast<ProcId>(i % 2);
+    if (i % 3 == 0) {
+      se.apply(p, Method::kWrite, i);
+    } else {
+      se.apply(p, Method::kRead);
     }
-    EXPECT_EQ(se.error_count(), 0u);
-    return out;
-  };
-
-  auto baseline = run(0);  // seed-era sequential
-  for (size_t threads : {size_t{1}, size_t{2}, engine::auto_threads(2)}) {
-    EXPECT_EQ(run(threads), baseline) << "threads knob " << threads;
   }
+  EXPECT_EQ(se.error_count(), 0u);
 }
 
 TEST(EnforcedPort, AbdClusterMultiClientLossyScheduleVerifiesOk) {
@@ -288,40 +243,6 @@ TEST(EnforcedPort, OverflowSurfacesAsStickyErrorInSelfEnforced) {
   EXPECT_TRUE(o2.error);
   EXPECT_TRUE(o2.overflow);
   EXPECT_EQ(se.error_count(), 2u);
-}
-
-TEST(EnforcedPort, SharedExecutorBoundsThreadsAcrossEnforcedObjects) {
-  // The decoupled-deployment shape: many enforced objects, one injected
-  // executor end to end (every membership engine).  Total
-  // worker threads must stay within the executor's lane cap no matter how
-  // many objects run.
-  auto exec = std::make_shared<parallel::Executor>(2);
-  constexpr size_t kObjects = 6;
-  std::vector<std::unique_ptr<IConcurrent>> impls;
-  std::vector<std::unique_ptr<GenLinObject>> objs;
-  std::vector<std::unique_ptr<SelfEnforced>> enforced;
-  for (size_t i = 0; i < kObjects; ++i) {
-    impls.push_back(make_ms_queue());
-    objs.push_back(make_linearizable_object(make_queue_spec(), 1 << 18,
-                                            engine::auto_threads(2), exec));
-    SelfEnforced::Options opts;
-    opts.checker_threads = engine::auto_threads(2);
-    enforced.push_back(
-        std::make_unique<SelfEnforced>(2, *impls[i], *objs[i], opts));
-  }
-  Rng rng(3);
-  for (int round = 0; round < 30; ++round) {
-    for (auto& se : enforced) {
-      auto [m, arg] = random_op(ObjectKind::kQueue, rng);
-      auto o = se->apply(static_cast<ProcId>(round % 2), m, arg);
-      ASSERT_FALSE(o.error);
-    }
-  }
-  EXPECT_LE(exec->threads_spawned(), exec->lanes());
-  for (auto& se : enforced) {
-    EXPECT_EQ(se->error_count(), 0u);
-    EXPECT_GT(se->stats().events_fed, 0u);
-  }
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 //     of process order, so the live engines' op sets grow by random
 //     mid-run insertion instead of the friendly append-at-watermark path.
 //
-// Engine rounds assert full mode parity: verdict, frontier size AND frontier
-// digest (XOR of mixed config fingerprints) must be bit-identical between the
-// sequential engine, the parallel engine, and every batched feed — on
-// accepting and corrupted histories alike.
+// Engine rounds assert batch parity: verdict, overflow point AND frontier
+// digest (XOR of mixed config fingerprints) must be bit-identical between
+// per-event and chunked feed_batch feeding — on accepting and corrupted
+// histories alike.
 //
 // Round counts scale with the SELIN_FUZZ_ROUNDS environment variable
 // (default 1): plain ctest gets a fast smoke, the CI fuzz leg raises it to
@@ -239,7 +239,7 @@ History make_ragged_straggler_history(size_t w, size_t window, Rng& rng) {
 
 /// Feeds one event (or batch), absorbing CheckerOverflow: overflow is a
 /// legitimate fuzz outcome (the membership problem is NP-hard), and the
-/// overflow point itself must be mode-independent.
+/// overflow point itself must not depend on the chunking.
 template <typename Monitor>
 bool feed_guarded(Monitor& m, std::span<const Event> events) {
   try {
@@ -254,29 +254,13 @@ bool feed_guarded(Monitor& m, std::span<const Event> events) {
   }
 }
 
-/// Per-event verdict/frontier/digest parity between a sequential reference
-/// monitor and the parallel engine, plus chunked feed_batch parity at every
-/// boundary — including identical overflow points and sticky poisoning.
+/// Chunked feed_batch parity with per-event feeding at every boundary —
+/// including identical overflow points and sticky poisoning.
 template <typename Monitor, typename Make>
 void expect_fuzz_parity(Make make, const History& h, uint64_t seed) {
-  Monitor ref = make(size_t{1});
-  Monitor par = make(engine::auto_threads(2));
-  for (size_t i = 0; i < h.size(); ++i) {
-    std::span<const Event> e(h.data() + i, 1);
-    bool ovf_ref = feed_guarded(ref, e);
-    bool ovf_par = feed_guarded(par, e);
-    ASSERT_EQ(ovf_ref, ovf_par) << "seed " << seed << " event " << i;
-    ASSERT_EQ(ref.overflowed(), par.overflowed())
-        << "seed " << seed << " event " << i;
-    ASSERT_EQ(ref.ok(), par.ok()) << "seed " << seed << " event " << i;
-    ASSERT_EQ(ref.frontier_size(), par.frontier_size())
-        << "seed " << seed << " event " << i;
-    ASSERT_EQ(ref.frontier_digest(), par.frontier_digest())
-        << "seed " << seed << " event " << i;
-  }
   for (size_t chunk : {size_t{7}, size_t{64}}) {
-    Monitor ref2 = make(size_t{1});
-    Monitor batched = make(size_t{1});
+    Monitor ref2 = make();
+    Monitor batched = make();
     for (size_t i = 0; i < h.size(); i += chunk) {
       size_t n = std::min(chunk, h.size() - i);
       bool ovf_b = feed_guarded(batched,
@@ -305,9 +289,7 @@ TEST(IntervalFuzzEngine, RaggedStragglerParity) {
     Rng rng(seed);
     History h = make_ragged_straggler_history(24, 3, rng);
     if (round % 3 == 2) test::corrupt_response(h, seed);
-    auto make = [&](size_t threads) {
-      return LinMonitor(*spec, 1 << 18, threads);
-    };
+    auto make = [&] { return LinMonitor(*spec); };
     expect_fuzz_parity<LinMonitor>(make, h, seed);
   }
 }
@@ -322,9 +304,7 @@ TEST(IntervalFuzzEngine, RandomOverlapParity) {
       History h = test::random_linearizable_history(kind, 6, 60, seed);
       if (round % 2 == 1) test::corrupt_response(h, seed);
       auto spec = make_spec(kind);
-      auto make = [&](size_t threads) {
-        return LinMonitor(*spec, 1 << 18, threads);
-      };
+      auto make = [&] { return LinMonitor(*spec); };
       expect_fuzz_parity<LinMonitor>(make, h, seed);
     }
   }
@@ -339,9 +319,7 @@ TEST(IntervalFuzzEngine, WriteSnapshotRaggedParity) {
     // machine-respond move forks per (entry mask, assign point), so wider
     // random windows overflow rather than fuzz.
     History h = test::random_write_snapshot_history(5, seed, round % 3 == 0);
-    auto make = [&](size_t threads) {
-      return IntervalLinMonitor(*spec, 1 << 18, threads);
-    };
+    auto make = [&] { return IntervalLinMonitor(*spec); };
     expect_fuzz_parity<IntervalLinMonitor>(make, h, seed);
   }
 }
@@ -352,9 +330,7 @@ TEST(IntervalFuzzEngine, ExchangerRaggedParity) {
   for (size_t round = 0; round < rounds; ++round) {
     const uint64_t seed = 0xCAFE + round;
     History h = test::random_exchanger_history(5, 40, seed);
-    auto make = [&](size_t threads) {
-      return SetLinMonitor(*spec, 1 << 18, threads);
-    };
+    auto make = [&] { return SetLinMonitor(*spec); };
     expect_fuzz_parity<SetLinMonitor>(make, h, seed);
   }
 }

@@ -6,6 +6,7 @@
 // as data-race probes on the lane-sharded cells and the sink mutexes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <thread>
@@ -261,18 +262,18 @@ TEST(ObsExport, JsonAndPrometheusShapes) {
 
 TEST(ObsExport, EngineStatsJsonStableKeys) {
   engine::EngineStats s;
-  s.lanes = 2;
+  s.peak_frontier = 2;
   s.events_fed = 10;
   const std::string json = engine_stats_json(s);
   for (const char* key :
-       {"lanes", "events_fed", "rounds_sequential", "rounds_parallel",
-        "peak_frontier", "dedup_probes", "dedup_hits", "states_recycled",
-        "mode_switches", "probe_batches", "prefetch_batches",
+       {"events_fed", "rounds_sequential", "peak_frontier", "dedup_probes",
+        "dedup_hits", "states_recycled", "probe_batches", "prefetch_batches",
         "filter_in_place_rounds"}) {
     EXPECT_NE(json.find("\"" + std::string(key) + "\":"), std::string::npos)
         << key;
   }
-  EXPECT_NE(json.find("\"lanes\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"peak_frontier\":2"), std::string::npos);
+  EXPECT_EQ(std::count(json.begin(), json.end(), ':'), 9) << json;
 
   MetricsRegistry reg;
   sample_engine_stats(reg, s, {{"session", "a"}});

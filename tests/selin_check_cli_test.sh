@@ -104,6 +104,11 @@ fi
 expect 2 "$bin" queue "${ok_files[0]}" - --jobs 2
 expect 2 "$bin" queue "${ok_files[@]}" --jobs 2 --witness
 expect 2 "$bin" queue "${ok_files[@]}" --jobs 0
+# --jobs takes a whole token of decimal digits: no sign, no leading space,
+# nothing strtoul would negate into range.
+expect 2 "$bin" queue "${ok_files[@]}" --jobs -18446744073709551615
+expect 2 "$bin" queue "${ok_files[@]}" --jobs +4
+expect 2 "$bin" queue "${ok_files[@]}" --jobs ' 4'
 
 # ---- observability outputs -------------------------------------------------
 # A JSON round-trip helper: parses stdin as JSON, checks that a
@@ -129,12 +134,32 @@ PY
   fi
 }
 
+# The stable EngineStats key set of --stats-json, exactly: a missing or an
+# extra top-level key fails the row.
+stats_keys=(events_fed rounds_sequential peak_frontier dedup_probes dedup_hits
+            states_recycled probe_batches prefetch_batches
+            filter_in_place_rounds)
+json_keys_are() {
+  local file="$1"; shift
+  if ! python3 - "$file" "$@" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+sys.exit(0 if sorted(doc) == sorted(sys.argv[2:]) else 1)
+PY
+  then
+    echo "FAIL: JSON keys differ from ($*) in $file" >&2
+    sed 's/^/  out: /' "$file" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: JSON keys are $*"
+  fi
+}
+
 # --stats-json: one JSON object with the stable EngineStats keys; the
 # verdict exit code is unchanged.
 expect 0 "$bin" queue "${ok_files[0]}" --quiet --stats-json
-json_has "$tmp/out" lanes events_fed rounds_sequential rounds_parallel \
-  peak_frontier dedup_probes dedup_hits states_recycled mode_switches \
-  probe_batches prefetch_batches filter_in_place_rounds
+json_keys_are "$tmp/out" "${stats_keys[@]}"
 
 # --metrics -: stdout is a single JSON document that round-trips through a
 # parser (the ISSUE acceptance contract), even when attached to a run that
@@ -217,9 +242,7 @@ expect 2 "$bin" queue "${ok_files[0]}" --enforced --witness
 # pinned key set as membership mode (enforced objects are not opaque to the
 # observability plane).
 expect 0 "$bin" queue "${ok_files[0]}" --enforced --quiet --stats-json
-json_has "$tmp/out" lanes events_fed rounds_sequential rounds_parallel \
-  peak_frontier dedup_probes dedup_hits states_recycled mode_switches \
-  probe_batches prefetch_batches filter_in_place_rounds
+json_keys_are "$tmp/out" "${stats_keys[@]}"
 # --metrics -: a parseable document with engine instruments attached to the
 # enforcement checkers; the verdict exit code passes through.
 expect 0 "$bin" queue "${ok_files[0]}" --enforced --metrics -
@@ -238,8 +261,6 @@ else
 fi
 expect 1 "$bin" queue "$tmp/hists/bad_fifo.hist" --enforced --metrics -
 json_has "$tmp/out" metrics
-# --threads auto works on the enforcement path too.
-expect 0 "$bin" queue "${ok_files[0]}" --enforced --threads auto --quiet
 
 # Multi-mode --stats-json: one {file, stats} line per session.
 expect 0 "$bin" queue "${ok_files[@]}" --jobs 2 --quiet --stats-json

@@ -98,15 +98,13 @@ expect 2 "$daemon" --uds                  # missing value
 expect 2 "$daemon" --tcp 99999            # port out of range
 expect 2 "$daemon" --tcp notaport
 expect 2 "$daemon" --uds "$tmp/x.sock" --batch-limit 0
-expect 2 "$daemon" --uds "$tmp/x.sock" --session-threads frob
 expect 2 "$daemon" --uds "$tmp/x.sock" --bogus-flag
 # Out-of-range sizes are usage errors, not a READY daemon that aborts on
-# its first session.  Lanes and session threads share selin_check's 256
-# cap; batch limit and inbox capacity must fit the hello ack's 32-bit
-# fields.  `timeout` turns a daemon that wrongly starts serving into a
-# failed row instead of a hung suite.
+# its first session.  Lanes share selin_check's 256 cap; batch limit and
+# inbox capacity must fit the hello ack's 32-bit fields.  `timeout` turns a
+# daemon that wrongly starts serving into a failed row instead of a hung
+# suite.
 expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --lanes 257
-expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --session-threads 257
 expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --batch-limit 4294967296
 expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --inbox-capacity 4294967296
 expect 2 "$soak"                          # soak needs a target too
@@ -163,16 +161,15 @@ assert doc['server']['sessions_closed'] >= 1, doc
   check "daemon unlinks its socket on shutdown" test ! -e "$sock"
 fi
 
-# ---- adaptive sessions ------------------------------------------------------
+# ---- two shared lanes, mixed verdicts --------------------------------------
 
-# --session-threads auto runs every session on the adaptive engine over two
-# shared lanes; --reject-every makes some sessions end REJECTED, so both
-# verdicts travel the daemon path.
-sock="$tmp/auto.sock"
-if start_daemon --uds "$sock" --session-threads auto --lanes 2; then
+# Every session drains over two shared lanes; --reject-every makes some
+# sessions end REJECTED, so both verdicts travel the daemon path.
+sock="$tmp/lanes.sock"
+if start_daemon --uds "$sock" --lanes 2; then
   expect 0 "$soak" --uds "$sock" --sessions 6 --events 200 --threads 2 \
     --width 2 --reject-every 3
-  check "auto soak reports all verdicts as expected" \
+  check "two-lane soak reports all verdicts as expected" \
     grep -q '^SOAK ok' "$tmp/out"
   stop_daemon
 fi

@@ -279,10 +279,9 @@ TEST(Executor, PhaseRethrowsFirstJobException) {
   EXPECT_EQ(ok.load(), 4);
 }
 
-// A phase job launching its own phase (the service shape: session batches
-// run as phase slices, and a session's monitor may shard its own rounds
-// over the same executor).  Must complete without deadlock whatever the
-// lane count.
+// A phase job launching its own phase on the same executor: callers claim
+// unstarted slices themselves, so nested phases must complete without
+// deadlock whatever the lane count.
 TEST(Executor, NestedPhasesComplete) {
   for (size_t lanes : {1, 2}) {
     parallel::Executor exec(lanes);

@@ -307,10 +307,6 @@ class CountingObject final : public GenLinObject {
   std::unique_ptr<MembershipMonitor> monitor() const override {
     return std::make_unique<CountingMonitor>(base_->monitor(), live_, peak_);
   }
-  std::unique_ptr<MembershipMonitor> monitor(size_t threads) const override {
-    return std::make_unique<CountingMonitor>(base_->monitor(threads), live_,
-                                             peak_);
-  }
 
   int live() const { return live_->load(); }
   int peak() const { return peak_->load(); }

@@ -7,10 +7,8 @@ Usage:
                       [--tolerance 0.25] [--min-time 0.1]
 
 What "stable" means here: the single-threaded bench_lincheck workloads
-whose cost is a deterministic function of the engine — everything except
-the parallel/adaptive sweeps (BM_ParallelFrontierScaling,
-BM_AdaptiveWidthSwing) whose timings depend on the host's core count, and
-except run_type=aggregate rows.  bench_detection stays out of the gate
+whose cost is a deterministic function of the engine — every row except
+run_type=aggregate ones.  bench_detection stays out of the gate
 entirely: its workloads drive real producer/checker threads, and measured
 run-to-run swings of 1.5-3x on shared hosts would make any threshold either
 blind or flaky (the BENCH_lincheck.json trajectory still tracks them).
@@ -53,8 +51,6 @@ RUNS = {
 }
 
 UNSTABLE_PREFIXES = (
-    "BM_ParallelFrontierScaling",  # meaningless when cores < shards
-    "BM_AdaptiveWidthSwing",       # mode mix depends on hardware lanes
     # The multi_session facet (bench_multi_session: BM_MultiSessionThroughput
     # sessions x lanes sweep) is excluded the same way: cross-session scaling
     # is a property of the host's core count, so it stays out of the gate
@@ -79,16 +75,15 @@ UNSTABLE_PREFIXES = (
     # gate on it.
     "BM_Ingest",
     # The enforced facet (bench_self_enforced: BM_EnforcedVerifiedOps,
-    # recorded by tools/run_bench.sh --facet enforced) gates on the
-    # speedup ratio between its seed/ported arms, recorded directly in the
-    # facet; absolute verified-op times ride the host.  Its siblings in
-    # bench_decoupled/bench_verifier sweep the same ported knobs and are
-    # excluded for the same reason.  All live in their own binaries, which
-    # the gate never runs; listed so adding them to RUNS by accident cannot
-    # silently gate on them.
+    # recorded by tools/run_bench.sh --facet enforced) tracks the speedup
+    # ratio between its coupled/decoupled arms, recorded directly in the
+    # facet; absolute verified-op times ride the host.  Its sibling in
+    # bench_decoupled sweeps the verifier cadence and is excluded for the
+    # same reason.  Both live in their own binaries, which the gate never
+    # runs; listed so adding them to RUNS by accident cannot silently gate
+    # on them.
     "BM_EnforcedVerifiedOps",
     "BM_VerifierBatchAmortization",
-    "BM_VerifierThroughputPorted",
     # The abd_cluster facet (bench_abd_cluster: simulated lossy/reordered
     # links, retransmission timers) is schedule-dependent by construction —
     # the facet tracks verified-ops/s and protocol-message counters, and

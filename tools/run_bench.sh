@@ -4,7 +4,7 @@
 # perf trajectory is tracked PR over PR.
 #
 # Usage: tools/run_bench.sh [build-dir] \
-#            [--facet all|parallel_scaling|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster] \
+#            [--facet all|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster] \
 #            [--allow-non-release]
 #
 # Recorded numbers are only comparable between optimized builds, so the
@@ -24,14 +24,11 @@
 # measured) and the library's own value is kept as
 # benchmark_library_build_type.
 #
-# --facet parallel_scaling re-runs only BM_ParallelFrontierScaling and
-# replaces just the `parallel_scaling` facet of BENCH_lincheck.json, leaving
-# every other recorded number untouched.  Use it to re-record the scaling
-# facet alone on a multi-core host (the facet is meaningless when
-# num_cpus < shards, and re-running the full suite there would overwrite
-# the tracked single-host trajectory).  --facet leveled_replay does the same
-# for the leveled checker's rollback-storm facet (bench_leveled_replay), and
-# --facet multi_session for the multi-tenant service sweep
+# --facet leveled_replay re-runs only the leveled checker's rollback-storm
+# benchmark (bench_leveled_replay) and replaces just the `leveled_replay`
+# facet of BENCH_lincheck.json, leaving every other recorded number
+# untouched; --facet multi_session does the same for the multi-tenant
+# service sweep
 # (bench_multi_session: sessions x shared-executor lanes, aggregate
 # events/sec), and --facet frontier_memory for the op-set footprint facet
 # (bench_frontier_memory: peak live configs x mean per-config op-set bytes
@@ -44,10 +41,9 @@
 # --facet ingest for the live-ingest facet (bench_ingest: binary wire decode
 # vs text parse vs MPSC publish+drain; raw run shape, excluded from the
 # gate — see BM_Ingest in tools/bench_gate.py), and --facet enforced for the
-# enforcement-port A/B (bench_self_enforced's BM_EnforcedVerifiedOps:
-# verified-op throughput of the seed-era sequential discipline vs the ported
-# coupled and decoupled engine paths; the facet stores per-mode items/s and
-# speedup_vs_seed ratios — the PR 10 acceptance bar is decoupled >= 5x), and
+# enforcement A/B (bench_self_enforced's BM_EnforcedVerifiedOps: verified-op
+# throughput of the coupled and the decoupled deployment; the facet stores
+# per-mode items/s and the decoupled/coupled speedup), and
 # --facet abd_cluster for the monitored-ABD-cluster sweep (bench_abd_cluster:
 # hundreds-to-thousands of logical clients over reliable and lossy/reordered
 # simulated links, every op runtime-verified; stores verified-ops/s plus
@@ -82,8 +78,8 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 case "$facet" in
-  all|parallel_scaling|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster) ;;
-  *) echo "error: unknown facet '$facet' (all | parallel_scaling | leveled_replay | multi_session | frontier_memory | obs_overhead | closure_hot | ingest | enforced | abd_cluster)" >&2; exit 2 ;;
+  all|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster) ;;
+  *) echo "error: unknown facet '$facet' (all | leveled_replay | multi_session | frontier_memory | obs_overhead | closure_hot | ingest | enforced | abd_cluster)" >&2; exit 2 ;;
 esac
 
 tmp="$(mktemp -d)"
@@ -141,11 +137,7 @@ if [[ "$lib_build_type" != "release" ]]; then
   echo "         facets will carry debug_benchmark_library=true" >&2
 fi
 
-if [[ "$facet" == "parallel_scaling" ]]; then
-  "$build_dir/bench_lincheck" \
-      --benchmark_filter='BM_ParallelFrontierScaling' \
-      --benchmark_out="$tmp/lincheck.json" --benchmark_out_format=json
-elif [[ "$facet" == "leveled_replay" ]]; then
+if [[ "$facet" == "leveled_replay" ]]; then
   if [[ ! -x "$build_dir/bench_leveled_replay" ]]; then
     echo "error: bench_leveled_replay not built in $build_dir" >&2
     exit 1
@@ -298,56 +290,21 @@ def load(path):
         data["context"].get("library_build_type")
     return tag_non_release({"context": ctx, "benchmarks": data["benchmarks"]})
 
-def parallel_scaling_facet(run):
-    """Verified-op throughput of the sharded frontier engine by shard count
-    (BM_ParallelFrontierScaling), plus speedups vs one shard.  Meaningful
-    scaling requires cores >= shards; num_cpus is recorded alongside so
-    single-core hosts aren't misread as regressions.  The one construction
-    point for the facet, whichever mode recorded it."""
-    per_shard = {}
-    for b in run["benchmarks"]:
-        name = b.get("name", "")
-        if (name.startswith("BM_ParallelFrontierScaling/")
-                and b.get("run_type") != "aggregate"
-                and "items_per_second" in b):
-            per_shard[name.split("/")[1]] = b["items_per_second"]
-    if not per_shard:
-        return None
-    base = per_shard.get("1")
-    return {
-        "workload": "frontier-width-sweep (2^12-wide stack frontier, "
-                    "overlapping push/pop stream)",
-        "num_cpus": run["context"].get("num_cpus"),
-        "items_per_second_by_shards": per_shard,
-        "speedup_vs_1_shard": {
-            s: (v / base if base else None) for s, v in per_shard.items()
-        },
-    }
-
 def leveled_replay_facet(run):
-    """Rollback-storm throughput of the leveled checker by replay lane count
-    (BM_LeveledRollbackStorm: adaptive sharded replay monitors vs sequential
-    monitors at lanes=1, inline checkpoints in every arm).  Scaling requires
-    cores >= lanes; num_cpus is recorded alongside."""
-    per_lanes = {}
-    for b in run["benchmarks"]:
-        name = b.get("name", "")
-        if b.get("run_type") == "aggregate" or "items_per_second" not in b:
-            continue
-        if name.startswith("BM_LeveledRollbackStorm/"):
-            per_lanes[name.split("/")[1]] = b["items_per_second"]
-    if not per_lanes:
+    """Rollback-storm throughput of the leveled checker
+    (BM_LeveledRollbackStorm: inline checkpoints at the default stride)."""
+    rates = [b["items_per_second"] for b in run["benchmarks"]
+             if b.get("name", "").startswith("BM_LeveledRollbackStorm")
+             and b.get("run_type") != "aggregate"
+             and "items_per_second" in b]
+    if not rates:
         return None
-    base = per_lanes.get("1")
-    return {
+    return tag_non_release({
         "workload": "rollback storm (88-level pqueue spine, 10 stragglers "
                     "=> 2^10-wide replay frontier, one rollback each)",
         "num_cpus": run["context"].get("num_cpus"),
-        "items_per_second_by_lanes": per_lanes,
-        "speedup_vs_1_lane": {
-            s: (v / base if base else None) for s, v in per_lanes.items()
-        },
-    }
+        "items_per_second": max(rates),
+    })
 
 def multi_session_facet(run):
     """Aggregate verified-events/sec of the multi-tenant service by
@@ -454,16 +411,14 @@ def obs_overhead_facet(run):
     })
 
 def enforced_facet(run):
-    """The enforcement-port A/B (bench_self_enforced's
-    BM_EnforcedVerifiedOps): verified-op throughput of the seed-era
-    sequential enforcement discipline (mode 0) vs the ported coupled engine
-    path (mode 1) and the batched decoupled deployment (mode 2), one driver
-    thread, identical op stream.  Stores the best repetition per mode plus
-    speedup_vs_seed ratios — the PR 10 acceptance bar is
-    ported-decoupled >= 5.  Excluded from the wall-time gate
-    (tools/bench_gate.py): the gated quantity is the ratio between arms,
+    """The enforcement A/B (bench_self_enforced's BM_EnforcedVerifiedOps):
+    verified-op throughput of the coupled deployment (mode 0, Figure 11)
+    vs the batched decoupled one (mode 1, Figure 12), one driver thread,
+    identical op stream.  Stores the best repetition per mode plus the
+    decoupled/coupled speedup.  Excluded from the wall-time gate
+    (tools/bench_gate.py): the tracked quantity is the ratio between arms,
     recorded here directly."""
-    arms = {"0": "seed-coupled", "1": "ported-coupled", "2": "ported-decoupled"}
+    arms = {"0": "coupled", "1": "decoupled"}
     per_arm = {}
     for b in run["benchmarks"]:
         name = b.get("name", "")
@@ -477,17 +432,17 @@ def enforced_facet(run):
         cur = per_arm.get(arm)
         if cur is None or b["items_per_second"] > cur:
             per_arm[arm] = b["items_per_second"]
-    if "seed-coupled" not in per_arm:
+    if "coupled" not in per_arm:
         return None
-    base = per_arm["seed-coupled"]
+    base = per_arm["coupled"]
     return tag_non_release({
         "workload": "16 process slots, single driver, random queue ops; "
                     "every op verified (decoupled arm: one shared verifier "
                     "pass per 256 applies); best of 3 repetitions per arm",
         "verified_ops_per_second_by_arm": per_arm,
-        "speedup_vs_seed": {
+        "speedup_vs_coupled": {
             a: (v / base if base else None)
-            for a, v in per_arm.items() if a != "seed-coupled"
+            for a, v in per_arm.items() if a != "coupled"
         },
     })
 
@@ -655,26 +610,7 @@ if mode == "leveled_replay":
     print(f"updated leveled_replay facet of {out}")
     sys.exit(0)
 
-lincheck_run = load(lincheck)
-scaling = parallel_scaling_facet(lincheck_run)
-
-if mode == "parallel_scaling":
-    if scaling is None:
-        sys.exit("error: no BM_ParallelFrontierScaling results in this run")
-    try:
-        with open(out) as f:
-            result = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        sys.exit(f"error: {out} missing or unreadable; run the full suite first")
-    result["parallel_scaling"] = scaling
-    with open(out, "w") as f:
-        json.dump(result, f, indent=1)
-    print(f"updated parallel_scaling facet of {out}")
-    sys.exit(0)
-
-result = {"bench_lincheck": lincheck_run, "bench_detection": load(detection)}
-if scaling is not None:
-    result["parallel_scaling"] = scaling
+result = {"bench_lincheck": load(lincheck), "bench_detection": load(detection)}
 try:
     leveled_facet = leveled_replay_facet(load(leveled))
 except FileNotFoundError:
@@ -734,7 +670,7 @@ if abd_facet is not None:
 try:
     with open(out) as f:
         prev = json.load(f)
-    for key in ("baseline_string_key", "leveled_replay", "parallel_scaling",
+    for key in ("baseline_string_key", "leveled_replay",
                 "multi_session", "frontier_memory", "obs_overhead",
                 "closure_hot", "ingest", "enforced", "abd_cluster"):
         if key in prev and key not in result:

@@ -1,8 +1,7 @@
 // selin_check — offline linearizability checker over text histories.
 //
 // Single-history mode:
-//   selin_check <object> <history-file> [--witness] [--quiet]
-//               [--threads N|auto] [--stats]
+//   selin_check <object> <history-file> [--witness] [--quiet] [--stats]
 //   selin_check <object> -              (read from stdin)
 //
 // Multi-history mode (more than one file, or --jobs given): every file
@@ -10,20 +9,16 @@
 // over one shared executor — files are streamed line-at-a-time
 // (HistoryStreamReader), batches are scheduled round-robin, and the
 // sessions' membership tests run concurrently on --jobs worker lanes:
-//   selin_check <object> file1 file2 ... [--jobs N] [--quiet]
-//               [--threads N|auto] [--stats]
+//   selin_check <object> file1 file2 ... [--jobs N] [--quiet] [--stats]
 // A per-file verdict summary table is printed at the end (unless --quiet,
 // which prints only failing files).
 //
 // <object>: queue | stack | set | pqueue | counter | register | consensus
 //
-// --threads N (N > 1) runs the membership test on the parallel sharded
-// frontier engine; --threads auto lets the engine pick sequential vs sharded
-// per feed round by frontier width (fixed engage/retreat hysteresis, see
-// engine/frontier_engine.hpp).  In multi-history mode the knob applies per
-// session, on top of the shared --jobs lanes.  The witness (--witness,
-// single-history only) always comes from the sequential DFS, which is the
-// only engine that records a linearization order.  --stats prints the
+// --jobs N (1..256, decimal digits only) caps the worker lanes the sessions
+// are checked on; each session's membership test itself is sequential.
+// The witness (--witness, single-history only) comes from the DFS, which is
+// the only checker that records a linearization order.  --stats prints the
 // engine's execution counters per history.
 //
 // Observability outputs (both modes):
@@ -73,8 +68,8 @@
 // 3 = a checker overflowed its budget (sticky; verdict unknown).
 // --stats/--stats-json/--metrics report the aggregated engine counters of
 // all per-process checkers (the same stable keys — enforced objects are no
-// longer opaque to the observability plane), and --threads N|auto selects
-// the checkers' engine threading.  --witness is membership-mode only.
+// longer opaque to the observability plane).  --witness is membership-mode
+// only.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -94,6 +89,8 @@
 #include "selin/service/monitor_service.hpp"
 #include "selin/sim/workload.hpp"
 
+#include "cli_args.hpp"
+
 namespace {
 
 using namespace selin;
@@ -112,11 +109,10 @@ std::optional<ObjectKind> parse_object(const std::string& s) {
 int usage() {
   std::cerr << "usage: selin_check <queue|stack|set|pqueue|counter|register|"
                "consensus> <file|-> [--witness] [--enforced] [--quiet] "
-               "[--threads N|auto] "
                "[--stats] [--stats-json] [--metrics <file|->] "
                "[--trace <file>]\n"
                "       selin_check <object> <file> <file> ... [--jobs N] "
-               "[--quiet] [--threads N|auto] [--stats] "
+               "[--quiet] [--stats] "
                "[--stats-json] [--metrics <file|->] [--trace <file>]\n";
   return 2;
 }
@@ -162,19 +158,16 @@ void print_stats(const engine::EngineStats& s) {
       s.dedup_probes == 0
           ? 0.0
           : static_cast<double>(s.dedup_hits) / static_cast<double>(s.dedup_probes);
-  std::cout << "# engine stats: lanes=" << s.lanes
-            << " events=" << s.events_fed
+  std::cout << "# engine stats: events=" << s.events_fed
             << " rounds_seq=" << s.rounds_sequential
-            << " rounds_par=" << s.rounds_parallel
             << " peak_frontier=" << s.peak_frontier
             << " dedup_probes=" << s.dedup_probes
             << " dedup_hit_rate=" << hit_rate
-            << " states_recycled=" << s.states_recycled
-            << " mode_switches=" << s.mode_switches << "\n";
+            << " states_recycled=" << s.states_recycled << "\n";
 }
 
 int run_single(ObjectKind kind, const std::string& path, bool want_witness,
-               bool quiet, const ObsOpts& oo, size_t threads) {
+               bool quiet, const ObsOpts& oo) {
   History h;
   try {
     if (path == "-") {
@@ -202,7 +195,7 @@ int run_single(ObjectKind kind, const std::string& path, bool want_witness,
   }
 
   auto spec = make_spec(kind);
-  LinMonitor m(*spec, /*max_configs=*/1 << 18, threads);
+  LinMonitor m(*spec);
   obs::MetricsRegistry reg;
   obs::EngineHooks hooks;
   if (oo.enabled()) {
@@ -304,7 +297,7 @@ class ReplayImpl final : public IConcurrent {
 };
 
 int run_enforced(ObjectKind kind, const std::string& path, bool quiet,
-                 const ObsOpts& oo, size_t threads) {
+                 const ObsOpts& oo) {
   History h;
   try {
     if (path == "-") {
@@ -346,7 +339,6 @@ int run_enforced(ObjectKind kind, const std::string& path, bool quiet,
   obs::LeveledHooks lhooks;
   auto obj = make_linearizable_object(make_spec(kind));
   MonitorCore::Options copts;
-  copts.checker_threads = threads;
   if (oo.enabled()) {
     ehooks = obs::make_engine_hooks(reg, {}, tsink.get());
     lhooks = obs::make_leveled_hooks(reg, {}, tsink.get(), 0, &ehooks);
@@ -418,7 +410,7 @@ int run_enforced(ObjectKind kind, const std::string& path, bool quiet,
 }
 
 int run_multi(ObjectKind kind, const std::vector<std::string>& files,
-              size_t jobs, bool quiet, const ObsOpts& oo, size_t threads) {
+              size_t jobs, bool quiet, const ObsOpts& oo) {
   struct FileCtx {
     std::string path;
     std::ifstream stream;
@@ -460,9 +452,7 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
       continue;
     }
     c.reader = std::make_unique<HistoryStreamReader>(c.stream);
-    service::SessionOptions sopts;
-    sopts.threads = threads;
-    c.sid = svc.open(c.path, make_spec(kind), sopts);
+    c.sid = svc.open(c.path, make_spec(kind));
     c.has_session = true;
   }
 
@@ -575,7 +565,6 @@ int main(int argc, char** argv) {
   bool want_witness = false, quiet = false;
   bool jobs_given = false, want_enforced = false;
   ObsOpts oo;
-  size_t threads = 1;
   size_t jobs = 0;  // 0 = hardware-resolved
   std::vector<std::string> files;
   for (int i = 2; i < argc; ++i) {
@@ -587,23 +576,10 @@ int main(int argc, char** argv) {
     else if (flag == "--stats-json") oo.stats_json = true;
     else if (flag == "--metrics" && i + 1 < argc) oo.metrics = argv[++i];
     else if (flag == "--trace" && i + 1 < argc) oo.trace = argv[++i];
-    else if (flag == "--threads" && i + 1 < argc) {
-      std::string v = argv[++i];
-      if (v == "auto") {
-        threads = engine::kAutoThreads;
-      } else {
-        char* end = nullptr;
-        unsigned long n = std::strtoul(v.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || n == 0 || n > 256) {
-          return usage();
-        }
-        threads = static_cast<size_t>(n);
+    else if (flag == "--jobs" && i + 1 < argc) {
+      if (!cli::parse_size(argv[++i], &jobs, 1, cli::kMaxLanes)) {
+        return usage();
       }
-    } else if (flag == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || n == 0 || n > 256) return usage();
-      jobs = static_cast<size_t>(n);
       jobs_given = true;
     } else if (!flag.empty() && flag[0] == '-' && flag != "-") {
       return usage();
@@ -626,10 +602,10 @@ int main(int argc, char** argv) {
                    "membership-mode only\n";
       return usage();
     }
-    return run_enforced(*kind, files[0], quiet, oo, threads);
+    return run_enforced(*kind, files[0], quiet, oo);
   }
   if (!multi) {
-    return run_single(*kind, files[0], want_witness, quiet, oo, threads);
+    return run_single(*kind, files[0], want_witness, quiet, oo);
   }
   if (want_witness) {
     std::cerr << "selin_check: --witness is single-history only\n";
@@ -641,5 +617,5 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  return run_multi(*kind, files, jobs, quiet, oo, threads);
+  return run_multi(*kind, files, jobs, quiet, oo);
 }

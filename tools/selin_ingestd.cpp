@@ -2,8 +2,8 @@
 //
 //   selin_ingestd [--uds <path>] [--tcp <port>] [--host <addr>]
 //                 [--lanes N] [--batch-limit N] [--inbox-capacity N]
-//                 [--max-configs N] [--session-threads N|auto]
-//                 [--max-sessions N] [--idle-timeout-ms N] [--no-observe]
+//                 [--max-configs N] [--max-sessions N]
+//                 [--idle-timeout-ms N] [--no-observe]
 //
 // Serves the binary wire protocol (src/selin/net/wire.hpp) over a Unix-
 // domain socket and/or TCP, multiplexing every connection's event stream
@@ -22,23 +22,22 @@
 // one final `STATS <json>` line (the /stats document) and exits 0.
 //
 // Numeric flags are range-checked up front: --lanes 0..256 (0 = hardware),
-// --session-threads 1..256 or auto, and --batch-limit / --inbox-capacity
-// 1..2^32-1 (the hello ack carries both as 32-bit fields).  Anything else
+// and --batch-limit / --inbox-capacity 1..2^32-1 (the hello ack carries both
+// as 32-bit fields).  Each session's membership test runs sequentially on
+// whichever lane drains it.  Anything else
 // is a usage error rather than an allocation failure on the first session.
 //
 // Exit codes: 0 = clean shutdown, 2 = usage error, 3 = startup failure
 // (bind/listen).
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <unistd.h>
 
-#include "selin/engine/stats.hpp"
 #include "selin/net/ingest_server.hpp"
+
+#include "cli_args.hpp"
 
 namespace {
 
@@ -46,8 +45,8 @@ int usage(int code) {
   (code == 0 ? std::cout : std::cerr)
       << "usage: selin_ingestd [--uds <path>] [--tcp <port>] [--host <addr>]"
          " [--lanes N] [--batch-limit N] [--inbox-capacity N]"
-         " [--max-configs N] [--session-threads N|auto] [--max-sessions N]"
-         " [--idle-timeout-ms N] [--no-observe]\n"
+         " [--max-configs N] [--max-sessions N] [--idle-timeout-ms N]"
+         " [--no-observe]\n"
          "at least one of --uds / --tcp required; --tcp 0 = ephemeral port\n";
   return code;
 }
@@ -62,20 +61,8 @@ void on_signal(int) {
   }
 }
 
-// Lane/thread cap shared with selin_check --threads/--jobs.
-constexpr size_t kMaxLanes = 256;
-
-// Parses a decimal in [lo, hi]; rejects signs, overflow and trailing text.
-bool parse_size(const char* s, size_t* out, size_t lo = 0,
-                size_t hi = SIZE_MAX) {
-  if (*s < '0' || *s > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
-  *out = static_cast<size_t>(v);
-  return true;
-}
+using selin::cli::kMaxLanes;
+using selin::cli::parse_size;
 
 }  // namespace
 
@@ -121,14 +108,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-configs") {
       const char* v = need_value();
       if (v == nullptr || !parse_size(v, &opts.max_configs)) return usage(2);
-    } else if (arg == "--session-threads") {
-      const char* v = need_value();
-      if (v == nullptr) return usage(2);
-      if (std::strcmp(v, "auto") == 0) {
-        opts.session_threads = selin::engine::kAutoThreads;
-      } else if (!parse_size(v, &opts.session_threads, 1, kMaxLanes)) {
-        return usage(2);
-      }
     } else if (arg == "--max-sessions") {
       const char* v = need_value();
       if (v == nullptr || !parse_size(v, &opts.max_sessions)) return usage(2);
