@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "selin/lincheck/config.hpp"
+#include "selin/obs/export.hpp"
 #include "selin/util/fp_set.hpp"
 #include "selin/util/hash.hpp"
 #include "selin/util/small_vec.hpp"
@@ -247,6 +248,175 @@ TEST(Fingerprint, AssignFromReusesStateAcrossContents) {
   // Cross-spec assign must refuse.
   auto q = make_queue_spec()->initial();
   EXPECT_FALSE(q->assign_from(*a));
+}
+
+// ---------------------------------------------------------------------------
+// Golden hash contract
+// ---------------------------------------------------------------------------
+//
+// The frontier digest and engine counters of each monitor on fixed
+// histories, recorded as constants.  Fingerprints are defined over op ids
+// and values, not over how a configuration stores its op sets, so a storage
+// change must leave every number here as it is: a moved digest means the
+// Zobrist contract changed, moved counters mean the closure deduplicated,
+// recycled or overflowed differently.
+
+struct Golden {
+  uint64_t digest;
+  const char* stats;
+};
+
+/// `h` up to the first response past two thirds of it that leaves another
+/// operation open: the final frontier then still holds linearized but
+/// unresponded ops, so its digest covers the op-set hashes, not only the
+/// states.
+History golden_prefix(History h) {
+  size_t open = 0;
+  for (size_t i = 0; i < h.size(); ++i) {
+    open = h[i].is_inv() ? open + 1 : open - 1;
+    if (3 * i >= 2 * h.size() && h[i].is_res() && open > 0) {
+      h.resize(i + 1);
+      break;
+    }
+  }
+  return h;
+}
+
+template <typename Monitor>
+void expect_golden(Monitor& m, const History& h, const Golden& want,
+                   const char* label, bool overflows = false) {
+  bool overflowed = false;
+  try {
+    for (const Event& e : h) m.feed(e);
+  } catch (const CheckerOverflow&) {
+    overflowed = true;
+  }
+  ASSERT_EQ(overflowed, overflows) << label;
+  if (!overflows) {
+    ASSERT_TRUE(m.ok()) << label;
+    EXPECT_GT(m.footprint().opset_elems, 0u) << label;
+  }
+  EXPECT_EQ(m.frontier_digest(), want.digest) << label;
+  EXPECT_EQ(obs::engine_stats_json(m.stats()), want.stats) << label;
+}
+
+TEST(GoldenHash, LinMonitorPerObjectKind) {
+  const struct {
+    ObjectKind kind;
+    Golden want;
+  } cases[] = {
+      {ObjectKind::kQueue,
+       {14518258994293338721ull,
+        "{\"events_fed\":123,\"rounds_sequential\":60,\"peak_frontier\":145,"
+        "\"dedup_probes\":7839,\"dedup_hits\":2531,\"states_recycled\":4338,"
+        "\"probe_batches\":3035,\"prefetch_batches\":1592,"
+        "\"filter_in_place_rounds\":60}"}},
+      {ObjectKind::kStack,
+       {1515245884380039458ull,
+        "{\"events_fed\":122,\"rounds_sequential\":60,\"peak_frontier\":834,"
+        "\"dedup_probes\":9197,\"dedup_hits\":2213,\"states_recycled\":3538,"
+        "\"probe_batches\":3383,\"prefetch_batches\":1417,"
+        "\"filter_in_place_rounds\":60}"}},
+      {ObjectKind::kSet,
+       {17986027629537549604ull,
+        "{\"events_fed\":123,\"rounds_sequential\":61,\"peak_frontier\":10,"
+        "\"dedup_probes\":1062,\"dedup_hits\":421,\"states_recycled\":615,"
+        "\"probe_batches\":487,\"prefetch_batches\":312,"
+        "\"filter_in_place_rounds\":61}"}},
+      {ObjectKind::kPqueue,
+       {2379657357543263503ull,
+        "{\"events_fed\":122,\"rounds_sequential\":60,\"peak_frontier\":22,"
+        "\"dedup_probes\":1274,\"dedup_hits\":349,\"states_recycled\":665,"
+        "\"probe_batches\":572,\"prefetch_batches\":294,"
+        "\"filter_in_place_rounds\":60}"}},
+      {ObjectKind::kCounter,
+       {3298385422908134557ull,
+        "{\"events_fed\":121,\"rounds_sequential\":60,\"peak_frontier\":21,"
+        "\"dedup_probes\":1290,\"dedup_hits\":196,\"states_recycled\":672,"
+        "\"probe_batches\":629,\"prefetch_batches\":280,"
+        "\"filter_in_place_rounds\":60}"}},
+      {ObjectKind::kRegister,
+       {3640221742536344228ull,
+        "{\"events_fed\":121,\"rounds_sequential\":60,\"peak_frontier\":80,"
+        "\"dedup_probes\":2806,\"dedup_hits\":649,\"states_recycled\":1413,"
+        "\"probe_batches\":1128,\"prefetch_batches\":525,"
+        "\"filter_in_place_rounds\":60}"}},
+      {ObjectKind::kConsensus,
+       {1863093348738857662ull,
+        "{\"events_fed\":123,\"rounds_sequential\":60,\"peak_frontier\":8,"
+        "\"dedup_probes\":1118,\"dedup_hits\":460,\"states_recycled\":669,"
+        "\"probe_batches\":498,\"prefetch_batches\":328,"
+        "\"filter_in_place_rounds\":60}"}},
+  };
+  for (const auto& c : cases) {
+    auto spec = make_spec(c.kind);
+    History h = golden_prefix(test::random_linearizable_history(
+        c.kind, 4, 90, 0x601D + static_cast<uint64_t>(c.kind)));
+    LinMonitor m(*spec);
+    expect_golden(m, h, c.want, object_kind_name(c.kind));
+  }
+}
+
+TEST(GoldenHash, LinMonitorOverflowPoint) {
+  auto spec = make_queue_spec();
+  History h = test::random_linearizable_history(ObjectKind::kQueue, 6, 60, 7);
+  LinMonitor m(*spec, 512);
+  const Golden want = {
+      0,
+      "{\"events_fed\":46,\"rounds_sequential\":22,\"peak_frontier\":336,"
+      "\"dedup_probes\":4984,\"dedup_hits\":1370,\"states_recycled\":2081,"
+      "\"probe_batches\":1570,\"prefetch_batches\":775,"
+      "\"filter_in_place_rounds\":21}"};
+  expect_golden(m, h, want, "queue overflow", true);
+  EXPECT_TRUE(m.overflowed());
+}
+
+TEST(GoldenHash, SetLinMonitorExchanger) {
+  // Rounds of four overlapping exchanges on processes 0-3: two pairs swap,
+  // then a three-way overlap pairs two and leaves one empty-handed, then a
+  // solo exchange.
+  OpFactory f;
+  History h;
+  for (Value r = 0; r < 6; ++r) {
+    OpDesc a = f.op(0, Method::kExchange, 10 + r);
+    OpDesc b = f.op(1, Method::kExchange, 20 + r);
+    OpDesc c = f.op(2, Method::kExchange, 30 + r);
+    OpDesc d = f.op(3, Method::kExchange, 40 + r);
+    h.insert(h.end(), {Event::inv(a), Event::inv(b), Event::inv(c),
+                       Event::res(a, b.arg), Event::inv(d),
+                       Event::res(b, a.arg), Event::res(c, d.arg),
+                       Event::res(d, c.arg)});
+    OpDesc x = f.op(1, Method::kExchange, 50 + r);
+    OpDesc y = f.op(2, Method::kExchange, 60 + r);
+    OpDesc z = f.op(3, Method::kExchange, 70 + r);
+    h.insert(h.end(), {Event::inv(x), Event::inv(y), Event::inv(z),
+                       Event::res(x, z.arg), Event::res(y, kEmpty),
+                       Event::res(z, x.arg)});
+    OpDesc s = f.op(0, Method::kExchange, 80 + r);
+    h.insert(h.end(), {Event::inv(s), Event::res(s, kEmpty)});
+  }
+  auto spec = make_exchanger_spec();
+  SetLinMonitor m(*spec);
+  const Golden want = {
+      2777151727551271965ull,
+      "{\"events_fed\":68,\"rounds_sequential\":33,\"peak_frontier\":5,"
+      "\"dedup_probes\":352,\"dedup_hits\":104,\"states_recycled\":231,"
+      "\"probe_batches\":188,\"prefetch_batches\":69,"
+      "\"filter_in_place_rounds\":33}"};
+  expect_golden(m, golden_prefix(h), want, "exchanger");
+}
+
+TEST(GoldenHash, IntervalLinMonitorWriteSnapshot) {
+  auto spec = make_write_snapshot_interval_spec();
+  History h = test::random_write_snapshot_history(5, 3, false);
+  IntervalLinMonitor m(*spec);
+  const Golden want = {
+      12338198823855919048ull,
+      "{\"events_fed\":8,\"rounds_sequential\":3,\"peak_frontier\":13,"
+      "\"dedup_probes\":447,\"dedup_hits\":129,\"states_recycled\":289,"
+      "\"probe_batches\":228,\"prefetch_batches\":110,"
+      "\"filter_in_place_rounds\":3}"};
+  expect_golden(m, golden_prefix(h), want, "write-snapshot");
 }
 
 // ---------------------------------------------------------------------------
