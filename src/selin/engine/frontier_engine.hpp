@@ -162,7 +162,6 @@ class FrontierEngine {
       ++f.configs;
       f.opset_elems += c.opset_elems();
       f.opset_bytes += c.opset_bytes();
-      f.opset_smallvec_bytes += c.opset_smallvec_bytes();
     }
     return f;
   }
@@ -275,7 +274,7 @@ class FrontierEngine {
         next.add(lc.id, lc.v);
         hot_fp_.push_back(lc.fp);
         hot_bloom_.push_back(hot_bloom_[lc.parent] |
-                             lincheck::match_bit(lincheck::seq_major(lc.id)));
+                             lincheck::match_bit(lc.id));
         result.push_back(std::move(next));
       }
       lazy_.clear();
@@ -399,7 +398,7 @@ class FrontierEngine {
   /// debug/audit builds.
   void filter_in_place(std::vector<Config>& cur, const Event& e) {
     ++base_stats_.filter_in_place_rounds;
-    const uint64_t bit = lincheck::match_bit(lincheck::seq_major(e.op.id));
+    const uint64_t bit = lincheck::match_bit(e.op.id);
     const uint64_t delta = policy_.match_delta(e);
     size_t w = 0;
     for (size_t i = 0; i < cur.size(); ++i) {

@@ -67,41 +67,38 @@ struct LinPolicy {
       if (c.find(od.id) != nullptr) continue;
       std::unique_ptr<SeqState> st = pool.acquire(*c.state);
       Value assigned = st->step(od.method, od.arg);
-      const uint64_t fp =
-          st->fingerprint() ^ c.linearized.hash() ^
-          lincheck::lin_elem(lincheck::seq_major(od.id), assigned);
+      const uint64_t fp = st->fingerprint() ^ c.linearized.hash() ^
+                          lincheck::lin_elem(od.id, assigned);
       emit(std::move(st), od.id, assigned, fp);
     }
   }
 
   /// Canonical key of a lazy candidate (audit builds): what the materialized
   /// Config's key() would be — the stepped state, then the parent's entries
-  /// with (id, assigned) spliced in seq-major order.
+  /// with (id, assigned) spliced in id order.
   static std::string candidate_key(const SeqState& st,
                                    const lincheck::LinSet& parent, OpId id,
                                    Value assigned) {
     std::ostringstream os;
     os << st.encode() << "|";
-    const uint64_t nk = lincheck::seq_major(id);
     bool placed = false;
-    auto put = [&os](uint64_t k, Value v) {
-      OpId i = lincheck::id_of_key(k);
+    auto put = [&os](OpId i, Value v) {
       os << i.pid << "." << i.seq << "=" << v << ";";
     };
-    parent.for_each([&](uint64_t k, Value v) {
-      if (!placed && nk < k) {
-        put(nk, assigned);
+    for (const lincheck::OpEntry& e : parent) {
+      if (!placed && id < e.id) {
+        put(id, assigned);
         placed = true;
       }
-      put(k, v);
-    });
-    if (!placed) put(nk, assigned);
+      put(e.id, e.v);
+    }
+    if (!placed) put(id, assigned);
     return os.str();
   }
 
   // Every surviving configuration must have linearized e.op with exactly the
   // observed result; the op then leaves the linearized set.  Fused into one
-  // run search (remove_if_equals) — the filter runs once per response per
+  // search (remove_if_equals) — the filter runs once per response per
   // closure configuration.
   bool match(Config& c, const Event& e) const {
     return c.remove_if_equals(e.op.id, e.result);
@@ -113,16 +110,13 @@ struct LinPolicy {
   /// computable once per event instead of once per survivor (the SoA filter
   /// pass keys on it; the collision audit cross-checks the arithmetic).
   uint64_t match_delta(const Event& e) const {
-    return lincheck::lin_elem(lincheck::seq_major(e.op.id), e.result);
+    return lincheck::lin_elem(e.op.id, e.result);
   }
 
   /// Bloom bits of the response-relevant set (the linearized ops): the SoA
   /// hot-row over-approximation the filter pass consults before match().
   uint64_t hot_bits(const Config& c) const {
-    uint64_t bits = 0;
-    c.linearized.for_each(
-        [&bits](uint64_t k, Value) { bits |= lincheck::match_bit(k); });
-    return bits;
+    return lincheck::match_bits(c.linearized);
   }
 };
 
@@ -136,7 +130,6 @@ struct SetLinPolicy {
     std::vector<OpDesc> cand;
     std::vector<OpDesc> batch;
     std::vector<Value> out;
-    std::vector<std::pair<uint64_t, Value>> kv;  // sorted (key, value) runs
   };
 
   /// Successor sets here add a whole batch of entries, so the engine buffers
@@ -171,24 +164,9 @@ struct SetLinPolicy {
         pool.release(std::move(next.state));
         continue;
       }
-      // The whole batch linearizes at once; union each consecutive
-      // same-value key run into the set with one range operation instead of
-      // per-op point inserts (a lockstep cohort acking uniformly is the
-      // common shape and lands as a single run).
-      sc.kv.clear();
+      // The whole batch linearizes at once.
       for (size_t b = 0; b < sc.batch.size(); ++b) {
-        sc.kv.emplace_back(lincheck::seq_major(sc.batch[b].id), sc.out[b]);
-      }
-      std::sort(sc.kv.begin(), sc.kv.end());
-      for (size_t b = 0; b < sc.kv.size();) {
-        size_t r = b + 1;
-        while (r < sc.kv.size() && sc.kv[r].first == sc.kv[b].first + (r - b) &&
-               sc.kv[r].second == sc.kv[b].second) {
-          ++r;
-        }
-        next.linearized.add_run(sc.kv[b].first, static_cast<uint32_t>(r - b),
-                                sc.kv[b].second);
-        b = r;
+        next.add(sc.batch[b].id, sc.out[b]);
       }
       emit(std::move(next));
     }
@@ -200,14 +178,11 @@ struct SetLinPolicy {
 
   /// Same filter as LinPolicy: match removes one (op, result) entry.
   uint64_t match_delta(const Event& e) const {
-    return lincheck::lin_elem(lincheck::seq_major(e.op.id), e.result);
+    return lincheck::lin_elem(e.op.id, e.result);
   }
 
   uint64_t hot_bits(const Config& c) const {
-    uint64_t bits = 0;
-    c.linearized.for_each(
-        [&bits](uint64_t k, Value) { bits |= lincheck::match_bit(k); });
-    return bits;
+    return lincheck::match_bits(c.linearized);
   }
 };
 
@@ -215,28 +190,24 @@ struct SetLinPolicy {
 // Interval-linearizability
 // ---------------------------------------------------------------------------
 
-/// Element hash of a seq-major machine-open key: un-swapped back to the
-/// pid-major packed id before fph::open_op, keeping the hash contract (and
-/// every fingerprint) bit-identical to the flat-vector representation.
-constexpr uint64_t open_elem(uint64_t key) {
-  return fph::open_op((key << 32) | (key >> 32));
+/// Element hash of a machine-open op; the entry's value is unused.
+constexpr uint64_t open_elem(OpId id, Value) {
+  return fph::open_op(id.packed());
 }
 
-/// The interval machine's open set: seq-major keys, run-length compressed
-/// with the incremental fph::open_op hash.  A write-snapshot round where
-/// every process has entered the machine is a single run.
-using OpenSet = HashedIntervalSet<open_elem>;
+/// The interval machine's open set: op ids hashed with fph::open_op.
+using OpenSet = lincheck::OpSet<open_elem>;
 
 /// A configuration of the interval machine: machine state, the operations
 /// currently open *inside* the machine, and the responses already assigned
 /// (machine-responded, awaiting the history's response event).  Deduplicated
 /// by a 64-bit fingerprint: state fingerprint XOR one cached Zobrist
-/// component per set-shaped member, each maintained incrementally by the
-/// interval-set wrappers at the mutation sites.
+/// component per set-shaped member, each patched by its OpSet at every
+/// mutation.
 struct IConfig {
   std::unique_ptr<SeqState> state;
-  OpenSet machine_open;          // run-length id set, seq-major keys
-  lincheck::LinSet assigned;     // run-length (key -> value) set
+  OpenSet machine_open;       // op ids, sorted
+  lincheck::LinSet assigned;  // op id -> machine response, sorted by id
 
   IConfig clone() const {
     IConfig c;
@@ -259,80 +230,48 @@ struct IConfig {
   }
 
   /// Canonical key (ground truth; audit + diagnostics only).  Deterministic
-  /// and injective; both sets stream in seq-major key order.
+  /// and injective; both sets stream in id order.
   std::string key() const {
     std::ostringstream os;
     os << state->encode() << "|";
-    machine_open.for_each([&os](uint64_t k) {
-      OpId id = lincheck::id_of_key(k);
-      os << id.pid << "." << id.seq << ",";
-    });
+    for (const lincheck::OpEntry& e : machine_open) {
+      os << e.id.pid << "." << e.id.seq << ",";
+    }
     os << "|";
-    assigned.for_each([&os](uint64_t k, Value v) {
-      OpId id = lincheck::id_of_key(k);
-      os << id.pid << "." << id.seq << "=" << v << ";";
-    });
+    for (const lincheck::OpEntry& e : assigned) {
+      os << e.id.pid << "." << e.id.seq << "=" << e.v << ";";
+    }
     return os.str();
   }
 
-  bool is_machine_open(OpId id) const {
-    return machine_open.contains(lincheck::seq_major(id));
-  }
+  bool is_machine_open(OpId id) const { return machine_open.contains(id); }
 
-  void machine_invoke(OpId id) {
-    machine_open.insert(lincheck::seq_major(id));
-  }
+  void machine_invoke(OpId id) { machine_open.add(id, kNoArg); }
 
-  /// Machine-invoke a whole batch, unioning each consecutive key run in one
-  /// range operation (`keys` is mutated scratch; typically the batch is a
-  /// lockstep cohort and lands as a single run).
-  void machine_invoke_batch(std::vector<uint64_t>& keys) {
-    std::sort(keys.begin(), keys.end());
-    for (size_t b = 0; b < keys.size();) {
-      size_t r = b + 1;
-      while (r < keys.size() && keys[r] == keys[b] + (r - b)) ++r;
-      machine_open.insert_range(keys[b], r - b);
-      b = r;
-    }
-  }
-
-  void machine_respond(OpId id, Value v) {
-    assigned.add(lincheck::seq_major(id), v);
-  }
+  void machine_respond(OpId id, Value v) { assigned.add(id, v); }
 
   /// Remove `id` from both machine bookkeeping sets (the op's history
   /// response has been observed).
   void retire(OpId id) {
-    uint64_t key = lincheck::seq_major(id);
-    assigned.remove(key);
-    machine_open.erase(key);
+    assigned.remove(id);
+    machine_open.remove(id);
   }
 
   /// Fused response filter: iff `id` is machine-responded with exactly the
-  /// observed value, retire it from both sets.  One run search on the
-  /// assigned set (machine_respond guarantees assigned ⊆ machine_open).
+  /// observed value, retire it from both sets.  One search on the assigned
+  /// set (machine_respond guarantees assigned ⊆ machine_open).
   bool retire_if_assigned(OpId id, Value expect) {
-    uint64_t key = lincheck::seq_major(id);
-    if (!assigned.remove_if_equals(key, expect)) return false;
-    machine_open.erase(key);
+    if (!assigned.remove_if_equals(id, expect)) return false;
+    machine_open.remove(id);
     return true;
   }
 
-  const Value* find_assigned(OpId id) const {
-    return assigned.find(lincheck::seq_major(id));
-  }
+  const Value* find_assigned(OpId id) const { return assigned.find(id); }
 
-  /// Footprint accounting for the memory facet (bench_frontier_memory).
+  /// Op-set footprint (FrontierEngine::footprint).
   size_t opset_elems() const { return machine_open.size() + assigned.size(); }
   size_t opset_bytes() const {
     return machine_open.resident_bytes() + assigned.resident_bytes();
-  }
-  /// What the pre-interval flat representation would occupy for these sets:
-  /// SmallVec<OpId, 8> + SmallVec<{OpId, Value}, 8> plus two hash words.
-  size_t opset_smallvec_bytes() const {
-    return small_vec_model_bytes(machine_open.size(), 8, 8) +
-           small_vec_model_bytes(assigned.size(), 8, 16) +
-           2 * sizeof(uint64_t);
   }
 };
 
@@ -341,7 +280,6 @@ struct IntervalPolicy {
   struct Scratch {
     std::vector<OpDesc> eligible;
     std::vector<OpDesc> batch;
-    std::vector<uint64_t> keys;  // seq-major batch keys for the range union
   };
 
   /// Invoke-subset successors mutate two sets at once; the engine uses the
@@ -377,17 +315,13 @@ struct IntervalPolicy {
         pool.release(std::move(next.state));
         continue;
       }
-      sc.keys.clear();
-      for (const OpDesc& od : sc.batch) {
-        sc.keys.push_back(lincheck::seq_major(od.id));
-      }
-      next.machine_invoke_batch(sc.keys);  // consecutive runs union at once
+      for (const OpDesc& od : sc.batch) next.machine_invoke(od.id);
       emit(std::move(next));
     }
     // (b) machine-respond any machine-open op lacking an assignment.
     for (size_t k = 0; k < cfg().machine_open.size(); ++k) {
       const IConfig& c = cfg();  // re-fetch: the previous emit may have moved it
-      OpId id = lincheck::id_of_key(c.machine_open.nth(k));
+      const OpId id = c.machine_open[k].id;
       if (c.find_assigned(id) != nullptr) continue;
       const OpDesc* od = find_open(open, id);
       if (od == nullptr) continue;  // already history-responded earlier
@@ -408,17 +342,13 @@ struct IntervalPolicy {
   /// `machine_open` (machine state untouched), so the post-match
   /// fingerprint is pre-match XOR both element hashes.
   uint64_t match_delta(const Event& e) const {
-    const uint64_t k = lincheck::seq_major(e.op.id);
-    return lincheck::lin_elem(k, e.result) ^ open_elem(k);
+    return lincheck::lin_elem(e.op.id, e.result) ^ open_elem(e.op.id, kNoArg);
   }
 
   /// The response-relevant set is `assigned` alone: match() fails whenever
   /// the op lacks an assignment, regardless of machine_open membership.
   uint64_t hot_bits(const IConfig& c) const {
-    uint64_t bits = 0;
-    c.assigned.for_each(
-        [&bits](uint64_t k, Value) { bits |= lincheck::match_bit(k); });
-    return bits;
+    return lincheck::match_bits(c.assigned);
   }
 
  private:

@@ -44,16 +44,13 @@ inline void accumulate(EngineStats& into, const EngineStats& from) {
   into.filter_in_place_rounds += from.filter_in_place_rounds;
 }
 
-/// Aggregate op-set footprint of a live frontier (bench_frontier_memory).
-/// `opset_bytes` is what the run-length sets actually occupy;
-/// `opset_smallvec_bytes` is what the flat SmallVec representation they
-/// replaced would occupy for the same contents (small_vec_model_bytes in
-/// util/interval_set.hpp).
+/// Aggregate op-set footprint of a live frontier: the configurations, the
+/// entries of their op sets, and the bytes those sets occupy (inline
+/// storage plus any heap spill).
 struct FrontierFootprint {
   size_t configs = 0;
   size_t opset_elems = 0;
   size_t opset_bytes = 0;
-  size_t opset_smallvec_bytes = 0;
 };
 
 }  // namespace selin::engine

@@ -9,18 +9,14 @@
 // discipline).  key() remains the ground truth and backs the debug-mode
 // collision audit.
 //
-// Representation: the linearized set is a run-length ValueRunSet
-// (util/interval_set.hpp) keyed *seq-major* — seq in the high word, pid in
-// the low word.  Concurrently pending ops live on distinct processes, so
-// pid-major packed ids never sit adjacent; under seq-major keys a lockstep
-// cohort (same seq, dense pids) is one contiguous run, and a run whose ops
-// were assigned the same value (e.g. a cohort of enqueue acks) costs one
-// 24-byte entry regardless of its width.  The element hash still feeds
-// fph::lin_op the *pid-major* packed id, so every fingerprint is bit-
-// identical to the flat-vector representation this replaced.
+// Representation: the linearized set is an OpSet, one flat vector of
+// (op id, value) entries sorted by OpId::packed() with the set's Zobrist
+// hash cached beside it.  Each process has at most one pending operation,
+// so a set never holds more than n entries.
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -32,31 +28,13 @@
 #include "selin/util/arena.hpp"
 #include "selin/util/fp_set.hpp"
 #include "selin/util/hash.hpp"
-#include "selin/util/interval_set.hpp"
 #include "selin/util/small_vec.hpp"
 
 namespace selin::lincheck {
 
-/// Seq-major storage key of an op id: seq in the high word, pid in the low
-/// word.  An involution of OpId::packed() (swapping the halves twice is the
-/// identity), so the pid-major id is recovered with the same swap.
-constexpr uint64_t seq_major(OpId id) {
-  uint64_t p = id.packed();
-  return (p << 32) | (p >> 32);
-}
-
-/// Inverse of seq_major: the storage key back to the op id.
-constexpr OpId id_of_key(uint64_t key) {
-  return OpId{static_cast<ProcId>(key & 0xFFFFFFFFull),
-              static_cast<uint32_t>(key >> 32)};
-}
-
-/// Element hash of a (seq-major key, assigned value) entry: un-swaps the key
-/// so fph::lin_op sees the same pid-major packed id as always — the hash
-/// contract (and with it every fingerprint, dedup table, and checkpoint) is
-/// bit-identical to the flat sorted-vector representation.
-constexpr uint64_t lin_elem(uint64_t key, Value assigned) {
-  return fph::lin_op((key << 32) | (key >> 32), assigned);
+/// Element hash of a linearized (op, assigned value) entry.
+constexpr uint64_t lin_elem(OpId id, Value assigned) {
+  return fph::lin_op(id.packed(), assigned);
 }
 
 /// One Bloom bit per op id for the SoA filter pass (engine hot rows): the
@@ -65,13 +43,107 @@ constexpr uint64_t lin_elem(uint64_t key, Value assigned) {
 /// never cleared when an op leaves the set, so a clear bit proves the
 /// configuration drops and the exact match() call is skipped; a set bit
 /// falls through to match().
-constexpr uint64_t match_bit(uint64_t seq_major_key) {
-  return uint64_t{1} << (fph::mix(seq_major_key) & 63);
+constexpr uint64_t match_bit(OpId id) {
+  return uint64_t{1} << (fph::mix(id.packed()) & 63);
 }
 
-/// The linearized-but-unresponded op set: seq-major keys -> assigned values,
-/// run-length compressed with the incremental fph::lin_op hash.
-using LinSet = ValueRunSet<lin_elem>;
+/// One op-set entry: an op id and the value attached to it.
+struct OpEntry {
+  OpId id;
+  Value v;
+};
+
+/// A configuration's op set: entries sorted by OpId::packed() in one
+/// SmallVec, plus the XOR of ElemHash over the entries, patched at every
+/// mutation so that reading the hash never walks the entries.  A set holds
+/// at most one entry per process; the inline capacity covers every
+/// benchmark workload (at most 2 entries) without a heap block.
+template <uint64_t (*ElemHash)(OpId, Value)>
+class OpSet {
+ public:
+  static constexpr size_t kInline = 4;
+
+  uint64_t hash() const { return hash_; }
+
+  /// hash() recomputed from the entries (tests cross-check the two).
+  uint64_t rehash() const {
+    uint64_t h = 0;
+    for (const OpEntry& e : entries_) h ^= ElemHash(e.id, e.v);
+    return h;
+  }
+
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+  const OpEntry* begin() const { return entries_.begin(); }
+  const OpEntry* end() const { return entries_.end(); }
+  const OpEntry& operator[](size_t i) const { return entries_[i]; }
+
+  /// The value attached to `id`, or nullptr (valid until the next
+  /// mutation).
+  const Value* find(OpId id) const {
+    const OpEntry* e = lower(id);
+    return e != end() && e->id == id ? &e->v : nullptr;
+  }
+
+  bool contains(OpId id) const { return find(id) != nullptr; }
+
+  /// Adds (id, v).  Precondition: `id` is absent.
+  void add(OpId id, Value v) {
+    const OpEntry* e = lower(id);
+    assert(e == end() || e->id != id);
+    entries_.insert_at(static_cast<size_t>(e - begin()), OpEntry{id, v});
+    hash_ ^= ElemHash(id, v);
+  }
+
+  /// Removes `id`; false iff absent.
+  bool remove(OpId id) {
+    const OpEntry* e = lower(id);
+    if (e == end() || e->id != id) return false;
+    erase(e);
+    return true;
+  }
+
+  /// Removes `id` iff it is present AND carries `expect` — the fused
+  /// response-filter probe (one search instead of find-then-remove).
+  bool remove_if_equals(OpId id, Value expect) {
+    const OpEntry* e = lower(id);
+    if (e == end() || e->id != id || e->v != expect) return false;
+    erase(e);
+    return true;
+  }
+
+  /// Bytes this set occupies in memory (object + any heap spill).
+  size_t resident_bytes() const {
+    return sizeof(*this) + entries_.heap_bytes();
+  }
+
+ private:
+  const OpEntry* lower(OpId id) const {
+    return std::lower_bound(
+        begin(), end(), id,
+        [](const OpEntry& e, OpId key) { return e.id < key; });
+  }
+
+  void erase(const OpEntry* e) {
+    hash_ ^= ElemHash(e->id, e->v);
+    entries_.erase_at(static_cast<size_t>(e - begin()));
+  }
+
+  SmallVec<OpEntry, kInline> entries_;
+  uint64_t hash_ = 0;
+};
+
+/// The linearized-but-unresponded op set: op id -> assigned value, hashed
+/// with fph::lin_op.
+using LinSet = OpSet<lin_elem>;
+
+/// Bloom bits (match_bit) of every op in `s`: the SoA hot-row summary the
+/// response filter consults before match().
+inline uint64_t match_bits(const LinSet& s) {
+  uint64_t bits = 0;
+  for (const OpEntry& e : s) bits |= match_bit(e.id);
+  return bits;
+}
 
 /// Recycler for SeqState clones.  Configurations are created and discarded
 /// in bulk during closure expansion; pooling the discarded states and
@@ -115,7 +187,7 @@ class StatePool {
 
 struct Config {
   std::unique_ptr<SeqState> state;
-  LinSet linearized;  // run-length (seq-major key -> assigned) set
+  LinSet linearized;  // op id -> assigned value, sorted by id
 
   Config clone() const {
     Config c;
@@ -140,40 +212,34 @@ struct Config {
   }
 
   /// Canonical deduplication key (ground truth; audit + diagnostics only).
-  /// Deterministic and injective per configuration; entries stream in
-  /// seq-major key order.
+  /// Deterministic and injective per configuration; entries stream in id
+  /// order.
   std::string key() const {
     std::ostringstream os;
     os << state->encode() << "|";
-    linearized.for_each([&os](uint64_t k, Value v) {
-      OpId id = id_of_key(k);
-      os << id.pid << "." << id.seq << "=" << v << ";";
-    });
+    for (const OpEntry& e : linearized) {
+      os << e.id.pid << "." << e.id.seq << "=" << e.v << ";";
+    }
     return os.str();
   }
 
   /// The value assigned to `id` when it linearized, or nullptr (valid until
   /// the next mutation).
-  const Value* find(OpId id) const { return linearized.find(seq_major(id)); }
+  const Value* find(OpId id) const { return linearized.find(id); }
 
-  void add(OpId id, Value assigned) { linearized.add(seq_major(id), assigned); }
+  void add(OpId id, Value assigned) { linearized.add(id, assigned); }
 
-  void remove(OpId id) { linearized.remove(seq_major(id)); }
+  void remove(OpId id) { linearized.remove(id); }
 
   /// Fused response filter: removes `id` iff present with exactly the
-  /// observed value — one run search instead of find-then-remove.
+  /// observed value — one search instead of find-then-remove.
   bool remove_if_equals(OpId id, Value expect) {
-    return linearized.remove_if_equals(seq_major(id), expect);
+    return linearized.remove_if_equals(id, expect);
   }
 
-  /// Footprint accounting for the memory facet (bench_frontier_memory).
+  /// Op-set footprint (FrontierEngine::footprint).
   size_t opset_elems() const { return linearized.size(); }
   size_t opset_bytes() const { return linearized.resident_bytes(); }
-  /// What the pre-interval flat representation would occupy for these sets:
-  /// SmallVec<{OpId, Value}, 8> plus the standalone hash word.
-  size_t opset_smallvec_bytes() const {
-    return small_vec_model_bytes(linearized.size(), 8, 16) + sizeof(uint64_t);
-  }
 };
 
 /// Debug-mode collision audit: records the canonical key first seen for each

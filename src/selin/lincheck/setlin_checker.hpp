@@ -48,8 +48,8 @@ class SetLinMonitor final : public MembershipMonitor {
   /// fingerprints) — representation and batching parity checks.
   uint64_t frontier_digest() const;
 
-  /// Op-set footprint of the live frontier (bench_frontier_memory); walks
-  /// every configuration, so poll sparingly.
+  /// Op-set footprint of the live frontier; walks every configuration, so
+  /// poll sparingly.
   engine::FrontierFootprint footprint() const;
 
  private:

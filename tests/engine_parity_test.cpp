@@ -7,9 +7,9 @@
 //    brute-force oracle on small histories;
 //  * feed_batch is bit-identical to per-event feeding at every batch
 //    boundary — verdict, frontier size, frontier digest (the XOR of mixed
-//    configuration fingerprints — representation-independent, so it also
-//    pins the run-length op-set storage to the flat representation's hash
-//    contract) and op-set footprint — for every chunking;
+//    configuration fingerprints, which depend on op ids and values, not on
+//    how a configuration stores its op sets) and op-set footprint — for
+//    every chunking;
 //  * the overflow and feed-boundary-exception paths (CheckerOverflow thrown,
 //    sticky overflowed(), frontier released, clones inherit the poisoned
 //    state);

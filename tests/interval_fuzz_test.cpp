@@ -1,13 +1,13 @@
-// Randomized stress for the run-length op-set representation
-// (util/interval_set.hpp) and the engines built on it, biased toward the
-// shapes the directed tests cannot enumerate:
+// Randomized stress for the configurations' op sets (lincheck::OpSet) and
+// the engines built on them:
 //
-//   * hole-heavy key sets — runs shredded by interior erases and re-fused by
-//     range inserts, so every tail split/merge/watermark-promotion path runs
-//     thousands of times per seed;
+//   * the op-set differential — random add / remove / remove_if_equals /
+//     find against a std::map oracle, over id domains that stay inline and
+//     ones that spill to the heap, checking ascending iteration and the
+//     cached Zobrist hash against a from-scratch XOR;
 //   * ragged-pending histories — straggler operations forced linearized out
 //     of process order, so the live engines' op sets grow by random
-//     mid-run insertion instead of the friendly append-at-watermark path.
+//     mid-vector insertion instead of appends.
 //
 // Engine rounds assert batch parity: verdict, overflow point AND frontier
 // digest (XOR of mixed config fingerprints) must be bit-identical between
@@ -20,183 +20,84 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <vector>
 
-#include "selin/util/interval_set.hpp"
+#include "selin/lincheck/config.hpp"
 #include "test_util.hpp"
 
 namespace selin {
 namespace {
 
+using lincheck::LinSet;
+using lincheck::OpEntry;
 using selin::test::fuzz_rounds;  // each "round" is one fresh seed
 
-// Structure-independent hash stand-ins (the engines use fph::* Zobrist
-// element hashes; any xor-combinable 64-bit mix exercises the same
-// incremental-maintenance contract).
-uint64_t fz_id_hash(uint64_t k) {
-  k ^= k >> 33;
-  k *= 0xff51afd7ed558ccdULL;
-  k ^= k >> 29;
-  return k;
-}
-uint64_t fz_kv_hash(uint64_t k, Value v) {
-  return fz_id_hash(k * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(v));
-}
+// ---- op-set differential ---------------------------------------------------
 
-void check_canonical(const IntervalSet& s) {
-  uint64_t prev_end = 0;
-  bool first = true;
-  size_t total = 0;
-  s.for_each_run([&](const IdRun& r) {
-    ASSERT_GT(r.len, 0u);
-    if (!first) {
-      // Sorted, disjoint, non-adjacent: a gap of at least one key.
-      ASSERT_GT(r.start, prev_end) << "runs adjacent or out of order";
-    }
-    first = false;
-    prev_end = r.start + r.len;
-    total += r.len;
-  });
-  ASSERT_EQ(total, s.size());
-}
-
-// ---- hole-heavy structure fuzz ---------------------------------------------
-
-// Operation mix biased to shred: point erases land inside existing runs 2x
-// as often as at their edges, range inserts re-fuse holes, and a periodic
-// full drain restarts the watermark from a random base.
-TEST(IntervalFuzzStructure, HoleHeavyDifferential) {
+TEST(OpSetFuzz, DifferentialVsStdMap) {
   const size_t rounds = 4 * fuzz_rounds();
   for (size_t round = 0; round < rounds; ++round) {
-    const uint64_t seed = 0xF0F0 + round;
+    const uint64_t seed = 0x0B5E7 + round;
     Rng rng(seed);
-    const uint64_t domain = round % 2 == 0 ? 128 : 4096;
-    HashedIntervalSet<fz_id_hash> hs;
-    std::set<uint64_t> oracle;
-    uint64_t xr = 0;  // independently maintained xor of element hashes
+    // Even rounds draw from 128 ids, so the set spills to the heap; odd
+    // rounds from 6, so it mostly stays within its inline capacity.
+    const uint32_t pids = round % 2 == 0 ? 16 : 3;
+    const uint32_t seqs = round % 2 == 0 ? 8 : 2;
+    LinSet s;
+    std::map<uint64_t, Value> oracle;  // packed id -> value
+    uint64_t xr = 0;  // XOR of element hashes, maintained alongside
 
     for (size_t step = 0; step < 6000; ++step) {
-      uint64_t roll = rng.below(10);
+      const OpId id{static_cast<ProcId>(rng.below(pids)),
+                    static_cast<uint32_t>(rng.below(seqs))};
+      const Value v = static_cast<Value>(1 + rng.below(3));
+      auto it = oracle.find(id.packed());
+      const uint64_t roll = rng.below(10);
       if (roll < 4) {
-        uint64_t k = rng.below(domain);
-        ASSERT_EQ(hs.insert(k), oracle.insert(k).second);
-      } else if (roll < 7 && !oracle.empty()) {
-        // Erase a present key: 2/3 of the time an interior key of some run
-        // (max shred), else a uniformly random present key.
-        uint64_t k;
-        if (rng.chance(2, 3)) {
-          size_t i = rng.below(oracle.size());
-          auto it = oracle.begin();
-          std::advance(it, i);
-          k = *it;
-        } else {
-          k = hs.nth(rng.below(hs.size()));
+        if (it == oracle.end()) {  // add's precondition: id absent
+          s.add(id, v);
+          oracle[id.packed()] = v;
+          xr ^= lincheck::lin_elem(id, v);
         }
-        ASSERT_TRUE(hs.erase(k));
-        oracle.erase(k);
+      } else if (roll < 6) {
+        ASSERT_EQ(s.remove(id), it != oracle.end()) << "seed " << seed;
+        if (it != oracle.end()) {
+          xr ^= lincheck::lin_elem(id, it->second);
+          oracle.erase(it);
+        }
       } else if (roll < 8) {
-        // Disjoint range insert: find a gap and fill (part of) it.
-        uint64_t s = rng.below(domain);
-        uint64_t len = 0;
-        while (s + len < domain && len < 1 + rng.below(12) &&
-               !oracle.count(s + len)) {
-          ++len;
+        // Fused remove-if-equals: a wrong expectation must not mutate.
+        const Value expect =
+            it != oracle.end() && rng.chance(1, 2) ? it->second : v;
+        const bool hit = it != oracle.end() && it->second == expect;
+        ASSERT_EQ(s.remove_if_equals(id, expect), hit) << "seed " << seed;
+        if (hit) {
+          xr ^= lincheck::lin_elem(id, expect);
+          oracle.erase(it);
         }
-        if (len > 0 && !oracle.count(s)) {
-          hs.insert_range(s, len);
-          for (uint64_t i = 0; i < len; ++i) oracle.insert(s + i);
-        }
-      } else if (roll < 9) {
-        uint64_t k = rng.below(domain);
-        ASSERT_EQ(hs.contains(k), oracle.count(k) == 1) << "key " << k;
-      } else if (rng.chance(1, 40)) {
-        hs.clear();
-        oracle.clear();
-      }
-      if (step % 512 == 0) {
-        check_canonical(hs.ids());
-        ASSERT_EQ(hs.hash(), hs.rehash()) << "seed " << seed;
-        ASSERT_EQ(hs.size(), oracle.size());
-        // Full membership + ascending iteration agreement.
-        auto it = oracle.begin();
-        hs.for_each([&](uint64_t k) {
-          ASSERT_NE(it, oracle.end());
-          EXPECT_EQ(k, *it);
-          ++it;
-        });
-        ASSERT_EQ(it, oracle.end());
-      }
-    }
-    // Final exact hash: xor over the oracle.
-    xr = 0;
-    for (uint64_t k : oracle) xr ^= fz_id_hash(k);
-    ASSERT_EQ(hs.hash(), xr) << "seed " << seed;
-  }
-}
-
-TEST(IntervalFuzzStructure, RaggedValueRunsDifferential) {
-  const size_t rounds = 4 * fuzz_rounds();
-  for (size_t round = 0; round < rounds; ++round) {
-    const uint64_t seed = 0xABCD + round;
-    Rng rng(seed);
-    const uint64_t domain = 512;
-    ValueRunSet<fz_kv_hash> vs;
-    std::map<uint64_t, Value> oracle;
-
-    for (size_t step = 0; step < 6000; ++step) {
-      uint64_t roll = rng.below(10);
-      uint64_t k = rng.below(domain);
-      // Few distinct values, so adjacent-equal merges happen constantly and
-      // a later different-valued add splits nothing (adds stay disjoint).
-      Value v = static_cast<Value>(1 + rng.below(3));
-      if (roll < 4) {
-        if (!oracle.count(k)) {
-          vs.add(k, v);
-          oracle[k] = v;
-        }
-      } else if (roll < 6 && !oracle.empty()) {
-        auto it = oracle.begin();
-        std::advance(it, rng.below(oracle.size()));
-        ASSERT_TRUE(vs.remove(it->first));
-        oracle.erase(it);
-      } else if (roll < 8 && !oracle.empty()) {
-        // Fused remove-if-equals: wrong expectation must not mutate.
-        auto it = oracle.begin();
-        std::advance(it, rng.below(oracle.size()));
-        Value expect = rng.chance(1, 2) ? it->second : it->second + 99;
-        bool removed = vs.remove_if_equals(it->first, expect);
-        ASSERT_EQ(removed, expect == it->second);
-        if (removed) oracle.erase(it);
       } else {
-        const Value* found = vs.find(k);
-        auto it = oracle.find(k);
-        ASSERT_EQ(found != nullptr, it != oracle.end());
+        const Value* found = s.find(id);
+        ASSERT_EQ(found != nullptr, it != oracle.end()) << "seed " << seed;
         if (found != nullptr) ASSERT_EQ(*found, it->second);
+        ASSERT_EQ(s.contains(id), found != nullptr);
       }
-      if (step % 512 == 0) {
-        ASSERT_EQ(vs.hash(), vs.rehash()) << "seed " << seed;
-        ASSERT_EQ(vs.size(), oracle.size());
-        auto it = oracle.begin();
-        vs.for_each([&](uint64_t kk, Value vv) {
-          ASSERT_NE(it, oracle.end());
-          EXPECT_EQ(kk, it->first);
-          EXPECT_EQ(vv, it->second);
-          ++it;
-        });
-        ASSERT_EQ(it, oracle.end());
-        // Canonical maximality: adjacent runs never share a value.
-        uint64_t prev_end = 0;
-        Value prev_v = 0;
-        bool first = true;
-        vs.for_each_run([&](const ValueRun& r) {
-          if (!first && r.start == prev_end) {
-            EXPECT_NE(r.v, prev_v) << "unmerged equal-valued adjacent runs";
+      ASSERT_EQ(s.hash(), xr) << "seed " << seed << " step " << step;
+      if (step % 256 == 0) {
+        ASSERT_EQ(s.rehash(), xr) << "seed " << seed;
+        ASSERT_EQ(s.size(), oracle.size());
+        // Ascending iteration, on the set and on a copy of it.
+        const LinSet copy = s;
+        ASSERT_EQ(copy.hash(), xr);
+        for (const LinSet* set : {&copy, static_cast<const LinSet*>(&s)}) {
+          auto o = oracle.begin();
+          for (const OpEntry& e : *set) {
+            ASSERT_NE(o, oracle.end());
+            EXPECT_EQ(e.id.packed(), o->first);
+            EXPECT_EQ(e.v, o->second);
+            ++o;
           }
-          first = false;
-          prev_end = r.start + r.len;
-          prev_v = r.v;
-        });
+          ASSERT_EQ(o, oracle.end());
+        }
       }
     }
   }
@@ -206,11 +107,11 @@ TEST(IntervalFuzzStructure, RaggedValueRunsDifferential) {
 
 // Straggler enqueues whose responses never arrive, forced linearized by
 // observing dequeues in *random* order within a sliding window.  All
-// stragglers share seq 0, so their seq-major keys are the contiguous range
-// [0, w) — but random forcing order inserts them into `linearized` in a
-// shuffled order, splitting and re-fusing tail runs in the live engine.  The
-// window bounds simultaneously-open enqueues (an unbounded cohort hands the
-// closure w! orders).
+// stragglers share seq 0, but random forcing order inserts them into
+// `linearized` in a shuffled order, so the live engine's op sets grow by
+// mid-vector insertion and shrink from the middle.  The window bounds
+// simultaneously-open enqueues (an unbounded cohort hands the closure w!
+// orders).
 History make_ragged_straggler_history(size_t w, size_t window, Rng& rng) {
   History h;
   const Value base = 500;

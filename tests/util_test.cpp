@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
 #include <set>
 #include <thread>
 
@@ -162,296 +161,6 @@ TEST(Types, ValueStrings) {
   EXPECT_EQ(value_string(kOk), "ok");
   EXPECT_EQ(value_string(kError), "ERROR");
   EXPECT_EQ(value_string(42), "42");
-}
-
-// ---------------------------------------------------------------------------
-// Run-length op-set representations (util/interval_set.hpp): differential
-// tests against std::set / std::map oracles, and the incremental Zobrist
-// hash against element-wise recomputation.  The key generators are biased
-// toward the structures the monitors produce — dense cohorts with a few
-// holes — but include fully shredded domains (the documented degeneration).
-// ---------------------------------------------------------------------------
-
-uint64_t test_id_hash(uint64_t k) {
-  k ^= 0x9E3779B97F4A7C15ull;
-  k *= 0xBF58476D1CE4E5B9ull;
-  return k ^ (k >> 31);
-}
-
-uint64_t test_kv_hash(uint64_t k, Value v) {
-  return test_id_hash(k * 31 + static_cast<uint64_t>(v) + 1);
-}
-
-// The set invariants every mutation must preserve: runs sorted, disjoint,
-// maximal (separated by at least one missing key), sizes consistent.
-void check_interval_invariants(const IntervalSet& s) {
-  uint64_t prev_end = 0;
-  bool first = true;
-  size_t elems = 0, runs = 0;
-  s.for_each_run([&](IdRun r) {
-    ASSERT_GE(r.len, 1u);
-    if (!first) ASSERT_GT(r.start, prev_end);  // gap of >= 1: maximal
-    first = false;
-    prev_end = r.start + r.len;
-    elems += r.len;
-    ++runs;
-  });
-  EXPECT_EQ(elems, s.size());
-  EXPECT_EQ(runs, s.run_count());
-}
-
-TEST(IntervalSet, WatermarkAndTailDirected) {
-  IntervalSet s;
-  EXPECT_TRUE(s.empty());
-  // Dense ascending inserts ride the watermark: one run, no tail.
-  for (uint64_t k = 10; k < 20; ++k) EXPECT_TRUE(s.insert(k));
-  EXPECT_FALSE(s.insert(15));
-  EXPECT_EQ(s.run_count(), 1u);
-  EXPECT_EQ(s.size(), 10u);
-  // A hole in the middle splits the prefix into prefix + tail run.
-  EXPECT_TRUE(s.erase(14));
-  EXPECT_EQ(s.run_count(), 2u);
-  EXPECT_FALSE(s.contains(14));
-  // Refilling the hole merges everything back into the watermark.
-  EXPECT_TRUE(s.insert(14));
-  EXPECT_EQ(s.run_count(), 1u);
-  // Prepending below base extends the prefix; a gap starts a new first run.
-  EXPECT_TRUE(s.insert(9));
-  EXPECT_EQ(s.run_count(), 1u);
-  EXPECT_TRUE(s.insert(5));
-  EXPECT_EQ(s.run_count(), 2u);
-  check_interval_invariants(s);
-  for (uint64_t k : {5, 9, 10, 19}) EXPECT_TRUE(s.contains(k));
-  for (uint64_t k : {4, 6, 8, 20}) EXPECT_FALSE(s.contains(k));
-}
-
-TEST(IntervalSet, RandomizedDifferentialVsStdSet) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    IntervalSet s;
-    std::set<uint64_t> oracle;
-    // Narrow domains force dense runs and hole churn; wide ones shred.
-    const uint64_t domain = seed % 2 == 0 ? 48 : 4096;
-    for (int step = 0; step < 4000; ++step) {
-      uint64_t k = rng.below(domain);
-      if (rng.chance(3, 5)) {
-        EXPECT_EQ(s.insert(k), oracle.insert(k).second);
-      } else {
-        EXPECT_EQ(s.erase(k), oracle.erase(k) > 0);
-      }
-      EXPECT_EQ(s.contains(k), oracle.count(k) > 0);
-    }
-    ASSERT_EQ(s.size(), oracle.size());
-    check_interval_invariants(s);
-    // for_each streams in ascending order, matching the oracle exactly.
-    auto it = oracle.begin();
-    s.for_each([&](uint64_t k) {
-      ASSERT_NE(it, oracle.end());
-      EXPECT_EQ(k, *it++);
-    });
-    EXPECT_EQ(it, oracle.end());
-    // nth agrees with sorted order.
-    size_t i = 0;
-    for (uint64_t k : oracle) EXPECT_EQ(s.nth(i++), k);
-  }
-}
-
-TEST(IntervalSet, InsertRangeDifferential) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed);
-    IntervalSet s;
-    std::set<uint64_t> oracle;
-    for (int step = 0; step < 300; ++step) {
-      uint64_t start = rng.below(2048);
-      uint64_t len = 1 + rng.below(12);
-      bool disjoint = true;
-      for (uint64_t k = start; k < start + len; ++k) {
-        if (oracle.count(k) != 0) disjoint = false;
-      }
-      if (!disjoint) continue;  // insert_range's precondition
-      s.insert_range(start, len);
-      for (uint64_t k = start; k < start + len; ++k) oracle.insert(k);
-      // Interleave point erases so ranges land next to ragged holes.
-      if (rng.chance(1, 2) && !oracle.empty()) {
-        uint64_t victim = s.nth(rng.below(s.size()));
-        EXPECT_TRUE(s.erase(victim));
-        oracle.erase(victim);
-      }
-    }
-    ASSERT_EQ(s.size(), oracle.size());
-    check_interval_invariants(s);
-    auto it = oracle.begin();
-    s.for_each([&](uint64_t k) { EXPECT_EQ(k, *it++); });
-  }
-}
-
-TEST(IntervalSet, CanonicalAcrossInsertionOrders) {
-  // The same set reached by watermark appends, reverse prepends, shuffled
-  // point inserts, and range unions must compare equal (canonical runs).
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 0; k < 30; ++k) {
-    if (k % 7 != 3) keys.push_back(100 + k);  // dense prefix + holes
-  }
-  IntervalSet fwd, rev, shuf, ranged;
-  for (uint64_t k : keys) fwd.insert(k);
-  for (size_t i = keys.size(); i-- > 0;) rev.insert(keys[i]);
-  Rng rng(99);
-  std::vector<uint64_t> mixed = keys;
-  for (size_t i = mixed.size(); i > 1; --i) {
-    std::swap(mixed[i - 1], mixed[rng.below(i)]);
-  }
-  for (uint64_t k : mixed) shuf.insert(k);
-  for (size_t b = 0; b < keys.size();) {
-    size_t r = b + 1;
-    while (r < keys.size() && keys[r] == keys[b] + (r - b)) ++r;
-    ranged.insert_range(keys[b], r - b);
-    b = r;
-  }
-  EXPECT_TRUE(fwd == rev);
-  EXPECT_TRUE(fwd == shuf);
-  EXPECT_TRUE(fwd == ranged);
-  EXPECT_EQ(fwd.run_count(), 5u);  // 4 full cycles of 7 + the partial one
-}
-
-TEST(HashedIntervalSet, IncrementalHashMatchesElementwiseXor) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng(seed);
-    HashedIntervalSet<test_id_hash> s;
-    uint64_t expected = 0;  // element-wise XOR maintained independently
-    std::set<uint64_t> oracle;
-    for (int step = 0; step < 2000; ++step) {
-      uint64_t k = rng.below(256);
-      if (rng.chance(1, 20)) {
-        uint64_t start = rng.below(256), len = 1 + rng.below(8);
-        bool disjoint = true;
-        for (uint64_t x = start; x < start + len; ++x) {
-          if (oracle.count(x) != 0) disjoint = false;
-        }
-        if (!disjoint) continue;
-        s.insert_range(start, len);
-        for (uint64_t x = start; x < start + len; ++x) {
-          oracle.insert(x);
-          expected ^= test_id_hash(x);
-        }
-      } else if (rng.chance(3, 5)) {
-        if (s.insert(k)) {
-          oracle.insert(k);
-          expected ^= test_id_hash(k);
-        }
-      } else if (s.erase(k)) {
-        oracle.erase(k);
-        expected ^= test_id_hash(k);
-      }
-      ASSERT_EQ(s.hash(), expected);
-    }
-    EXPECT_EQ(s.hash(), s.rehash());  // from-scratch cross-check
-  }
-}
-
-TEST(ValueRunSet, RandomizedDifferentialVsStdMap) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    ValueRunSet<test_kv_hash> s;
-    std::map<uint64_t, Value> oracle;
-    uint64_t expected = 0;
-    // Few distinct values → long uniform runs; many → per-element runs.
-    const Value values = seed % 2 == 0 ? 2 : 64;
-    for (int step = 0; step < 3000; ++step) {
-      uint64_t k = rng.below(96);
-      Value v = static_cast<Value>(rng.below(static_cast<uint64_t>(values)));
-      if (rng.chance(3, 5)) {
-        if (oracle.count(k) == 0) {  // add's precondition: key absent
-          s.add(k, v);
-          oracle[k] = v;
-          expected ^= test_kv_hash(k, v);
-        }
-      } else if (rng.chance(1, 2)) {
-        bool removed = s.remove(k);
-        EXPECT_EQ(removed, oracle.count(k) > 0);
-        if (removed) {
-          expected ^= test_kv_hash(k, oracle[k]);
-          oracle.erase(k);
-        }
-      } else {
-        // Fused filter: removes only on an exact (key, value) match.
-        auto it = oracle.find(k);
-        bool hit = it != oracle.end() && it->second == v;
-        EXPECT_EQ(s.remove_if_equals(k, v), hit);
-        if (hit) {
-          expected ^= test_kv_hash(k, v);
-          oracle.erase(it);
-        }
-      }
-      const Value* got = s.find(k);
-      auto it = oracle.find(k);
-      ASSERT_EQ(got != nullptr, it != oracle.end());
-      if (got != nullptr) EXPECT_EQ(*got, it->second);
-      ASSERT_EQ(s.hash(), expected);
-    }
-    ASSERT_EQ(s.size(), oracle.size());
-    EXPECT_EQ(s.hash(), s.rehash());
-    // Iteration streams (key, value) pairs in ascending key order.
-    auto it = oracle.begin();
-    s.for_each([&](uint64_t k, Value v) {
-      ASSERT_NE(it, oracle.end());
-      EXPECT_EQ(k, it->first);
-      EXPECT_EQ(v, it->second);
-      ++it;
-    });
-    EXPECT_EQ(it, oracle.end());
-    // Canonical maximal runs: no two adjacent runs are mergeable.
-    uint64_t prev_end = 0;
-    Value prev_v = 0;
-    bool first = true;
-    s.for_each_run([&](const ValueRun& r) {
-      ASSERT_GE(r.len, 1u);
-      if (!first) {
-        ASSERT_GE(r.start, prev_end);
-        if (r.start == prev_end) ASSERT_NE(r.v, prev_v);
-      }
-      first = false;
-      prev_end = r.start + r.len;
-      prev_v = r.v;
-    });
-  }
-}
-
-TEST(ValueRunSet, UniformCohortIsOneRun) {
-  ValueRunSet<test_kv_hash> s;
-  // A lockstep cohort acking uniformly — the shape add_run targets.
-  s.add_run(1000, 16, kTrue);
-  EXPECT_EQ(s.run_count(), 1u);
-  EXPECT_EQ(s.size(), 16u);
-  // Point adds on both flanks with the same value extend the run...
-  s.add(999, kTrue);
-  s.add(1016, kTrue);
-  EXPECT_EQ(s.run_count(), 1u);
-  // ...while a distinct value splits off its own run.
-  s.add(1017, kFalse);
-  EXPECT_EQ(s.run_count(), 2u);
-  // Removing mid-run splits it; both halves keep the value.
-  EXPECT_TRUE(s.remove(1005));
-  EXPECT_EQ(s.run_count(), 3u);
-  EXPECT_EQ(*s.find(1004), kTrue);
-  EXPECT_EQ(*s.find(1006), kTrue);
-  // add_run bridging two equal-value runs fuses them back into one.
-  s.add_run(1005, 1, kTrue);
-  EXPECT_EQ(s.run_count(), 2u);
-  EXPECT_EQ(s.hash(), s.rehash());
-}
-
-TEST(IntervalSet, ResidentBytesReflectFragmentation) {
-  IntervalSet dense, shredded;
-  for (uint64_t k = 0; k < 64; ++k) dense.insert(k);
-  for (uint64_t k = 0; k < 64; ++k) shredded.insert(k * 2);  // all holes
-  EXPECT_EQ(dense.run_count(), 1u);
-  EXPECT_EQ(shredded.run_count(), 64u);
-  EXPECT_EQ(dense.resident_bytes(), sizeof(IntervalSet));  // inline
-  EXPECT_GT(shredded.resident_bytes(), dense.resident_bytes());
-  // The flat model the footprint facet compares against grows with
-  // elements, not runs: the dense set must compress well past it.
-  EXPECT_GT(small_vec_model_bytes(dense.size(), 8, 8),
-            2 * dense.resident_bytes());
 }
 
 }  // namespace

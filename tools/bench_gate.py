@@ -58,9 +58,6 @@ UNSTABLE_PREFIXES = (
     # It lives in its own binary, which the gate never runs; listed here so
     # adding it to RUNS by accident cannot silently gate on it.
     "BM_MultiSessionThroughput",
-    # The frontier_memory facet gates on its byte counters, not wall time;
-    # unstable until two recordings exist (see tools/run_bench.sh).
-    "BM_FrontierMemory",
     # The obs_overhead facet gates on the ratio *between* its arms (metrics
     # attached vs detached, recorded directly by tools/run_bench.sh
     # --facet obs_overhead), not on absolute wall time.  Lives in its own

@@ -4,7 +4,7 @@
 # perf trajectory is tracked PR over PR.
 #
 # Usage: tools/run_bench.sh [build-dir] \
-#            [--facet all|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster] \
+#            [--facet all|leveled_replay|multi_session|obs_overhead|closure_hot|ingest|enforced|abd_cluster] \
 #            [--allow-non-release]
 #
 # Recorded numbers are only comparable between optimized builds, so the
@@ -30,9 +30,7 @@
 # untouched; --facet multi_session does the same for the multi-tenant
 # service sweep
 # (bench_multi_session: sessions x shared-executor lanes, aggregate
-# events/sec), and --facet frontier_memory for the op-set footprint facet
-# (bench_frontier_memory: peak live configs x mean per-config op-set bytes
-# on long ragged histories), and --facet obs_overhead for the observability
+# events/sec), and --facet obs_overhead for the observability
 # tax facet (bench_obs_overhead: incremental-monitor throughput detached vs
 # metrics vs metrics+trace; the ISSUE 7 budget is <= 2% with metrics
 # attached), and --facet closure_hot for the closure hot-path facet
@@ -78,8 +76,8 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 case "$facet" in
-  all|leveled_replay|multi_session|frontier_memory|obs_overhead|closure_hot|ingest|enforced|abd_cluster) ;;
-  *) echo "error: unknown facet '$facet' (all | leveled_replay | multi_session | frontier_memory | obs_overhead | closure_hot | ingest | enforced | abd_cluster)" >&2; exit 2 ;;
+  all|leveled_replay|multi_session|obs_overhead|closure_hot|ingest|enforced|abd_cluster) ;;
+  *) echo "error: unknown facet '$facet' (all | leveled_replay | multi_session | obs_overhead | closure_hot | ingest | enforced | abd_cluster)" >&2; exit 2 ;;
 esac
 
 tmp="$(mktemp -d)"
@@ -151,13 +149,6 @@ elif [[ "$facet" == "multi_session" ]]; then
   fi
   "$build_dir/bench_multi_session" \
       --benchmark_out="$tmp/multi_session.json" --benchmark_out_format=json
-elif [[ "$facet" == "frontier_memory" ]]; then
-  if [[ ! -x "$build_dir/bench_frontier_memory" ]]; then
-    echo "error: bench_frontier_memory not built in $build_dir" >&2
-    exit 1
-  fi
-  "$build_dir/bench_frontier_memory" \
-      --benchmark_out="$tmp/frontier_memory.json" --benchmark_out_format=json
 elif [[ "$facet" == "obs_overhead" ]]; then
   if [[ ! -x "$build_dir/bench_obs_overhead" ]]; then
     echo "error: bench_obs_overhead not built in $build_dir" >&2
@@ -224,10 +215,6 @@ else
     "$build_dir/bench_multi_session" \
         --benchmark_out="$tmp/multi_session.json" --benchmark_out_format=json
   fi
-  if [[ -x "$build_dir/bench_frontier_memory" ]]; then
-    "$build_dir/bench_frontier_memory" \
-        --benchmark_out="$tmp/frontier_memory.json" --benchmark_out_format=json
-  fi
   if [[ -x "$build_dir/bench_obs_overhead" ]]; then
     "$build_dir/bench_obs_overhead" \
         --benchmark_min_time=0.25 --benchmark_repetitions=5 \
@@ -259,12 +246,12 @@ else
   fi
 fi
 
-python3 - "$facet" "$tmp/lincheck.json" "$tmp/detection.json" "$tmp/leveled.json" "$tmp/multi_session.json" "$tmp/frontier_memory.json" "$tmp/obs_overhead.json" "$tmp/closure_hot.json" "$tmp/ingest.json" "$tmp/enforced.json" "$tmp/abd_cluster.json" "$out" <<'EOF'
+python3 - "$facet" "$tmp/lincheck.json" "$tmp/detection.json" "$tmp/leveled.json" "$tmp/multi_session.json" "$tmp/obs_overhead.json" "$tmp/closure_hot.json" "$tmp/ingest.json" "$tmp/enforced.json" "$tmp/abd_cluster.json" "$out" <<'EOF'
 import json, os, sys
 
-(mode, lincheck, detection, leveled, multi_session, frontier_memory,
+(mode, lincheck, detection, leveled, multi_session,
  obs_overhead, closure_hot, ingest, enforced, abd_cluster,
- out) = sys.argv[1:13]
+ out) = sys.argv[1:12]
 
 # The build type of the *bench binaries* (what run_bench.sh just built and
 # measured); the benchmark library's own build type is recorded separately
@@ -342,34 +329,6 @@ def multi_session_facet(run):
         },
         "batched_feed_events_per_second": batch or None,
     }
-
-def frontier_memory_facet(run):
-    """Op-set footprint of the frontier engine on long ragged histories
-    (bench_frontier_memory): peak live configs, mean per-config op-set bytes
-    under the interval-run representation, the bytes the flat SmallVec
-    representation would occupy for the same sets, and their ratio
-    (compression_x).  Single-threaded and deterministic, but excluded from
-    the regression gate (tools/bench_gate.py) until two recordings exist."""
-    rows = {}
-    for b in run["benchmarks"]:
-        name = b.get("name", "")
-        if b.get("run_type") == "aggregate":
-            continue
-        if not name.startswith("BM_FrontierMemory"):
-            continue
-        keep = ("peak_configs", "opset_bytes_per_config",
-                "smallvec_bytes_per_config", "compression_x",
-                "peak_footprint_bytes", "opset_elems_per_config")
-        rows[name] = {k: b[k] for k in keep if k in b}
-    if not rows:
-        return None
-    return tag_non_release({
-        "workload": "long ragged histories (>= 2^14 ops; straggler cohorts "
-                    "keep wide pending windows alive): peak live configs x "
-                    "mean per-config op-set bytes",
-        "library_build_type": BUILD_TYPE,
-        "per_workload": rows,
-    })
 
 def obs_overhead_facet(run):
     """Observability tax on the incremental monitor's feed hot path
@@ -564,22 +523,6 @@ if mode == "obs_overhead":
     print(f"updated obs_overhead facet of {out}")
     sys.exit(0)
 
-if mode == "frontier_memory":
-    with open(frontier_memory) as f:
-        facet = frontier_memory_facet(json.load(f))
-    if facet is None:
-        sys.exit("error: no BM_FrontierMemory results in this run")
-    try:
-        with open(out) as f:
-            result = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError):
-        sys.exit(f"error: {out} missing or unreadable; run the full suite first")
-    result["frontier_memory"] = facet
-    with open(out, "w") as f:
-        json.dump(result, f, indent=1)
-    print(f"updated frontier_memory facet of {out}")
-    sys.exit(0)
-
 if mode == "multi_session":
     facet = multi_session_facet(load(multi_session))
     if facet is None:
@@ -624,13 +567,6 @@ except FileNotFoundError:
 if session_facet is not None:
     result["multi_session"] = session_facet
 try:
-    with open(frontier_memory) as f:
-        memory_facet = frontier_memory_facet(json.load(f))
-except FileNotFoundError:
-    memory_facet = None
-if memory_facet is not None:
-    result["frontier_memory"] = memory_facet
-try:
     with open(obs_overhead) as f:
         obs_facet = obs_overhead_facet(json.load(f))
 except FileNotFoundError:
@@ -671,7 +607,7 @@ try:
     with open(out) as f:
         prev = json.load(f)
     for key in ("baseline_string_key", "leveled_replay",
-                "multi_session", "frontier_memory", "obs_overhead",
+                "multi_session", "obs_overhead",
                 "closure_hot", "ingest", "enforced", "abd_cluster"):
         if key in prev and key not in result:
             result[key] = prev[key]
