@@ -82,6 +82,20 @@ TEST(Exchanger, ThreeWayOverlapPairsTwo) {
   EXPECT_FALSE(set_linearizable(*spec, bad));
 }
 
+// random_exchanger_history pairs exchanges only mutually, so each clean
+// history is set-linearizable; every 4th seed carries one corrupted
+// response, which must be rejected.
+TEST(Exchanger, RandomHistoriesAcceptCleanRejectCorrupted) {
+  auto spec = make_exchanger_spec();
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    History h = test::random_exchanger_history(5, 40, seed);
+    SetLinMonitor m(*spec);
+    for (const Event& e : h) m.feed(e);
+    EXPECT_FALSE(m.overflowed()) << "seed " << seed;
+    EXPECT_EQ(m.ok(), seed % 4 != 0) << "seed " << seed;
+  }
+}
+
 TEST(Exchanger, MonitorCloneForks) {
   auto spec = make_exchanger_spec();
   SetLinMonitor m(*spec);

@@ -114,49 +114,6 @@ inline History random_linearizable_history(ObjectKind kind, size_t n,
   return h;
 }
 
-/// Random exchanger histories: overlapping windows of exchange ops whose
-/// responses are either kEmpty or a concurrently open op's argument.  Both
-/// verdicts occur; the sequential set-lin monitor is the ground truth.
-inline History random_exchanger_history(size_t n, size_t ops, uint64_t seed) {
-  Rng rng(seed);
-  OpFactory f;
-  History h;
-  struct Open {
-    OpDesc op;
-  };
-  std::vector<std::optional<Open>> open(n);
-  size_t invoked = 0;
-  for (;;) {
-    bool any_open = false;
-    for (const auto& o : open) any_open |= o.has_value();
-    if (invoked >= ops && !any_open) break;
-    ProcId p = static_cast<ProcId>(rng.below(n));
-    if (!open[p].has_value()) {
-      if (invoked >= ops) continue;
-      Value arg = static_cast<Value>(rng.range(1, 50));
-      OpDesc d = f.op(p, Method::kExchange, arg);
-      h.push_back(Event::inv(d));
-      open[p] = Open{d};
-      ++invoked;
-    } else if (rng.chance(1, 2)) {
-      // Respond: empty-handed, or claim some other open op's value.
-      Value res = kEmpty;
-      std::vector<Value> partners;
-      for (size_t q = 0; q < n; ++q) {
-        if (q != p && open[q].has_value()) {
-          partners.push_back(open[q]->op.arg);
-        }
-      }
-      if (!partners.empty() && rng.chance(2, 3)) {
-        res = partners[rng.below(partners.size())];
-      }
-      h.push_back(Event::res(open[p]->op, res));
-      open[p].reset();
-    }
-  }
-  return h;
-}
-
 /// Random write-snapshot histories; valid ones are generated by simulating
 /// the interval machine (masks grow, self bit present), invalid ones corrupt
 /// a mask.  The sequential interval monitor is the ground truth either way.
@@ -209,6 +166,57 @@ inline bool corrupt_response(History& h, uint64_t seed) {
   Value& v = h[i].result;
   v = (v == kEmpty) ? 777 : (v == kTrue ? kEmpty : v + 13);
   return true;
+}
+
+/// Random exchanger histories: overlapping windows of exchange ops.  A
+/// response either returns kEmpty or claims a partner: when p takes the
+/// argument of an open, unclaimed q, q's later response is fixed to p's
+/// argument, so every pair swaps mutually and the history is
+/// set-linearizable.  Every 4th seed then gets one corrupt_response, so
+/// both verdicts occur; the sequential set-lin monitor is the ground truth.
+inline History random_exchanger_history(size_t n, size_t ops, uint64_t seed) {
+  Rng rng(seed);
+  OpFactory f;
+  History h;
+  std::vector<std::optional<OpDesc>> open(n);
+  std::vector<std::optional<Value>> owed(n);  // result fixed by a partner
+  size_t invoked = 0;
+  for (;;) {
+    bool any_open = false;
+    for (const auto& o : open) any_open |= o.has_value();
+    if (invoked >= ops && !any_open) break;
+    ProcId p = static_cast<ProcId>(rng.below(n));
+    if (!open[p].has_value()) {
+      if (invoked >= ops) continue;
+      Value arg = static_cast<Value>(rng.range(1, 50));
+      OpDesc d = f.op(p, Method::kExchange, arg);
+      h.push_back(Event::inv(d));
+      open[p] = d;
+      ++invoked;
+    } else if (rng.chance(1, 2)) {
+      Value res = kEmpty;
+      if (owed[p].has_value()) {
+        res = *owed[p];
+      } else {
+        std::vector<ProcId> partners;
+        for (ProcId q = 0; q < n; ++q) {
+          if (q != p && open[q].has_value() && !owed[q].has_value()) {
+            partners.push_back(q);
+          }
+        }
+        if (!partners.empty() && rng.chance(2, 3)) {
+          ProcId q = partners[rng.below(partners.size())];
+          res = open[q]->arg;
+          owed[q] = open[p]->arg;
+        }
+      }
+      h.push_back(Event::res(*open[p], res));
+      open[p].reset();
+      owed[p].reset();
+    }
+  }
+  if (seed % 4 == 0) corrupt_response(h, seed);
+  return h;
 }
 
 /// A bounded concurrency window for real-thread stress tests.  Threads run
