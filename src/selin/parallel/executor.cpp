@@ -32,10 +32,11 @@ Executor::~Executor() {
   for (std::thread& t : workers_) t.join();
 }
 
-void Executor::ensure_workers_locked() {
-  if (!workers_.empty() || n_ == 0) return;
-  workers_.reserve(n_);
-  for (size_t i = 0; i < n_; ++i) {
+void Executor::ensure_workers_locked(size_t want) {
+  want = std::min(want, n_);
+  if (workers_.size() >= want) return;
+  workers_.reserve(want);
+  while (workers_.size() < want) {
     workers_.emplace_back([this] { worker_loop(); });
   }
   spawned_.store(workers_.size(), std::memory_order_release);
@@ -65,7 +66,7 @@ void Executor::run_phase(size_t n, const std::function<void(size_t)>& job) {
   ph.n = n;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ensure_workers_locked();
+    ensure_workers_locked(n - 1);  // slice 0 is the caller's
     phases_.push_back(&ph);
     epoch_.fetch_add(1, std::memory_order_release);
   }

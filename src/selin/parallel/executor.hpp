@@ -14,10 +14,13 @@
 //     finished; rethrows the first job exception.  MonitorService runs
 //     each drain round as one phase, one slice per pending session.
 //
-// Worker lanes are spawned lazily on the first phase and parked on a
-// spin-then-condition-variable pickup: an executor that never receives
-// work costs nothing but this object, and an idle one consumes no CPU.
-// Destruction joins the lanes — the single shutdown path.
+// Worker lanes are spawned lazily and parked on a
+// spin-then-condition-variable pickup: a phase of n slices spawns lanes
+// until min(lanes(), n - 1) exist (slice 0 runs on the caller), so a wider
+// phase grows the set and a lane cap never becomes a thread count by
+// itself.  An executor that never receives work costs nothing but this
+// object, and an idle one consumes no CPU.  Destruction joins the lanes —
+// the single shutdown path.
 //
 // Sharing: one Executor can serve any number of MonitorServices
 // concurrently; total threads stay bounded by lanes() no matter how many
@@ -56,8 +59,8 @@ class Executor {
   /// host; MonitorService asserts spawned threads never exceed it).
   size_t lanes() const { return n_; }
 
-  /// Worker threads actually created so far (0 until the first phase;
-  /// never exceeds lanes()).
+  /// Worker threads actually created so far (0 until the first phase of
+  /// two or more slices; never exceeds lanes()).
   size_t threads_spawned() const {
     return spawned_.load(std::memory_order_acquire);
   }
@@ -92,7 +95,8 @@ class Executor {
   /// Record one finished phase into `h` (metrics + kExecPhase span).
   void observe_phase(const obs::ExecutorHooks& h, uint64_t t0, size_t n,
                      size_t caller_run);
-  void ensure_workers_locked();
+  /// Spawn lanes until min(want, lanes()) exist.
+  void ensure_workers_locked(size_t want);
   void worker_loop();
   /// Claim and run one slice; false when nothing was pending.
   bool run_some();

@@ -265,6 +265,18 @@ TEST(Executor, PhaseRunsEverySliceExactlyOnce) {
   EXPECT_LE(exec.threads_spawned(), 3u);
 }
 
+// Lanes are spawned per phase width, not up to the cap: slice 0 runs on
+// the caller, so an n-slice phase needs at most n - 1 workers.
+TEST(Executor, SpawnsLanesForPhaseWidth) {
+  parallel::Executor exec(64);
+  std::atomic<int> ran{0};
+  exec.run_phase(3, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_LE(exec.threads_spawned(), 2u);
+  exec.run_phase(10, [&](size_t) { ran.fetch_add(1); });
+  EXPECT_LE(exec.threads_spawned(), 9u);
+  EXPECT_EQ(ran.load(), 13);
+}
+
 TEST(Executor, PhaseRethrowsFirstJobException) {
   parallel::Executor exec(2);
   EXPECT_THROW(
