@@ -19,7 +19,6 @@
 // vectors inside keep their capacity across rounds.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <sstream>

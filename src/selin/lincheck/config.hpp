@@ -61,8 +61,6 @@ struct OpEntry {
 template <uint64_t (*ElemHash)(OpId, Value)>
 class OpSet {
  public:
-  static constexpr size_t kInline = 4;
-
   uint64_t hash() const { return hash_; }
 
   /// hash() recomputed from the entries (tests cross-check the two).
@@ -128,6 +126,8 @@ class OpSet {
     hash_ ^= ElemHash(e->id, e->v);
     entries_.erase_at(static_cast<size_t>(e - begin()));
   }
+
+  static constexpr size_t kInline = 4;
 
   SmallVec<OpEntry, kInline> entries_;
   uint64_t hash_ = 0;

@@ -78,7 +78,9 @@ TEST(OpSetFuzz, DifferentialVsStdMap) {
       } else {
         const Value* found = s.find(id);
         ASSERT_EQ(found != nullptr, it != oracle.end()) << "seed " << seed;
-        if (found != nullptr) ASSERT_EQ(*found, it->second);
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
         ASSERT_EQ(s.contains(id), found != nullptr);
       }
       ASSERT_EQ(s.hash(), xr) << "seed " << seed << " step " << step;
