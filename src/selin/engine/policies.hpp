@@ -249,13 +249,6 @@ struct IConfig {
 
   void machine_respond(OpId id, Value v) { assigned.add(id, v); }
 
-  /// Remove `id` from both machine bookkeeping sets (the op's history
-  /// response has been observed).
-  void retire(OpId id) {
-    assigned.remove(id);
-    machine_open.remove(id);
-  }
-
   /// Fused response filter: iff `id` is machine-responded with exactly the
   /// observed value, retire it from both sets.  One search on the assigned
   /// set (machine_respond guarantees assigned ⊆ machine_open).
