@@ -14,13 +14,12 @@
 //     finished; rethrows the first job exception.  MonitorService runs
 //     each drain round as one phase, one slice per pending session.
 //
-// Worker lanes are spawned lazily and parked on a
-// spin-then-condition-variable pickup: a phase of n slices spawns lanes
-// until min(lanes(), n - 1) exist (slice 0 runs on the caller), so a wider
-// phase grows the set and a lane cap never becomes a thread count by
-// itself.  An executor that never receives work costs nothing but this
-// object, and an idle one consumes no CPU.  Destruction joins the lanes —
-// the single shutdown path.
+// Worker lanes are spawned lazily: a phase of n slices spawns lanes until
+// min(lanes(), n - 1) exist (slice 0 runs on the caller), so a wider phase
+// grows the set and a lane cap alone never becomes a thread count.  Lanes
+// park on a spin-then-condition-variable pickup: an executor that never
+// receives work costs nothing but this object, and an idle one consumes no
+// CPU.  Destruction joins the lanes — the single shutdown path.
 //
 // Sharing: one Executor can serve any number of MonitorServices
 // concurrently; total threads stay bounded by lanes() no matter how many
