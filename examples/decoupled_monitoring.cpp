@@ -96,7 +96,7 @@ int main() {
         std::cout << "    " << to_string(r.witness[i]) << "\n";
       }
       std::cout << "  witness ∈ O ? "
-                << (object->contains(r.witness) ? "yes (??)" : "no — violation certified")
+                << (object->contains(r.witness) ? "yes (?\?)" : "no — violation certified")
                 << "\n";
     } else {
       std::cout << "  fault not triggered this run; rerun the demo\n";

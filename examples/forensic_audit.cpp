@@ -58,7 +58,7 @@ int main() {
   }
   std::cout << "  witness history  : " << witness.size() << " events\n";
   std::cout << "  witness verdict  : "
-            << (object->contains(witness) ? "linearizable (??)"
+            << (object->contains(witness) ? "linearizable (?\?)"
                                           : "NOT linearizable — convicted")
             << "\n";
 

@@ -19,9 +19,8 @@
 #include <string_view>
 
 // Fingerprint collision audit: every dedup probe is cross-checked against
-// the canonical string key, and every adopted level-prefix digest against
-// the prefix it names (views/leveled_history.cpp).  On by default in debug
-// builds; force with -DSELIN_FP_AUDIT=1 (CMake option SELIN_FP_AUDIT).
+// the canonical string key.  On by default in debug builds; force with
+// -DSELIN_FP_AUDIT=1 (CMake option SELIN_FP_AUDIT).
 #ifndef SELIN_FP_AUDIT
 #ifdef NDEBUG
 #define SELIN_FP_AUDIT 0

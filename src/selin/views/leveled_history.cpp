@@ -1,10 +1,8 @@
 #include "selin/views/leveled_history.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "selin/obs/hooks.hpp"
-#include "selin/util/hash.hpp"
 
 namespace selin {
 
@@ -26,78 +24,94 @@ std::vector<OpDesc> XBuilder::delta(const View* prev, const View& view) {
   return invs;
 }
 
-size_t XBuilder::add(const LambdaRecord* rec) {
-  ++records_;
-  uint64_t key = rec->view.size();
-  auto pos = std::lower_bound(
-      levels_.begin(), levels_.end(), key,
-      [](const Level& l, uint64_t k) { return l.key < k; });
-  size_t idx = static_cast<size_t>(pos - levels_.begin());
+LevelIndex::LevelIndex(const Level* top) {
+  for (const Level* l = top; l != nullptr; l = l->below) levels_.push_back(l);
+  std::reverse(levels_.begin(), levels_.end());
+}
 
-  if (pos != levels_.end() && pos->key == key) {
+Level* XBuilder::new_level() {
+  if (nodes_ % kChunk == 0) {
+    chunks_.push_back(std::make_unique<Level[]>(kChunk));
+  }
+  return &chunks_.back()[nodes_++ % kChunk];
+}
+
+Level* XBuilder::writable(const Level* lvl) {
+  // An unsealed level was allocated, non-const, by this builder since it
+  // last sealed, and no other builder can reach it.
+  if (!lvl->sealed) return const_cast<Level*>(lvl);
+  Level* copy = new_level();
+  *copy = *lvl;
+  copy->sealed = false;
+  return copy;
+}
+
+size_t XBuilder::add(const LambdaRecord* rec) {
+  const uint64_t key = rec->view.size();
+  // The levels above the record's key, top first: each is relinked onto
+  // the level the record changes.
+  above_.clear();
+  const Level* at = top_;
+  while (at != nullptr && at->key > key) {
+    above_.push_back(at);
+    at = at->below;
+  }
+  Level* lvl;
+  const bool inserted = at == nullptr || at->key != key;
+  if (!inserted) {
     // Existing level: insert the response, keeping OpId order.
-    auto& ress = pos->ress;
+    lvl = writable(at);
+    auto& ress = lvl->ress;
     auto it = std::lower_bound(
         ress.begin(), ress.end(), rec->op.id,
         [](const std::pair<OpDesc, Value>& r, OpId id) {
           return r.first.id < id;
         });
     ress.insert(it, {rec->op, rec->y});
-    return idx;
+  } else {
+    lvl = new_level();
+    lvl->key = key;
+    lvl->view = &rec->view;
+    lvl->below = at;
+    lvl->depth = at == nullptr ? 1 : at->depth + 1;
+    lvl->invs = delta(at == nullptr ? nullptr : at->view, rec->view);
+    lvl->ress.push_back({rec->op, rec->y});
   }
+  const size_t changed = lvl->depth - 1;
+  // Relink the levels above, bottom-up.  Above an inserted level, the old
+  // level at its index loses the invocations the new one now claims.
+  const Level* below = lvl;
+  for (size_t i = above_.size(); i-- > 0;) {
+    Level* up = writable(above_[i]);
+    if (inserted && i + 1 == above_.size()) {
+      up->invs = delta(&rec->view, *up->view);
+    }
+    up->below = below;
+    up->depth = below->depth + 1;
+    below = up;
+  }
+  top_ = below;
+  return changed;
+}
 
-  // New level at idx.
-  const View* prev = idx == 0 ? nullptr : levels_[idx - 1].view;
-  Level lvl;
-  lvl.key = key;
-  lvl.view = &rec->view;
-  lvl.invs = delta(prev, rec->view);
-  lvl.ress.push_back({rec->op, rec->y});
-  // The old level at idx (if any) loses the invocations now claimed by the
-  // inserted level: recompute its delta against the new predecessor.
-  if (idx < levels_.size()) {
-    levels_[idx].invs = delta(&rec->view, *levels_[idx].view);
+void XBuilder::seal() {
+  // The unsealed levels are the top of the chain: every level above a
+  // rewritten or new one was relinked, hence is unsealed too.
+  for (const Level* l = top_; l != nullptr && !l->sealed; l = l->below) {
+    const_cast<Level*>(l)->sealed = true;  // this builder's own, see writable
   }
-  levels_.insert(levels_.begin() + static_cast<long>(idx), std::move(lvl));
-  return idx;
 }
 
 History XBuilder::flatten() const {
   History out;
-  for (const Level& lvl : levels_) {
+  const LevelIndex levels(top_);
+  for (size_t k = 0; k < levels.size(); ++k) {
+    const Level& lvl = levels[k];
     for (const OpDesc& op : lvl.invs) out.push_back(Event::inv(op));
     for (const auto& [op, y] : lvl.ress) out.push_back(Event::res(op, y));
   }
   return out;
 }
-
-namespace {
-
-// Seeds the prefix digest chain (digests_[0], the empty prefix).
-constexpr uint64_t kPrefixTag = 0x1E7E1ED0D16E5700ull;
-
-// The words a level contributes to its prefix digest: its key, then each
-// invocation (id, method, arg) and each response (id, method, arg, value),
-// each list preceded by its length.
-template <typename Fn>
-void level_words(const Level& lvl, Fn&& word) {
-  word(lvl.key);
-  word(lvl.invs.size());
-  for (const OpDesc& op : lvl.invs) {
-    word(op.id.packed());
-    word(static_cast<uint64_t>(op.method));
-    word(static_cast<uint64_t>(op.arg));
-  }
-  word(lvl.ress.size());
-  for (const auto& [op, y] : lvl.ress) {
-    word(op.id.packed());
-    word(static_cast<uint64_t>(op.method));
-    word(static_cast<uint64_t>(op.arg));
-    word(static_cast<uint64_t>(y));
-  }
-}
-
-}  // namespace
 
 LeveledChecker::LeveledChecker(const GenLinObject& obj,
                                size_t checkpoint_stride)
@@ -114,11 +128,6 @@ void LeveledChecker::set_obs(const obs::LeveledHooks* hooks) {
   if (cur_ != nullptr) {
     cur_->attach_obs(hooks != nullptr ? hooks->engine : nullptr);
   }
-}
-
-void LeveledChecker::share_tips(std::span<TipSlot> slots, size_t self) {
-  slots_ = slots;
-  self_ = self;
 }
 
 std::unique_ptr<MembershipMonitor> LeveledChecker::fresh_monitor() const {
@@ -141,22 +150,27 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
   // so the frontier engine runs its closure once per segment's response
   // runs instead of once per response; segments end where the next
   // checkpoint is due, keeping the checkpoint policy level-exact.
-  const auto& levels = builder.levels();
   ensure_monitor();
-  while (fed_ < levels.size()) {
+  pending_.clear();
+  for (const Level* l = builder.top(); l != nullptr && l->depth > fed_;
+       l = l->below) {
+    pending_.push_back(l);
+  }
+  while (!pending_.empty()) {
     const size_t due = last_checkpoint_level() + stride_;
-    const size_t until = std::min(levels.size(), due);
     batch_.clear();
-    for (size_t i = fed_; i < until; ++i) {
-      const Level& lvl = levels[i];
-      for (const OpDesc& op : lvl.invs) batch_.push_back(Event::inv(op));
-      for (const auto& [op, y] : lvl.ress) {
+    const Level* lvl = nullptr;
+    while (!pending_.empty() && fed_ < due) {
+      lvl = pending_.back();
+      pending_.pop_back();
+      for (const OpDesc& op : lvl->invs) batch_.push_back(Event::inv(op));
+      for (const auto& [op, y] : lvl->ress) {
         batch_.push_back(Event::res(op, y));
       }
+      ++fed_;
     }
     cur_->feed_batch(batch_);
-    fed_ = until;
-    if (fed_ == due) checkpoints_.push_back({fed_, cur_->clone()});
+    if (fed_ == due) checkpoints_.push_back({fed_, lvl, cur_->clone()});
   }
 }
 
@@ -166,7 +180,7 @@ void LeveledChecker::truncate_checkpoints(size_t level) {
   }
 }
 
-void LeveledChecker::restore(const MembershipMonitor* src, size_t level) {
+void LeveledChecker::restore(const MembershipMonitor* src, const Level* at) {
   std::unique_ptr<MembershipMonitor> initial;
   if (src == nullptr) {
     initial = fresh_monitor();
@@ -175,7 +189,7 @@ void LeveledChecker::restore(const MembershipMonitor* src, size_t level) {
   if (!cur_->assign_from(*src)) {
     cur_ = initial != nullptr ? std::move(initial) : src->clone();
   }
-  fed_ = level;
+  fed_ = at == nullptr ? 0 : at->depth;
 }
 
 void LeveledChecker::rollback(size_t from_level) {
@@ -186,9 +200,9 @@ void LeveledChecker::rollback(size_t from_level) {
   // later feed happens to overwrite them.
   truncate_checkpoints(from_level);
   if (checkpoints_.empty()) {
-    restore(nullptr, 0);
+    restore(nullptr, nullptr);
   } else {
-    restore(checkpoints_.back().monitor.get(), checkpoints_.back().level);
+    restore(checkpoints_.back().monitor.get(), checkpoints_.back().at);
   }
   if (obs_ != nullptr) {
     const size_t replay = fed_before - fed_;
@@ -206,119 +220,26 @@ void LeveledChecker::rollback(size_t from_level) {
   }
 }
 
-void LeveledChecker::refresh_digests(const XBuilder& builder, size_t dirty) {
-  const auto& levels = builder.levels();
-  if (digests_.empty()) digests_.push_back(fph::Hasher(kPrefixTag).done());
-  // digests_[0..k] describe prefixes below every dirty level: still valid.
-  size_t k = std::min(dirty, digests_.size() - 1);
-  digests_.resize(levels.size() + 1);
-#if SELIN_FP_AUDIT
-  audit_ends_.resize(levels.size() + 1);  // audit_ends_[0] stays 0
-  audit_words_.resize(audit_ends_[k]);
-#endif
-  for (; k < levels.size(); ++k) {
-    fph::Hasher h(kPrefixTag);
-    h.u64(digests_[k]);
-    level_words(levels[k], [&](uint64_t w) {
-      h.u64(w);
-#if SELIN_FP_AUDIT
-      audit_words_.push_back(w);
-#endif
-    });
-    digests_[k + 1] = h.done();
-#if SELIN_FP_AUDIT
-    audit_ends_[k + 1] = audit_words_.size();
-#endif
+void LeveledChecker::adopt(const MembershipMonitor& state, const Level* top) {
+  ensure_monitor();
+  // A level determines the chain below it, so a checkpoint still describes
+  // a prefix of `top`'s chain exactly when the level it fed last is on it.
+  const Level* on = top;
+  while (!checkpoints_.empty()) {
+    const Checkpoint& c = checkpoints_.back();
+    while (on != nullptr && on->depth > c.level) on = on->below;
+    if (on == c.at) break;
+    checkpoints_.pop_back();
   }
-}
-
-bool LeveledChecker::adopt_tip(size_t resume, size_t levels) {
-  // Hazard protocol: name a tip in a hazard pointer, then re-read the slot;
-  // if the slot still holds it, its owner cannot recycle it until the
-  // hazard is cleared.  A slot that changed in between is skipped, never
-  // retried.  hazard[best_h] guards the best tip so far, the other probes.
-  std::atomic<const Tip*>* hazard = slots_[self_].hazard;
-  const Tip* best = nullptr;
-  int best_h = 1;
-  for (size_t j = 0; j < slots_.size(); ++j) {
-    if (j == self_) continue;
-    const Tip* t = slots_[j].tip.load();
-    if (t == nullptr) continue;
-    const int h = 1 - best_h;
-    hazard[h].store(t);
-    if (slots_[j].tip.load() != t) continue;
-    const size_t k = t->levels;
-    if (k <= resume || k > levels || (best != nullptr && k <= best->levels)) {
-      continue;
-    }
-    if (t->digest != digests_[k]) {
-      ++tips_rejected_;
-      continue;
-    }
-    best = t;
-    best_h = h;
-  }
-  hazard[1 - best_h].store(nullptr);
-  if (best == nullptr) return false;
-#if SELIN_FP_AUDIT
-  if (!std::equal(best->audit_words.begin(), best->audit_words.end(),
-                  audit_words_.begin(),
-                  audit_words_.begin() +
-                      static_cast<long>(audit_ends_[best->levels]))) {
-    hazard[best_h].store(nullptr);
-    throw std::runtime_error(
-        "selin: fingerprint collision detected (level prefix digest)");
-  }
-#endif
-  restore(best->monitor.get(), best->levels);
-  hazard[best_h].store(nullptr);
+  restore(&state, top);
+  ok_ = cur_->ok();
   ++tip_adoptions_;
   // A level reached by adoption gets a checkpoint within a stride below it,
   // as a fed one does, so a later miss never replays from further down than
   // the jump it skipped.
   if (fed_ >= last_checkpoint_level() + stride_) {
-    checkpoints_.push_back({fed_, cur_->clone()});
+    checkpoints_.push_back({fed_, top, cur_->clone()});
   }
-  return true;
-}
-
-std::unique_ptr<Tip> LeveledChecker::reusable_tip() {
-  if (retired_.empty()) return nullptr;
-  hazards_.clear();
-  for (const TipSlot& s : slots_) {
-    for (const auto& h : s.hazard) {
-      if (const Tip* t = h.load(); t != nullptr) hazards_.push_back(t);
-    }
-  }
-  // At most 2 * slots hazards exist, so more retired tips than that always
-  // leave one free: the retired list stays O(slots) long.
-  for (auto it = retired_.begin(); it != retired_.end(); ++it) {
-    if (std::find(hazards_.begin(), hazards_.end(), it->get()) ==
-        hazards_.end()) {
-      std::unique_ptr<Tip> t = std::move(*it);
-      retired_.erase(it);
-      return t;
-    }
-  }
-  return nullptr;
-}
-
-void LeveledChecker::publish_tip() {
-  std::unique_ptr<Tip> t = reusable_tip();
-  if (t == nullptr) t = std::make_unique<Tip>();
-  if (t->monitor == nullptr || !t->monitor->assign_from(*cur_)) {
-    t->monitor = cur_->clone();
-  }
-  t->levels = fed_;
-  t->digest = digests_[fed_];
-#if SELIN_FP_AUDIT
-  t->audit_words.assign(
-      audit_words_.begin(),
-      audit_words_.begin() + static_cast<long>(audit_ends_[fed_]));
-#endif
-  slots_[self_].tip.store(t.get());
-  if (published_ != nullptr) retired_.push_back(std::move(published_));
-  published_ = std::move(t);
 }
 
 bool LeveledChecker::resync(const XBuilder& builder, size_t from_level) {
@@ -330,36 +251,22 @@ bool LeveledChecker::resync(const XBuilder& builder,
                             std::span<const size_t> dirty_levels) {
   const uint64_t t0 = obs_ != nullptr ? obs::now_ns() : 0;
   const uint64_t replayed_before = replayed_levels_;
-  const auto& levels = builder.levels();
   ensure_monitor();
-  size_t dirty = levels.size();
+  size_t dirty = builder.depth();
   for (size_t d : dirty_levels) dirty = std::min(dirty, d);
   const size_t from = std::min(fed_, dirty);
   if (dirty_levels.size() > 1) {
     peak_storm_records_ = std::max(peak_storm_records_, dirty_levels.size());
   }
   const size_t old_fed = fed_;
-  bool adopted = false;
-  if (!slots_.empty()) {
-    refresh_digests(builder, dirty);
-    // Checkpoints above `from` describe changed levels.  Without a tip,
-    // this checker resumes from the live monitor when nothing below it
-    // changed, else from the nearest checkpoint at or below `from`.
-    truncate_checkpoints(from);
-    adopted = adopt_tip(from < fed_ ? last_checkpoint_level() : fed_,
-                        levels.size());
-  }
-  if (!adopted && from < fed_) rollback(from);
+  if (from < fed_) rollback(from);
   // Replayed = previously fed levels re-fed below the old frontier; the
   // merge's brand-new levels would have been fed either way.
   if (fed_ < old_fed) {
-    replayed_levels_ += std::min(old_fed, levels.size()) - fed_;
+    replayed_levels_ += std::min(old_fed, builder.depth()) - fed_;
   }
   append_batch(builder);
   ok_ = cur_->ok();
-  // Reached only when the feed did not overflow, so an overflowed state is
-  // never shared.
-  if (!slots_.empty()) publish_tip();
   if (obs_ != nullptr) {
     const uint64_t dur = obs::now_ns() - t0;
     if (obs_->resync_ns != nullptr) obs_->resync_ns->record(dur);

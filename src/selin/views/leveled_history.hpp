@@ -6,28 +6,23 @@
 // quadratic; instead we exploit the level structure of X(λ):
 //
 //   * XBuilder maintains the levels σ1 ⊂ σ2 ⊂ ... of the records seen so
-//     far.  Adding a record usually appends at the end; a record that was
-//     written to M late lands in an *existing* middle level (its view is
-//     small), which only invalidates levels from that point on.
+//     far, as nodes linked top-down.  Adding a record usually appends a
+//     node; a record that was written to M late lands in an *existing*
+//     middle level (its view is small), which rewrites only the nodes from
+//     that level up.  A sealed node is never rewritten (a late record copies
+//     it instead), so builders whose levels start with the same records can
+//     hold the same nodes: the checkers of one object build each level once
+//     (MonitorCore).
 //
 //   * LeveledChecker memoizes the membership monitor state after every
-//     level, so a change at level k re-feeds only levels k..m.
-//
-//   * The checkers of one object publish their monitor states as tips,
-//     keyed by a digest of the level prefix they cover, and adopt each
-//     other's: the state after a prefix depends only on the prefix, so a
-//     checker whose X(τ) starts with a prefix another one already fed
-//     skips it.
+//     level, so a change at level k re-feeds only levels k..m, and can adopt
+//     a state another checker fed through a chain of shared levels.
 //
 // Each verifier process owns one builder/checker pair and feeds it from its
 // own snapshots (Line 08 of Figure 10), mirroring the paper's "each process
-// locally tests" discipline.  The tips add one single-writer register per
-// checker plus two hazard pointers, read and written with plain atomic
-// loads and stores, so the construction keeps to read/write base objects
-// and stays wait-free.
+// locally tests" discipline.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <vector>
@@ -43,55 +38,76 @@ struct LeveledHooks;  // obs/hooks.hpp — instrumentation bundle, borrowed
 namespace selin {
 
 /// One level of X(λ): the invocations that first appear in σk, then the
-/// responses of the records whose view is σk.
+/// responses of the records whose view is σk.  Levels are nodes linked
+/// top-down, like the SetNode chains of a view, so a level determines every
+/// level below it.
 struct Level {
   uint64_t key = 0;  ///< |σk| — unique under containment comparability
   const View* view = nullptr;
+  const Level* below = nullptr;  ///< σk−1's level; nullptr under σ1
+  size_t depth = 0;              ///< k: this level and the ones below it
+  /// Set by XBuilder::seal; a sealed level is immutable and may be shared.
+  bool sealed = false;
   std::vector<OpDesc> invs;
   std::vector<std::pair<OpDesc, Value>> ress;
 };
 
+/// The levels of a chain bottom-up, for random access (tests, diagnostics).
+class LevelIndex {
+ public:
+  explicit LevelIndex(const Level* top);
+  size_t size() const { return levels_.size(); }
+  const Level& operator[](size_t k) const { return *levels_[k]; }
+
+ private:
+  std::vector<const Level*> levels_;
+};
+
+/// A handle to the top level of X(λ) for the records added so far.  It
+/// owns the level nodes it allocates; another builder may point into them
+/// once they are sealed, so they live as long as this builder.
 class XBuilder {
  public:
   /// Incorporates a record (which must outlive the builder).  Returns the
-  /// index of the lowest level whose content changed.
+  /// index of the lowest level whose content changed.  Unsealed levels are
+  /// rewritten in place; sealed ones at or above that index are copied.
   size_t add(const LambdaRecord* rec);
 
-  const std::vector<Level>& levels() const { return levels_; }
+  /// The top level (nullptr while empty); its chain is X(λ).
+  const Level* top() const { return top_; }
+  size_t depth() const { return top_ == nullptr ? 0 : top_->depth; }
+
+  /// The levels bottom-up; O(depth) to build.
+  LevelIndex levels() const { return LevelIndex(top_); }
 
   /// The full history X(λ) in level order (used for witnesses/certificates).
   History flatten() const;
 
-  size_t record_count() const { return records_; }
+  /// Seal every level, so that the chain can be handed to other builders.
+  void seal();
+
+  /// Take `top`'s chain as this builder's levels; it must be sealed (or
+  /// nullptr, for no levels).
+  void reset(const Level* top) { top_ = top; }
+
+  /// Level nodes this builder has allocated, copies included.
+  size_t nodes() const { return nodes_; }
 
  private:
+  static constexpr size_t kChunk = 64;
+
   /// Invocation pairs of `view` beyond `prev` (σk \ σk−1), sorted by OpId.
   static std::vector<OpDesc> delta(const View* prev, const View& view);
 
-  std::vector<Level> levels_;
-  size_t records_ = 0;
-};
+  Level* new_level();
+  /// `lvl` itself when unsealed (then this builder made it and nobody else
+  /// holds it), else a fresh unsealed copy.
+  Level* writable(const Level* lvl);
 
-/// A monitor state one checking context published for the other contexts
-/// of the same object: the membership monitor after the levels
-/// [0, levels) of that context's X(τ), and the digest of that prefix
-/// (LeveledChecker::share_tips).  Immutable while published.
-struct Tip {
-  size_t levels = 0;
-  uint64_t digest = 0;
-  std::unique_ptr<MembershipMonitor> monitor;
-  /// The words the digest hashed, so an adopter can compare the prefix
-  /// itself; filled in fingerprint-audit builds only.
-  std::vector<uint64_t> audit_words;
-};
-
-/// One checking context's single-writer registers: the tip it published
-/// last and two hazard pointers naming the tips it is reading.  Only the
-/// owner stores to them (plain atomic stores, no read-modify-write); every
-/// context loads them.
-struct alignas(64) TipSlot {
-  std::atomic<const Tip*> tip{nullptr};
-  std::atomic<const Tip*> hazard[2] = {};
+  const Level* top_ = nullptr;
+  std::vector<std::unique_ptr<Level[]>> chunks_;  // allocated on first add
+  size_t nodes_ = 0;
+  std::vector<const Level*> above_;  // add() scratch
 };
 
 /// Memoizing membership evaluator over an XBuilder.
@@ -102,9 +118,9 @@ struct alignas(64) TipSlot {
 /// overwhelmingly common case — advance the live monitor directly, so the
 /// amortized per-operation cost is one level.
 ///
-/// Checkers of one object can share their work (share_tips): each resync
-/// first adopts the furthest state another checker published for a level
-/// prefix equal to its own, and feeds only the levels beyond it.
+/// A checker can also adopt a state another checker fed (adopt), when its
+/// builder has taken that checker's sealed levels: the state after a chain
+/// of levels depends only on the chain.
 ///
 /// Replaying a monitor fold is inherently sequential in its *state* (the
 /// configuration frontier after level k feeds level k+1), so rollback
@@ -123,16 +139,6 @@ class LeveledChecker {
   LeveledChecker& operator=(const LeveledChecker&) = delete;
   ~LeveledChecker();
 
-  /// Share checking work with the other checkers of one object, each
-  /// owning one entry of `slots` (this one owns slots[self]).  Every
-  /// resync then keeps a digest of each level prefix of its builder,
-  /// adopts the furthest published tip whose prefix equals its own
-  /// (skipping the levels below it), and publishes its own tip afterwards.
-  /// Wait-free: O(slots) atomic loads and stores per resync, no retries.
-  /// Call before the first resync; the slots must outlive the checker, and
-  /// each checker's resyncs must come from one thread at a time.
-  void share_tips(std::span<TipSlot> slots, size_t self);
-
   /// Re-evaluates after the builder changed at `from_level`; returns the
   /// current verdict X(λ) ∈ O.
   bool resync(const XBuilder& builder, size_t from_level);
@@ -148,8 +154,21 @@ class LeveledChecker {
   /// across the segment (each segment ends where the next checkpoint is
   /// due, so checkpoints land exactly where per-level feeding puts them).
   /// resync() calls this; exposed for callers that append without a dirty
-  /// set (and without share_tips).
+  /// set.
   void append_batch(const XBuilder& builder);
+
+  /// Make a copy of `state`, the monitor another checker had after feeding
+  /// the levels of `top`'s chain, the live monitor.  Call it once the
+  /// builder holds that chain and before merging beyond it.  The
+  /// checkpoints whose level lies on the chain stay, the others go; an
+  /// adoption a stride or more above the last checkpoint takes one at
+  /// `top`, so every level this checker reaches, by feeding or adopting,
+  /// lies less than a stride above a checkpoint.
+  void adopt(const MembershipMonitor& state, const Level* top);
+
+  /// The live monitor, after levels_fed() levels (call after a resync or
+  /// an adoption).
+  const MembershipMonitor& monitor() const { return *cur_; }
 
   bool ok() const { return ok_; }
 
@@ -160,7 +179,7 @@ class LeveledChecker {
   /// created afterwards.  The bundle must outlive the checker.
   void set_obs(const obs::LeveledHooks* hooks);
 
-  /// Materialized checkpoints.  Without shared tips, exactly
+  /// Materialized checkpoints.  Without adoptions, exactly
   /// levels_fed() / stride after any resync — the eager-release regression
   /// tests key on that; an adoption that jumps a stride or more adds one at
   /// the adopted level.
@@ -170,30 +189,27 @@ class LeveledChecker {
   size_t levels_fed() const { return fed_; }
 
   /// Execution counters of the live monitor's engine; all-zero before the
-  /// first feed.  Restores (a checkpoint after a rollback, a shared tip)
-  /// copy state, not counters, so the counters include every replayed
-  /// event — the number an enforced object should report as "checking work
-  /// done".
+  /// first feed.  Restores (a checkpoint after a rollback, an adopted
+  /// state) copy state, not counters, so the counters include every
+  /// replayed event — the number an enforced object should report as
+  /// "checking work done".
   engine::EngineStats stats() const;
 
   /// Restores from this checker's own checkpoints (the miss path).
   uint64_t rollbacks() const { return rollbacks_; }
-  /// Previously fed levels fed again after a rollback or after adopting a
-  /// tip below them (appended-for-the-first-time levels are not replay
-  /// cost).
+  /// Previously fed levels fed again after a rollback (appended-for-the-
+  /// first-time levels are not replay cost).
   uint64_t replayed_levels() const { return replayed_levels_; }
   /// Widest dirty-level batch one resync has received (> 1 only when a
   /// merge dirtied several levels at once — the rollback-storm shape).
   size_t peak_storm_records() const { return peak_storm_records_; }
-  /// Resyncs that adopted another checker's tip.
+  /// States adopted from other checkers.
   uint64_t tip_adoptions() const { return tip_adoptions_; }
-  /// Tips in the adoptable level range whose digest differed from this
-  /// checker's prefix.
-  uint64_t tips_rejected() const { return tips_rejected_; }
 
  private:
   struct Checkpoint {
-    size_t level;  // the monitor has fed levels [0, level)
+    size_t level;     // the monitor has fed levels [0, level)
+    const Level* at;  // the level it fed last
     std::unique_ptr<MembershipMonitor> monitor;
   };
 
@@ -205,48 +221,30 @@ class LeveledChecker {
   /// Drop the checkpoints above `level`.
   void truncate_checkpoints(size_t level);
   /// Make the live monitor a copy of `src` (nullptr: the initial state),
-  /// which has fed `level` levels; the live monitor keeps its counters.
-  void restore(const MembershipMonitor* src, size_t level);
+  /// which has fed the chain up to `at`; the live monitor keeps its
+  /// counters.
+  void restore(const MembershipMonitor* src, const Level* at);
   /// Restore the nearest checkpoint at or below `from_level`, eagerly
   /// releasing everything above it.
   void rollback(size_t from_level);
-  /// digests_[k] for every prefix [0, k) of the builder, recomputed from
-  /// the lowest dirty level up.
-  void refresh_digests(const XBuilder& builder, size_t dirty);
-  /// Adopt the furthest tip in (resume, levels] whose prefix matches this
-  /// checker's; false when none does.
-  bool adopt_tip(size_t resume, size_t levels);
-  void publish_tip();
-  /// A retired tip that no hazard pointer names, or nullptr.
-  std::unique_ptr<Tip> reusable_tip();
 
   const GenLinObject* obj_;
   size_t stride_;
   std::unique_ptr<MembershipMonitor> cur_;  // state after levels [0, fed_)
   size_t fed_ = 0;                          // levels consumed by cur_
-  /// Ascending levels in (0, fed_].  Every level this checker reached, by
-  /// feeding it or by adopting a tip there, lies less than `stride_` above
-  /// a checkpoint or level 0; in particular
-  /// fed_ < last_checkpoint_level() + stride_.
+  /// Ascending levels in (0, fed_], each on the chain the live monitor fed.
+  /// Every level this checker reached, by feeding it or by adopting a state
+  /// there, lies less than `stride_` above a checkpoint or level 0; in
+  /// particular fed_ < last_checkpoint_level() + stride_.
   std::vector<Checkpoint> checkpoints_;
   bool ok_ = true;
-  std::vector<Event> batch_;  // append_batch scratch
-
-  // Shared tips (empty slots_: not sharing).
-  std::span<TipSlot> slots_;
-  size_t self_ = 0;
-  std::vector<uint64_t> digests_;      // digests_[k]: prefix [0, k)
-  std::vector<uint64_t> audit_words_;  // audit builds: the hashed words
-  std::vector<size_t> audit_ends_;     // audit_words_ length per prefix
-  std::unique_ptr<Tip> published_;     // what slots_[self_].tip names
-  std::vector<std::unique_ptr<Tip>> retired_;
-  std::vector<const Tip*> hazards_;    // reusable_tip scratch
+  std::vector<const Level*> pending_;  // append_batch scratch
+  std::vector<Event> batch_;           // append_batch scratch
 
   uint64_t rollbacks_ = 0;
   uint64_t replayed_levels_ = 0;
   size_t peak_storm_records_ = 0;
   uint64_t tip_adoptions_ = 0;
-  uint64_t tips_rejected_ = 0;
 
   // Borrowed instrumentation bundle; not owned.
   const obs::LeveledHooks* obs_ = nullptr;

@@ -266,6 +266,42 @@ TEST(XBuilder, LevelsIndependentOfMergeOrder) {
   }
 }
 
+// Builders share sealed levels: a builder that takes another's sealed chain
+// and then adds late records copies the levels it changes, so the sealed
+// chain keeps its content, and both builders flatten to the X(λ) of their
+// own records.  Unsealed levels are rewritten in place: sealing again and
+// adding more leaves the first chain untouched too.
+TEST(XBuilder, SealedLevelsAreCopiedNotRewritten) {
+  test::SteppedQueueRun run = test::stepped_queue_run(16, 400, 3, 5);
+  const std::vector<LambdaRecord>& recs = run.records;
+  // Hold back every 7th record; the rest form the shared chain.
+  std::vector<LambdaRecord> base;
+  std::vector<const LambdaRecord*> late;
+  XBuilder a;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (i % 7 == 3) {
+      late.push_back(&recs[i]);
+    } else {
+      a.add(&recs[i]);
+      base.push_back(recs[i]);
+    }
+  }
+  a.seal();
+  const History a_flat = a.flatten();
+  ASSERT_TRUE(a_flat == x_of_lambda(base));
+  XBuilder b;
+  b.reset(a.top());
+  size_t mid_inserts = 0;
+  for (size_t k = 0; k < late.size(); ++k) {
+    if (b.add(late[k]) + 1 < b.depth()) ++mid_inserts;
+    if (k == late.size() / 2) b.seal();
+  }
+  EXPECT_GT(mid_inserts, 0u);
+  EXPECT_TRUE(b.flatten() == x_of_lambda(recs));
+  EXPECT_TRUE(a.flatten() == a_flat);
+  EXPECT_EQ(a.depth(), LevelIndex(a.top()).size());
+}
+
 TEST(LeveledChecker, AllStridesAgreeWithFromScratchUnderPermutations) {
   // Random record batches inserted in shuffled order: every checkpoint
   // stride must produce the same verdict sequence as an offline re-check.
