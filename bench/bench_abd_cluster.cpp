@@ -33,7 +33,6 @@ void BM_AbdClusterVerifiedOps(benchmark::State& state) {
     opts.max_delay_us = 0;
     opts.drop_permille = drop;
     opts.reorder = drop > 0;
-    opts.executor = std::make_shared<parallel::Executor>(2);
     cluster = std::make_unique<AbdCluster>(opts);
     cluster->start_drainer();
   }

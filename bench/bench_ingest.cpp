@@ -130,7 +130,6 @@ void BM_IngestMpscPublishDrain(benchmark::State& state) {
   uint64_t events = 0;
   for (auto _ : state) {
     service::ServiceOptions opts;
-    opts.lanes = 1;
     opts.batch_limit = 512;
     service::MonitorService svc(opts);
     const auto sid = svc.open("bench", make_spec(ObjectKind::kQueue));

@@ -1,19 +1,12 @@
 // Multi-tenant service throughput (the `multi_session` facet of
 // BENCH_lincheck.json): aggregate verified events/sec of N independent
-// sessions multiplexed over a shared executor with L worker lanes.
+// sessions, each owning its monitor, dedup arenas and frontier, drained in
+// turn by one MonitorService on the calling thread.  The sweep shows how
+// the aggregate rate moves as sessions are added to one drain loop.
 //
-// Sessions are embarrassingly parallel — each owns its monitor, dedup
-// arenas, and frontier — so aggregate throughput should scale with sessions
-// until the executor's lanes saturate the cores, while total threads stay
-// pinned at L however many sessions are open (the service contract
-// tests/service_test.cpp asserts).  On hosts with cores < lanes the sweep
-// measures scheduling overhead, not scaling; run_bench.sh records num_cpus
-// alongside for that reason, and the CI bench-scaling job re-records this
-// facet on the multi-core runner.
-//
-// BM_BatchedFeedAmortization isolates the other half of this PR's pipeline:
-// the same event stream fed per-event versus in service-sized batches
-// through one monitor — the batch path runs one closure per run of
+// BM_BatchedFeedAmortization isolates the other half of the service's
+// pipeline: the same event stream fed per-event versus in service-sized
+// batches through one monitor — the batch path runs one closure per run of
 // consecutive responses instead of one per response.
 #include <benchmark/benchmark.h>
 
@@ -65,7 +58,6 @@ constexpr ObjectKind kSessionKinds[] = {
 
 void BM_MultiSessionThroughput(benchmark::State& state) {
   const size_t sessions = static_cast<size_t>(state.range(0));
-  const size_t lanes = static_cast<size_t>(state.range(1));
   constexpr size_t kOpsPerSession = 256;
 
   std::vector<History> histories;
@@ -79,7 +71,6 @@ void BM_MultiSessionThroughput(benchmark::State& state) {
   uint64_t events = 0;
   for (auto _ : state) {
     service::ServiceOptions opts;
-    opts.lanes = lanes;
     opts.batch_limit = 256;
     service::MonitorService svc(opts);
     for (size_t i = 0; i < sessions; ++i) {
@@ -95,15 +86,12 @@ void BM_MultiSessionThroughput(benchmark::State& state) {
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
-  state.SetLabel("sessions=" + std::to_string(sessions) +
-                 "/lanes=" + std::to_string(lanes));
+  state.SetLabel("sessions=" + std::to_string(sessions));
 }
 
 BENCHMARK(BM_MultiSessionThroughput)
-    ->ArgsProduct({{1, 4, 16}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
+    ->Arg(1)->Arg(4)->Arg(16)
+    ->Unit(benchmark::kMillisecond);
 
 // Per-event versus batched feeding of one stream through one sequential
 // monitor: arg 0 = per-event, arg N = feed_batch in N-event chunks.

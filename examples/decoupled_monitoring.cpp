@@ -23,8 +23,8 @@ struct PhaseResult {
   History witness;
 };
 
-static PhaseResult run_phase(IConcurrent& impl, const GenLinObject& object,
-                             int ops_per_producer) {
+static PhaseResult run_monitored(IConcurrent& impl, const GenLinObject& object,
+                                 int ops_per_producer) {
   constexpr size_t kProducers = 3;
   constexpr size_t kVerifiers = 2;
   PhaseResult result;
@@ -74,7 +74,7 @@ int main() {
 
   {
     auto good = make_ms_queue();
-    PhaseResult r = run_phase(*good, *object, 4000);
+    PhaseResult r = run_monitored(*good, *object, 4000);
     std::cout << "phase 1 (correct Michael–Scott queue)\n"
               << "  producer ops : " << r.producer_ops << "\n"
               << "  ERROR reports: " << r.reports
@@ -84,7 +84,7 @@ int main() {
 
   {
     auto bad = make_dup_queue(1, 6, /*seed=*/77);
-    PhaseResult r = run_phase(*bad, *object, 20000);
+    PhaseResult r = run_monitored(*bad, *object, 20000);
     std::cout << "phase 2 (queue that redelivers ~1/6 of dequeues)\n"
               << "  producer ops before detection: " << r.producer_ops << "\n"
               << "  ERROR reports                : " << r.reports << "\n";

@@ -61,11 +61,12 @@ History parse_history_string(std::string_view text);
 std::optional<Event> parse_history_line(std::string_view line, size_t lineno);
 
 /// Incremental, line-at-a-time history reader — the io front end of the
-/// multi-session service: `selin_check --jobs N` interleaves reads from
-/// many files through one of these per file, feeding each batch to its
-/// session without ever materializing a whole history.  parse_history and
-/// parse_history_string are this reader run to the end, so every source
-/// goes through the same line parser and the same well-formedness check.
+/// multi-session service: `selin_check <object> f1 f2 ...` interleaves
+/// reads from many files through one of these per file, feeding each batch
+/// to its session without ever materializing a whole history.
+/// parse_history and parse_history_string are this reader run to the end,
+/// so every source goes through the same line parser and the same
+/// well-formedness check.
 ///
 /// Well-formedness is enforced *incrementally* with the same rules
 /// well_formed() applies to complete histories (no overlapping operations

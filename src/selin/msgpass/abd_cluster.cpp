@@ -10,8 +10,8 @@ AbdCluster::AbdCluster(const AbdClusterOptions& opts)
       net_(std::make_shared<AbdService>(AbdService::Options{
           opts.replicas, opts.seed, opts.max_delay_us, opts.drop_permille,
           opts.reorder, opts.retransmit_us})),
-      svc_(service::ServiceOptions{opts.lanes, opts.batch_limit,
-                                   opts.executor, opts.observe, opts.trace}) {
+      svc_(service::ServiceOptions{opts.batch_limit, opts.observe,
+                                   opts.trace}) {
   service::SessionOptions sopts;
   sopts.max_configs = opts.max_configs;
   sopts.inbox_capacity = opts.inbox_capacity;

@@ -24,9 +24,9 @@
 // Scale shape: hundreds-to-thousands of *logical* clients (ProcIds) ride a
 // handful of driver threads; per-register monitor state is bounded by the
 // frontier of concurrently pending ops (≈ driver threads), not by the
-// client population, and all sessions share one injected
-// parallel::Executor — the decoupled-deployment shape where the whole
-// cluster's checking runs on one bounded thread pool.
+// client population, and all sessions are fed in turn by one drainer — the
+// decoupled-deployment shape where the whole cluster's checking runs on one
+// controller thread.
 //
 // Threading contract: read()/write() are safe from any number of driver
 // threads (each logical client on one thread at a time).  Draining is a
@@ -61,13 +61,9 @@ struct AbdClusterOptions {
   bool reorder = false;
   uint64_t retransmit_us = 0;
   /// Monitoring-plane knobs (service::MonitorService / SessionOptions).
-  size_t lanes = 0;
   size_t batch_limit = 256;
   size_t max_configs = 1 << 18;
   size_t inbox_capacity = 1 << 14;
-  /// Shared lane provider for the service's drain rounds — pass the
-  /// deployment executor to keep one bounded thread pool end to end.
-  std::shared_ptr<parallel::Executor> executor;
   bool observe = false;
   obs::TraceSink* trace = nullptr;
 };

@@ -126,7 +126,6 @@ struct IngestServer::Conn {
 
 IngestServer::IngestServer(IngestOptions opts) : opts_(std::move(opts)) {
   service::ServiceOptions sopts;
-  sopts.lanes = opts_.lanes;
   sopts.batch_limit = opts_.batch_limit;
   sopts.observe = opts_.observe;
   svc_ = std::make_unique<service::MonitorService>(sopts);

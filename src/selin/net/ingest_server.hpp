@@ -1,7 +1,7 @@
 // Live event-ingest front end: TCP + Unix-domain-socket server mapping
 // connections to MonitorService sessions.
 //
-// Architecture — two threads plus the shared executor:
+// Architecture — two threads:
 //
 //   * The *reactor* (the thread calling run()) owns every socket: a poll()
 //     accept/read/write loop over the listeners and all connections.  It
@@ -13,11 +13,11 @@
 //     reactor behind the checker.
 //
 //   * The *drain* thread is the MonitorService controller: it loops
-//     drain_round() under the service mutex, absorbing inboxes and running
-//     the sessions' membership batches as executor phases.  Reactor-side
+//     drain_round() under the service mutex, absorbing inboxes and feeding
+//     the sessions' membership batches one after another.  Reactor-side
 //     queries (verdict/stats frames, the HTTP endpoints, open/close) take
 //     the same mutex, so they interleave with rounds, never with a running
-//     phase; the batch_limit quantum bounds how long a round can hold it.
+//     batch; the batch_limit quantum bounds how long a round can hold it.
 //
 //   So producers (the reactor, plus any in-process threads) run genuinely
 //   concurrent with checking — the MPSC path the service layer grew for
@@ -69,8 +69,6 @@ struct IngestOptions {
   /// TCP bind address.
   std::string tcp_host = "127.0.0.1";
 
-  /// Worker-lane cap of the service executor; 0 = hardware-resolved.
-  size_t lanes = 0;
   /// Drain fairness quantum (ServiceOptions::batch_limit).
   size_t batch_limit = 512;
   /// Per-session MPSC inbox bound (SessionOptions::inbox_capacity) — the

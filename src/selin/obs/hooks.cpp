@@ -20,19 +20,6 @@ EngineHooks make_engine_hooks(MetricsRegistry& reg, Labels labels,
   return h;
 }
 
-ExecutorHooks make_executor_hooks(MetricsRegistry& reg, Labels labels,
-                                  TraceSink* trace) {
-  ExecutorHooks h;
-  h.phase_ns = &reg.histogram("exec_phase_ns", labels);
-  h.phase_slices = &reg.histogram("exec_phase_slices", labels);
-  h.slices_caller =
-      &reg.counter("exec_slices_total", with(labels, "by", "caller"));
-  h.slices_worker =
-      &reg.counter("exec_slices_total", with(labels, "by", "worker"));
-  h.trace = trace;
-  return h;
-}
-
 LeveledHooks make_leveled_hooks(MetricsRegistry& reg, Labels labels,
                                 TraceSink* trace, uint64_t session,
                                 const EngineHooks* engine) {

@@ -1,11 +1,11 @@
 // Instrumentation hook bundles: the bridge between the observability core
 // and the instrumented components.
 //
-// The hot paths (FrontierEngine::feed_res_run, Executor::run_phase,
-// LeveledChecker::resync) must not pay registry lookups, string hashing, or
-// even a virtual call per event when observability is attached — and must
-// pay nothing but one pointer test when it is not.  So each component holds
-// a `const XxxHooks*`, null by default:
+// The hot paths (FrontierEngine::feed_res_run, LeveledChecker::resync)
+// must not pay registry lookups, string hashing, or even a virtual call per
+// event when observability is attached — and must pay nothing but one
+// pointer test when it is not.  So each component holds a `const
+// XxxHooks*`, null by default:
 //
 //   if (obs_ == nullptr) { ... untouched code path ... }
 //
@@ -35,15 +35,6 @@ struct EngineHooks {
   uint64_t session = 0;
 };
 
-/// parallel::Executor instrumentation (parallel/executor.hpp).
-struct ExecutorHooks {
-  Histogram* phase_ns = nullptr;      ///< run_phase wall ns
-  Histogram* phase_slices = nullptr;  ///< slices per phase
-  Counter* slices_caller = nullptr;   ///< slices run inline by phase callers
-  Counter* slices_worker = nullptr;   ///< slices claimed by worker lanes
-  TraceSink* trace = nullptr;         ///< kExecPhase spans
-};
-
 /// LeveledChecker instrumentation (views/leveled_history.hpp).
 struct LeveledHooks {
   Histogram* rollback_depth = nullptr;  ///< levels re-fed per rollback
@@ -61,9 +52,6 @@ struct LeveledHooks {
 EngineHooks make_engine_hooks(MetricsRegistry& reg, Labels labels = {},
                               TraceSink* trace = nullptr,
                               uint64_t session = 0);
-
-ExecutorHooks make_executor_hooks(MetricsRegistry& reg, Labels labels = {},
-                                  TraceSink* trace = nullptr);
 
 /// `engine` is stored as-is (pass a bundle with the same registry/labels to
 /// fold replay-monitor engine metrics into the checker's instruments).

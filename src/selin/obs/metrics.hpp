@@ -3,9 +3,9 @@
 // The monitors this repo builds are meant to watch long-lived concurrent
 // systems, so the monitor itself must be watchable without perturbing the
 // thing it measures.  Three instrument kinds cover what the engine, the
-// executor, the leveled checker and the service need to expose:
+// leveled checker and the service need to expose:
 //
-//   * Counter — monotone event counts (slices run, tasks posted).  Writes
+//   * Counter — monotone event counts (drain rounds, events drained).  Writes
 //     land on per-lane cache-line-padded slots indexed by a stable
 //     per-thread lane, so concurrent writers never contend on one line;
 //     value() aggregates the slots at read time.  Reads are racy-by-design

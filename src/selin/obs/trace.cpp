@@ -7,7 +7,6 @@ namespace selin::obs {
 const char* to_string(SpanKind k) {
   switch (k) {
     case SpanKind::kFeedRound: return "feed_round";
-    case SpanKind::kExecPhase: return "exec_phase";
     case SpanKind::kRollback: return "rollback";
     case SpanKind::kResync: return "resync";
     case SpanKind::kDrainRound: return "drain_round";

@@ -1,12 +1,12 @@
-// Lightweight trace layer: typed span events from the engine, the executor,
-// the leveled checker and the service, delivered to a pluggable sink.
+// Lightweight trace layer: typed span events from the engine, the leveled
+// checker and the service, delivered to a pluggable sink.
 //
 // Metrics (obs/metrics.hpp) aggregate; traces explain.  A latency histogram
 // says rollback replays got slower, the trace says *which* resync replayed
 // 400 levels and how wide the frontier was two rounds earlier.  Events are
-// coarse — one per feed round, executor phase, rollback or drain round,
-// never per configuration — so a mutex-protected sink is cheap relative to
-// the work each event describes.
+// coarse — one per feed round, rollback, resync or drain round, never per
+// configuration — so a mutex-protected sink is cheap relative to the work
+// each event describes.
 //
 // Two sinks ship:
 //   * RingRecorder — bounded in-memory ring, oldest events overwritten;
@@ -36,9 +36,6 @@ enum class SpanKind : uint8_t {
   /// p1 = post-run frontier width, p2 = responses in the run, p3 = total
   /// events fed so far.
   kFeedRound,
-  /// One Executor::run_phase dispatch.
-  /// p0 = slices, p1 = slices run by the caller, p2 = slices run by workers.
-  kExecPhase,
   /// One leveled-checker rollback.
   /// p0 = lowest dirty level, p1 = levels to replay, p2 = checkpoints kept.
   kRollback,

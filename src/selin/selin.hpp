@@ -25,7 +25,6 @@
 #include "selin/lincheck/setlin_checker.hpp"
 #include "selin/msgpass/abd.hpp"
 #include "selin/msgpass/abd_cluster.hpp"
-#include "selin/parallel/executor.hpp"
 #include "selin/service/monitor_service.hpp"
 #include "selin/sim/impossibility.hpp"
 #include "selin/sim/recorder.hpp"

@@ -71,7 +71,7 @@ void Session::run_one_batch(size_t limit) {
     monitor_.feed_batch(batch);
   } catch (const CheckerOverflow&) {
     // Sticky overflowed() on the monitor; the session reports it as a
-    // status instead of letting the exception cross the executor phase.
+    // status instead of letting the exception escape the drain round.
   }
   head_ += n;
   fed_ += n;
@@ -105,10 +105,7 @@ void Session::run_one_batch(size_t limit) {
 }
 
 MonitorService::MonitorService(const ServiceOptions& opts)
-    : exec_(opts.executor != nullptr
-                ? opts.executor
-                : std::make_shared<parallel::Executor>(opts.lanes)),
-      batch_limit_(opts.batch_limit == 0 ? 1 : opts.batch_limit) {
+    : batch_limit_(opts.batch_limit == 0 ? 1 : opts.batch_limit) {
   if (opts.observe) {
     reg_ = std::make_unique<obs::MetricsRegistry>();
     trace_ = opts.trace;
@@ -116,20 +113,7 @@ MonitorService::MonitorService(const ServiceOptions& opts)
     session_lag_ = &reg_->histogram("service_session_lag");
     drain_rounds_ = &reg_->counter("service_drain_rounds_total");
     events_drained_ = &reg_->counter("service_events_drained_total");
-    if (opts.executor == nullptr) {
-      // Only instrument an executor this service created; an injected one
-      // keeps whatever attachment its owner chose.
-      exec_hooks_ = std::make_unique<obs::ExecutorHooks>(
-          obs::make_executor_hooks(*reg_, {}, trace_));
-      exec_->set_obs(exec_hooks_.get());
-    }
   }
-}
-
-MonitorService::~MonitorService() {
-  // The executor may outlive this service through its shared_ptr; detach
-  // our bundle before it is destroyed with us.
-  if (exec_hooks_ != nullptr) exec_->set_obs(nullptr);
 }
 
 SessionId MonitorService::open(std::string name,
@@ -200,13 +184,10 @@ size_t MonitorService::drain_round() {
       session_lag_->record(s->pending());  // per-session event lag at drain
     }
   }
-  // One executor phase per round: sessions are mutually independent, so the
-  // phase is embarrassingly parallel; the per-session batch cap keeps the
-  // round (and thus cross-session latency) bounded.
-  const size_t limit = batch_limit_;
-  exec_->run_phase(ready.size(), [&ready, limit](size_t i) {
-    ready[i]->run_one_batch(limit);
-  });
+  // Sessions are mutually independent, so each batch is fed in turn; the
+  // per-session batch cap keeps the round (and thus cross-session latency)
+  // bounded.
+  for (Session* s : ready) s->run_one_batch(batch_limit_);
   if (reg_ != nullptr) {
     drain_rounds_->add(1);
     drain_sessions_->record(ready.size());

@@ -1,44 +1,42 @@
 // Multi-tenant monitoring service: many independent (spec, history) streams
-// multiplexed over one shared executor.
+// fed in turn by one drain thread.
 //
 // The paper's pipeline is single-tenant — one history, one monitor.  A
-// deployment
-// watching thousands of concurrently monitored objects cannot afford a
-// thread set per object; what it needs is the shape of Pod's generalized
-// consensus layer (PAPERS.md): many client streams multiplexed over one
-// fixed worker set.  MonitorService is that multiplexer for membership
-// checking:
+// deployment watching thousands of concurrently monitored objects cannot
+// afford a thread set per object; what it needs is the shape of Pod's
+// generalized consensus layer (PAPERS.md): many client streams multiplexed
+// over one fixed worker set.  MonitorService is that multiplexer for
+// membership checking, and its worker set is the one thread that calls
+// drain_round():
 //
-//   * one parallel::Executor, sized to the hardware (or injected), is the
-//     only source of worker threads — total threads stay bounded by its
-//     lane cap no matter how many sessions are open;
 //   * each Session owns an independent LinMonitor (its own spec, dedup
-//     arenas, frontier) plus a pending-event buffer — sessions share
-//     *threads*, never monitor state, so there is no cross-session
-//     synchronization beyond the executor's queue;
+//     arenas, frontier) plus a pending-event buffer — sessions share no
+//     monitor state, and each check is a local computation on its own
+//     session;
 //   * feeds are buffered and the service drains them in round-robin
 //     *batches*: each drain round takes at most `batch_limit` events from
-//     every pending session and runs the sessions' feed_batch calls as one
-//     executor phase, so independent sessions progress in parallel while
-//     the batched feed path amortizes per-event closure work within each.
+//     every pending session and feeds them, one session after another, so
+//     a firehose session cannot starve the others for longer than one
+//     batch while the batched feed path amortizes per-event closure work
+//     within each.
 //
 // Verdicts are deterministic per session: a session's events are fed in
-// arrival order whatever the interleaving with other sessions' work and
-// whatever the executor's lane count (tests/service_test.cpp asserts this).
-// Verdict granularity is the batch: ok() may flip anywhere inside a drained
-// batch, and first_bad_index() brackets the offense by the start of that
-// batch (re-check the reported window per event for the exact offender).
+// arrival order whatever the interleaving with other sessions' work
+// (tests/service_test.cpp asserts this).  Verdict granularity is the batch:
+// ok() may flip anywhere inside a drained batch, and first_bad_index()
+// brackets the offense by the start of that batch (re-check the reported
+// window per event for the exact offender).
 //
 // Threading contract: open/feed/drain/close are controller-thread calls
-// (one caller, like every selin facade); the parallelism lives inside
-// drain_round.  Per-session queries are safe between drains.  The one
-// cross-thread entry point is the MPSC feed: any number of producer threads
-// may publish event batches into a session's bounded *inbox* via
-// Session::try_publish (looked up through MonitorService::find), and the
-// controller's drain rounds absorb inboxes into the ordinary buffered path.
-// A full inbox rejects the batch — explicit backpressure the caller can
-// surface (the ingest daemon answers with a THROTTLE frame) instead of
-// unbounded buffering, silent drops, or blocking the producer.
+// (one caller, like every selin facade).  Per-session queries are safe
+// between drains.  The one cross-thread entry point is the MPSC feed: any
+// number of producer threads may publish event batches into a session's
+// bounded *inbox* via Session::try_publish (looked up through
+// MonitorService::find), and the controller's drain rounds absorb inboxes
+// into the ordinary buffered path.  A full inbox rejects the batch —
+// explicit backpressure the caller can surface (the ingest daemon answers
+// with a THROTTLE frame) instead of unbounded buffering, silent drops, or
+// blocking the producer.
 #pragma once
 
 #include <atomic>
@@ -53,7 +51,6 @@
 #include "selin/lincheck/checker.hpp"
 #include "selin/obs/hooks.hpp"
 #include "selin/obs/metrics.hpp"
-#include "selin/parallel/executor.hpp"
 #include "selin/spec/spec.hpp"
 
 namespace selin::service {
@@ -61,21 +58,13 @@ namespace selin::service {
 using SessionId = size_t;
 
 struct ServiceOptions {
-  /// Worker-lane cap of the service's executor; 0 = hardware-resolved.
-  /// Ignored when `executor` is provided.
-  size_t lanes = 0;
   /// Max events drained from one session per round — the fairness quantum:
   /// a firehose session cannot starve the others for longer than one batch.
   size_t batch_limit = 256;
-  /// Share an existing executor (e.g. with other services) instead of
-  /// creating one.
-  std::shared_ptr<parallel::Executor> executor;
   /// Build the observability plane: a per-session MetricsRegistry with the
-  /// engine instrument set (labelled session=<name>), service drain-round
-  /// instruments, and — when the service creates its own executor —
-  /// executor instruments (an injected executor keeps its owner's
-  /// attachment).  Off by default: unobserved sessions pay one null check
-  /// per feed round.
+  /// engine instrument set (labelled session=<name>) and the service's
+  /// drain-round instruments.  Off by default: unobserved sessions pay one
+  /// null check per feed round.
   bool observe = false;
   /// Receives kDrainRound / kSessionBatch / engine spans (borrowed; must
   /// outlive the service).  Only read when `observe` is set.
@@ -155,9 +144,9 @@ class Session {
           const SessionOptions& opts, uint64_t id, bool observe,
           obs::TraceSink* trace);
 
-  /// Feed up to `limit` buffered events into the monitor (executor-phase
-  /// job: touches only this session).  CheckerOverflow is absorbed into the
-  /// sticky overflowed status.
+  /// Feed up to `limit` buffered events into the monitor (touches only
+  /// this session).  CheckerOverflow is absorbed into the sticky
+  /// overflowed status.
   void run_one_batch(size_t limit);
 
   /// Controller-side half of the MPSC feed: moves the inbox into the
@@ -174,7 +163,7 @@ class Session {
   size_t fed_ = 0;
   size_t first_bad_ = 0;
   // Rejected or overflowed: drop further input.  Atomic so producer-thread
-  // publishes can read it while an executor lane settles the verdict.
+  // publishes can read it while the drain thread settles the verdict.
   std::atomic<bool> settled_{false};
 
   // MPSC inbox (see try_publish).  inbox_len_ mirrors inbox_.size() so
@@ -196,7 +185,6 @@ class Session {
 class MonitorService {
  public:
   explicit MonitorService(const ServiceOptions& opts = {});
-  ~MonitorService();
 
   /// Opens an independent stream checked against `spec`.  The returned id
   /// is stable for the service's lifetime (ids are never reused).
@@ -226,8 +214,8 @@ class MonitorService {
   void feed(SessionId id, std::span<const Event> events);
 
   /// One round-robin scheduling round: up to batch_limit events from every
-  /// session with pending input, the batches running concurrently on the
-  /// executor.  Returns the number of sessions serviced (0 = nothing
+  /// session with pending input, fed one session after another on the
+  /// calling thread.  Returns the number of sessions serviced (0 = nothing
   /// pending).
   size_t drain_round();
 
@@ -237,14 +225,10 @@ class MonitorService {
   /// Total events still buffered across sessions.
   size_t pending() const;
 
-  const std::shared_ptr<parallel::Executor>& executor() const {
-    return exec_;
-  }
-
   bool observed() const { return reg_ != nullptr; }
 
   /// Merged snapshot of the whole observability plane: the service's own
-  /// drain-round/executor instruments plus every session's registry, with
+  /// drain-round instruments plus every session's registry, with
   /// each session's engine counters sampled in.  Empty when unobserved.
   /// Controller-thread call, between drains (like every query).
   obs::MetricsSnapshot metrics_snapshot();
@@ -254,7 +238,6 @@ class MonitorService {
   std::string metrics_json();
 
  private:
-  std::shared_ptr<parallel::Executor> exec_;
   size_t batch_limit_;
   // Guards the sessions_ vector itself (growth in open, nulling in close)
   // against concurrent find() from producer threads.  Session contents are
@@ -264,11 +247,8 @@ class MonitorService {
   std::vector<std::unique_ptr<Session>> sessions_;
   size_t rr_ = 0;  // round-robin start offset (fairness rotation)
 
-  // Observability plane (all null when unobserved).  exec_hooks_ is heap-
-  // allocated so the executor's borrowed pointer stays valid until the
-  // destructor detaches it.
+  // Observability plane (all null when unobserved).
   std::unique_ptr<obs::MetricsRegistry> reg_;
-  std::unique_ptr<obs::ExecutorHooks> exec_hooks_;
   obs::TraceSink* trace_ = nullptr;
   obs::Histogram* drain_sessions_ = nullptr;  // sessions serviced per round
   obs::Histogram* session_lag_ = nullptr;     // pending events at drain time

@@ -102,8 +102,8 @@ class FpSet {
   }
 
   /// Global prefetch toggle (A/B attribution in bench_closure_hot).  Relaxed
-  /// atomic: lanes may observe a flip mid-run, which only changes whether
-  /// prefetches are issued, never a probe result.
+  /// atomic: a checking thread may observe a flip mid-run, which only
+  /// changes whether prefetches are issued, never a probe result.
   static void set_prefetch(bool on) {
     prefetch_flag().store(on, std::memory_order_relaxed);
   }

@@ -135,7 +135,6 @@ TEST(EnforcedPort, AbdClusterMultiClientLossyScheduleVerifiesOk) {
   opts.max_delay_us = 0;
   opts.drop_permille = 50;
   opts.reorder = true;
-  opts.executor = std::make_shared<parallel::Executor>(2);
   AbdCluster cluster(opts);
   cluster.start_drainer();
 

@@ -30,7 +30,6 @@ namespace selin::net {
 namespace {
 
 using service::MonitorService;
-using service::ServiceOptions;
 using service::Session;
 using service::SessionOptions;
 
@@ -71,9 +70,7 @@ TEST(IngestMpsc, ConcurrentProducersOneSession) {
   constexpr size_t kProducers = 4;
   constexpr size_t kOpsPerProducer = 2000;
 
-  ServiceOptions sopts;
-  sopts.lanes = 2;
-  MonitorService svc(sopts);
+  MonitorService svc;
   SessionOptions so;
   so.inbox_capacity = 256;  // small: guarantees overflow rejections
   const auto sid = svc.open("mpsc", make_spec(ObjectKind::kConsensus), so);

@@ -332,7 +332,6 @@ TEST(ObsHooks, LinMonitorRecordsRoundsAndClonesInherit) {
 TEST(ObsHooks, MonitorServiceObservedSessions) {
   RingRecorder ring;
   service::ServiceOptions so;
-  so.lanes = 2;
   so.observe = true;
   so.trace = &ring;
   service::MonitorService svc(so);
@@ -370,9 +369,6 @@ TEST(ObsHooks, MonitorServiceObservedSessions) {
   ASSERT_NE(fed_b, nullptr);
   EXPECT_EQ(fed_a->gauge, 8);
   EXPECT_EQ(fed_b->gauge, 8);
-  // Executor instruments live in the service registry (service-owned
-  // executor).
-  EXPECT_NE(snap.find("exec_phase_ns"), nullptr);
 
   // Trace: session batches attribute to their session ids; drain rounds
   // and session batches both present.

@@ -71,44 +71,38 @@ expect 2 "$bin" queue "$pid_wrap"
 
 # ---- multi-history mode ----------------------------------------------------
 # All accepting: 0, and the summary table lists every file as OK.
-expect 0 "$bin" queue "${ok_files[@]}" --jobs 2
+expect 0 "$bin" queue "${ok_files[@]}"
 expect_grep '^file +verdict +events$'
 expect_grep 'ok_1\.hist +OK +10'
 
 # Any violation: 1, named in the table.
-expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" --jobs 2
+expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist"
 expect_grep 'bad_fifo\.hist +VIOLATION'
 
 # Any overflow outranks violations: 3.
 expect 3 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" \
-  "$overflow" --jobs 2
+  "$overflow"
 expect_grep 'overflow\.hist +OVERFLOW'
 
 # Any session error (malformed or unreadable) outranks everything: 4.
-expect 4 "$bin" queue "${ok_files[@]}" "$tmp/hists/broken.hist" --jobs 2
+expect 4 "$bin" queue "${ok_files[@]}" "$tmp/hists/broken.hist"
 expect_grep 'broken\.hist +ERROR'
-expect 4 "$bin" queue "${ok_files[0]}" "$tmp/does-not-exist.hist" --jobs 2
+expect 4 "$bin" queue "${ok_files[0]}" "$tmp/does-not-exist.hist"
 # A directory opens but never reads: a dead stream is an ERROR, not EOF/OK.
-expect 4 "$bin" queue "${ok_files[0]}" "$tmp/hists" --jobs 2
+expect 4 "$bin" queue "${ok_files[0]}" "$tmp/hists"
 
-# --jobs with one file still runs the service path.
-expect 0 "$bin" queue "${ok_files[0]}" --jobs 1
 # --quiet multi prints only non-OK rows.
-expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" --jobs 2 --quiet
+expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" --quiet
 expect_grep 'bad_fifo\.hist +VIOLATION'
 if grep -q "ok_1.hist" "$tmp/out"; then
   echo "FAIL: --quiet printed an OK row" >&2
   fails=$((fails + 1))
 fi
 # Usage errors in multi mode: stdin and --witness are single-only.
-expect 2 "$bin" queue "${ok_files[0]}" - --jobs 2
-expect 2 "$bin" queue "${ok_files[@]}" --jobs 2 --witness
-expect 2 "$bin" queue "${ok_files[@]}" --jobs 0
-# --jobs takes a whole token of decimal digits: no sign, no leading space,
-# nothing strtoul would negate into range.
-expect 2 "$bin" queue "${ok_files[@]}" --jobs -18446744073709551615
-expect 2 "$bin" queue "${ok_files[@]}" --jobs +4
-expect 2 "$bin" queue "${ok_files[@]}" --jobs ' 4'
+expect 2 "$bin" queue "${ok_files[0]}" -
+expect 2 "$bin" queue "${ok_files[@]}" --witness
+# Files are checked one after another: --jobs is an unknown flag.
+expect 2 "$bin" queue "${ok_files[@]}" --jobs 2
 
 # ---- observability outputs -------------------------------------------------
 # A JSON round-trip helper: parses stdin as JSON, checks that a
@@ -207,7 +201,7 @@ expect 2 "$bin" queue "${ok_files[0]}" --trace "$tmp/no-such-dir/t.jsonl"
 
 # Multi mode: --metrics - suppresses the table, merges per-session
 # registries (session labels) with service drain-round instruments.
-expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" --jobs 2 \
+expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" \
   --metrics -
 if ! python3 -c "
 import json
@@ -236,7 +230,7 @@ expect_grep '^FLAGGED'
 expect 3 "$bin" queue "$overflow" --enforced
 expect 2 "$bin" queue "$tmp/hists/broken.hist" --enforced
 # Mode guards: --enforced is single-history only and excludes --witness.
-expect 2 "$bin" queue "${ok_files[@]}" --jobs 2 --enforced
+expect 2 "$bin" queue "${ok_files[@]}" --enforced
 expect 2 "$bin" queue "${ok_files[0]}" --enforced --witness
 # --stats-json surfaces the aggregated checker EngineStats with the same
 # pinned key set as membership mode (enforced objects are not opaque to the
@@ -263,7 +257,7 @@ expect 1 "$bin" queue "$tmp/hists/bad_fifo.hist" --enforced --metrics -
 json_has "$tmp/out" metrics
 
 # Multi-mode --stats-json: one {file, stats} line per session.
-expect 0 "$bin" queue "${ok_files[@]}" --jobs 2 --quiet --stats-json
+expect 0 "$bin" queue "${ok_files[@]}" --quiet --stats-json
 if ! python3 -c "
 import json
 lines = [json.loads(l) for l in open('$tmp/out')]

@@ -100,13 +100,19 @@ expect 2 "$daemon" --tcp notaport
 expect 2 "$daemon" --uds "$tmp/x.sock" --batch-limit 0
 expect 2 "$daemon" --uds "$tmp/x.sock" --bogus-flag
 # Out-of-range sizes are usage errors, not a READY daemon that aborts on
-# its first session.  Lanes share selin_check's 256 cap; batch limit and
-# inbox capacity must fit the hello ack's 32-bit fields.  `timeout` turns a
-# daemon that wrongly starts serving into a failed row instead of a hung
-# suite.
-expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --lanes 257
+# its first session.  Batch limit and inbox capacity must fit the hello
+# ack's 32-bit fields.  `timeout` turns a daemon that wrongly starts serving
+# into a failed row instead of a hung suite.
 expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --batch-limit 4294967296
 expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --inbox-capacity 4294967296
+# Sizes are whole tokens of decimal digits: no sign, no leading space,
+# nothing strtoull would negate into range.
+expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" \
+  --batch-limit -18446744073709551615
+expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --batch-limit +4
+expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --batch-limit ' 4'
+# The drain thread feeds sessions in turn: --lanes is an unknown flag.
+expect 2 timeout 10 "$daemon" --uds "$tmp/x.sock" --lanes 2
 expect 2 "$soak"                          # soak needs a target too
 expect 2 "$soak" --uds "$tmp/x.sock" --width 3
 
@@ -161,15 +167,15 @@ assert doc['server']['sessions_closed'] >= 1, doc
   check "daemon unlinks its socket on shutdown" test ! -e "$sock"
 fi
 
-# ---- two shared lanes, mixed verdicts --------------------------------------
+# ---- mixed verdicts ---------------------------------------------------------
 
-# Every session drains over two shared lanes; --reject-every makes some
-# sessions end REJECTED, so both verdicts travel the daemon path.
-sock="$tmp/lanes.sock"
-if start_daemon --uds "$sock" --lanes 2; then
+# --reject-every makes some sessions end REJECTED, so both verdicts travel
+# the daemon path.
+sock="$tmp/mixed.sock"
+if start_daemon --uds "$sock"; then
   expect 0 "$soak" --uds "$sock" --sessions 6 --events 200 --threads 2 \
     --width 2 --reject-every 3
-  check "two-lane soak reports all verdicts as expected" \
+  check "mixed-verdict soak reports all verdicts as expected" \
     grep -q '^SOAK ok' "$tmp/out"
   stop_daemon
 fi

@@ -1,25 +1,19 @@
-// Multi-tenant monitoring service (src/selin/service/) and the shared
-// executor underneath it (src/selin/parallel/executor.hpp).
+// Multi-tenant monitoring service (src/selin/service/).
 //
 // The service multiplexes N independent (spec, history) sessions over one
-// executor.  What must hold:
+// drain thread.  What must hold:
 //
 //  * per-session verdicts are a function of the session's own event stream —
-//    identical whatever the interleaving with other sessions' batches and
-//    whatever the executor's lane count (cross-session isolation /
-//    determinism; the TSan CI leg runs this suite to certify the
-//    data-race-freedom half of that claim);
-//  * total spawned threads stay bounded by the executor's lane cap no
-//    matter how many sessions are open (the multi-tenant scaling
-//    contract);
+//    identical whatever the interleaving with other sessions' batches
+//    (cross-session isolation / determinism; the TSan CI leg runs this
+//    suite);
+//  * a drain round feeds every pending session at most batch_limit events
+//    (the fairness quantum);
 //  * a session overflowing its exploration budget (or rejecting) is
-//    settled and isolated — other sessions keep progressing;
-//  * the executor's phase dispatch is correct under nesting and rethrows
-//    job exceptions.
+//    settled and isolated — other sessions keep progressing.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <algorithm>
 #include <vector>
 
 #include "test_util.hpp"
@@ -81,24 +75,63 @@ void expect_matches_reference(const service::MonitorService& svc,
   }
 }
 
-TEST(MonitorService, VerdictsMatchSequentialReferencePerLaneCount) {
+TEST(MonitorService, VerdictsMatchSequentialReference) {
   std::vector<Stream> streams = make_streams(6);
-  for (size_t lanes : {1, 2, 4}) {
-    service::ServiceOptions opts;
-    opts.lanes = lanes;
-    opts.batch_limit = 16;
-    service::MonitorService svc(opts);
-    for (size_t i = 0; i < streams.size(); ++i) {
-      svc.open("s" + std::to_string(i), make_spec(streams[i].kind));
-    }
-    for (size_t i = 0; i < streams.size(); ++i) {
-      svc.feed(i, std::span<const Event>(streams[i].h.data(),
-                                         streams[i].h.size()));
-    }
-    svc.drain();
-    expect_matches_reference(svc, streams,
-                             ("lanes=" + std::to_string(lanes)).c_str());
+  service::ServiceOptions opts;
+  opts.batch_limit = 16;
+  service::MonitorService svc(opts);
+  for (size_t i = 0; i < streams.size(); ++i) {
+    svc.open("s" + std::to_string(i), make_spec(streams[i].kind));
   }
+  for (size_t i = 0; i < streams.size(); ++i) {
+    svc.feed(i, std::span<const Event>(streams[i].h.data(),
+                                       streams[i].h.size()));
+  }
+  svc.drain();
+  expect_matches_reference(svc, streams, "drain");
+}
+
+// The drain quantum: round k has fed each session exactly
+// min(length, batch_limit * k) events, and a round services only the
+// sessions that still had input when it started.
+TEST(MonitorService, DrainRoundFeedsAtMostBatchLimitPerSession) {
+  constexpr size_t kLimit = 16;
+  const size_t lengths[] = {100, 10, 40};
+  std::vector<Stream> streams;
+  for (size_t i = 0; i < std::size(lengths); ++i) {
+    Stream s;
+    s.kind = kKinds[i];
+    s.h = random_linearizable_history(s.kind, 3, lengths[i] / 2, 500 + i);
+    ASSERT_EQ(s.h.size(), lengths[i]);
+    auto spec = make_spec(s.kind);
+    LinMonitor ref(*spec);
+    for (const Event& e : s.h) ref.feed(e);
+    ASSERT_TRUE(ref.ok());
+    s.expect_ok = true;
+    s.ref_frontier = ref.frontier_size();
+    streams.push_back(std::move(s));
+  }
+
+  service::ServiceOptions opts;
+  opts.batch_limit = kLimit;
+  service::MonitorService svc(opts);
+  for (size_t i = 0; i < streams.size(); ++i) {
+    svc.open("s" + std::to_string(i), make_spec(streams[i].kind));
+    svc.feed(i, std::span<const Event>(streams[i].h.data(),
+                                       streams[i].h.size()));
+  }
+  const size_t serviced[] = {3, 2, 2, 1, 1, 1, 1, 0};
+  for (size_t k = 1; k <= std::size(serviced); ++k) {
+    EXPECT_EQ(svc.drain_round(), serviced[k - 1]) << "round " << k;
+    for (size_t i = 0; i < streams.size(); ++i) {
+      const size_t want = std::min(lengths[i], kLimit * k);
+      EXPECT_EQ(svc.session(i).events_fed(), want)
+          << "round " << k << " session " << i;
+      EXPECT_EQ(svc.session(i).pending(), lengths[i] - want)
+          << "round " << k << " session " << i;
+    }
+  }
+  expect_matches_reference(svc, streams, "quantum");
 }
 
 // Same verdicts whatever the feed/drain interleaving: dribble events in
@@ -107,7 +140,6 @@ TEST(MonitorService, VerdictsIndependentOfInterleaving) {
   std::vector<Stream> streams = make_streams(5);
   for (uint64_t schedule = 0; schedule < 4; ++schedule) {
     service::ServiceOptions opts;
-    opts.lanes = 2;
     opts.batch_limit = 4 + schedule * 5;
     service::MonitorService svc(opts);
     for (size_t i = 0; i < streams.size(); ++i) {
@@ -135,62 +167,11 @@ TEST(MonitorService, VerdictsIndependentOfInterleaving) {
   }
 }
 
-// The multi-tenant contract: many sessions, bounded threads.  The service's
-// executor must never spawn more workers than its lane cap even with far
-// more sessions than lanes.
-TEST(MonitorService, SpawnedThreadsBoundedByLaneCap) {
-  constexpr size_t kLanes = 2;
-  service::ServiceOptions opts;
-  opts.lanes = kLanes;
-  opts.batch_limit = 8;
-  service::MonitorService svc(opts);
-  std::vector<Stream> streams = make_streams(12);
-  for (size_t i = 0; i < streams.size(); ++i) {
-    svc.open("s" + std::to_string(i), make_spec(streams[i].kind));
-    svc.feed(i, std::span<const Event>(streams[i].h.data(),
-                                       streams[i].h.size()));
-  }
-  svc.drain();
-  EXPECT_EQ(svc.executor()->lanes(), kLanes);
-  EXPECT_LE(svc.executor()->threads_spawned(), kLanes);
-  expect_matches_reference(svc, streams, "bounded-threads");
-}
-
-// An injected executor is shared verbatim: two services, one pool, still
-// bounded, still correct.
-TEST(MonitorService, SharesInjectedExecutor) {
-  auto exec = std::make_shared<parallel::Executor>(2);
-  service::ServiceOptions opts;
-  opts.executor = exec;
-  service::MonitorService a(opts), b(opts);
-  EXPECT_EQ(a.executor().get(), exec.get());
-  EXPECT_EQ(b.executor().get(), exec.get());
-  std::vector<Stream> streams = make_streams(4);
-  for (size_t i = 0; i < streams.size(); ++i) {
-    service::MonitorService& svc = (i % 2 == 0) ? a : b;
-    svc.open("s" + std::to_string(i), make_spec(streams[i].kind));
-  }
-  for (size_t i = 0; i < streams.size(); ++i) {
-    service::MonitorService& svc = (i % 2 == 0) ? a : b;
-    svc.feed(i / 2, std::span<const Event>(streams[i].h.data(),
-                                           streams[i].h.size()));
-  }
-  a.drain();
-  b.drain();
-  EXPECT_LE(exec->threads_spawned(), 2u);
-  for (size_t i = 0; i < streams.size(); ++i) {
-    const service::MonitorService& svc = (i % 2 == 0) ? a : b;
-    EXPECT_EQ(svc.session(i / 2).ok(), streams[i].expect_ok) << i;
-  }
-}
-
 // A session blowing its exploration budget settles as kOverflowed without
 // disturbing its neighbors, and drops (rather than accumulates) further
 // input.
 TEST(MonitorService, OverflowIsolatedPerSession) {
-  service::ServiceOptions opts;
-  opts.lanes = 2;
-  service::MonitorService svc(opts);
+  service::MonitorService svc;
 
   // Session 0: 6 concurrently open enqueues against a 4-config budget.
   service::SessionOptions tight;
@@ -236,7 +217,6 @@ TEST(MonitorService, FirstBadIndexBracketsTheOffense) {
   ASSERT_TRUE(corrupt_response(bad.h, 3));
 
   service::ServiceOptions opts;
-  opts.lanes = 2;
   opts.batch_limit = 8;
   service::MonitorService svc(opts);
   svc.open("bad", make_spec(bad.kind));
@@ -250,59 +230,6 @@ TEST(MonitorService, FirstBadIndexBracketsTheOffense) {
       << "offense must lie within the final drained batch";
   // Stats flow through per session.
   EXPECT_GT(s.stats().events_fed, 0u);
-}
-
-// ---- executor primitives ---------------------------------------------------
-
-TEST(Executor, PhaseRunsEverySliceExactlyOnce) {
-  parallel::Executor exec(3);
-  for (size_t n : {1, 2, 7, 64}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    exec.run_phase(n, [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-  EXPECT_LE(exec.threads_spawned(), 3u);
-}
-
-// Lanes are spawned per phase width, not up to the cap: slice 0 runs on
-// the caller, so an n-slice phase needs at most n - 1 workers.
-TEST(Executor, SpawnsLanesForPhaseWidth) {
-  parallel::Executor exec(64);
-  std::atomic<int> ran{0};
-  exec.run_phase(3, [&](size_t) { ran.fetch_add(1); });
-  EXPECT_LE(exec.threads_spawned(), 2u);
-  exec.run_phase(10, [&](size_t) { ran.fetch_add(1); });
-  EXPECT_LE(exec.threads_spawned(), 9u);
-  EXPECT_EQ(ran.load(), 13);
-}
-
-TEST(Executor, PhaseRethrowsFirstJobException) {
-  parallel::Executor exec(2);
-  EXPECT_THROW(
-      exec.run_phase(5,
-                     [&](size_t i) {
-                       if (i == 3) throw std::runtime_error("slice 3");
-                     }),
-      std::runtime_error);
-  // The executor stays usable after a throwing phase.
-  std::atomic<int> ok{0};
-  exec.run_phase(4, [&](size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 4);
-}
-
-// A phase job launching its own phase on the same executor: callers claim
-// unstarted slices themselves, so nested phases must complete without
-// deadlock whatever the lane count.
-TEST(Executor, NestedPhasesComplete) {
-  for (size_t lanes : {1, 2}) {
-    parallel::Executor exec(lanes);
-    std::atomic<int> inner{0};
-    exec.run_phase(3, [&](size_t) {
-      exec.run_phase(4, [&](size_t) { inner.fetch_add(1); });
-    });
-    EXPECT_EQ(inner.load(), 12);
-  }
 }
 
 }  // namespace

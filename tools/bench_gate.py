@@ -52,11 +52,11 @@ RUNS = {
 
 UNSTABLE_PREFIXES = (
     # The multi_session facet (bench_multi_session: BM_MultiSessionThroughput
-    # sessions x lanes sweep) is excluded the same way: cross-session scaling
-    # is a property of the host's core count, so it stays out of the gate
-    # until the CI bench-scaling job records it on the multi-core runner.
-    # It lives in its own binary, which the gate never runs; listed here so
-    # adding it to RUNS by accident cannot silently gate on it.
+    # by session count) tracks how the round-robin drain's rate moves as
+    # sessions are added, which rides the host's cache sizes rather than
+    # the engine alone.  It lives in its own binary, which the gate never
+    # runs; listed here so adding it to RUNS by accident cannot silently
+    # gate on it.
     "BM_MultiSessionThroughput",
     # The obs_overhead facet gates on the ratio *between* its arms (metrics
     # attached vs detached, recorded directly by tools/run_bench.sh

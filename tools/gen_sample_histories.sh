@@ -5,7 +5,7 @@
 #
 # Usage: tools/gen_sample_histories.sh <dir> [--with-broken]
 #
-# CI drives `selin_check queue --jobs 4 <dir>/*.hist` over the output; with
+# CI drives `selin_check queue <dir>/*.hist` over the output; with
 # only ok_*.hist files the expected exit code is 0, with the rejecting trace
 # included it is 1, and with --with-broken it is 4 (any-session-error).
 set -euo pipefail

@@ -28,9 +28,8 @@
 # benchmark (bench_leveled_replay) and replaces just the `leveled_replay`
 # facet of BENCH_lincheck.json, leaving every other recorded number
 # untouched; --facet multi_session does the same for the multi-tenant
-# service sweep
-# (bench_multi_session: sessions x shared-executor lanes, aggregate
-# events/sec), and --facet obs_overhead for the observability
+# service sweep (bench_multi_session: aggregate events/sec by session
+# count), and --facet obs_overhead for the observability
 # tax facet (bench_obs_overhead: incremental-monitor throughput detached vs
 # metrics vs metrics+trace; the ISSUE 7 budget is <= 2% with metrics
 # attached), and --facet closure_hot for the closure hot-path facet
@@ -294,41 +293,31 @@ def leveled_replay_facet(run):
     })
 
 def multi_session_facet(run):
-    """Aggregate verified-events/sec of the multi-tenant service by
-    (sessions, shared-executor lanes) — BM_MultiSessionThroughput — plus the
-    single-monitor batched-feed A/B (BM_BatchedFeedAmortization).  Session
-    scaling requires cores >= lanes; num_cpus is recorded alongside so
-    single-core hosts aren't misread as regressions.  Unstable by design:
-    tools/bench_gate.py excludes it from the regression gate until the CI
-    bench-scaling job records it on the multi-core runner."""
-    per_combo, batch = {}, {}
+    """Aggregate verified-events/sec of the multi-tenant service by session
+    count — BM_MultiSessionThroughput — plus the single-monitor batched-feed
+    A/B (BM_BatchedFeedAmortization).  Excluded from the regression gate
+    (tools/bench_gate.py)."""
+    per_sessions, batch = {}, {}
     for b in run["benchmarks"]:
         name = b.get("name", "")
         if b.get("run_type") == "aggregate" or "items_per_second" not in b:
             continue
         if name.startswith("BM_MultiSessionThroughput/"):
-            parts = name.split("/")
-            per_combo[f"{parts[1]}x{parts[2]}"] = b["items_per_second"]
+            per_sessions[name.split("/")[1]] = b["items_per_second"]
         elif name.startswith("BM_BatchedFeedAmortization/"):
             arg = name.split("/")[1]
             arm = "per-event" if arg == "0" else f"batch={arg}"
             batch[arm] = b["items_per_second"]
-    if not per_combo:
+    if not per_sessions:
         return None
-    def base_for(combo):
-        return per_combo.get(combo.split("x")[0] + "x1")
-    return {
+    return tag_non_release({
         "workload": "N independent linearizable sessions (256 ops each, "
-                    "mixed specs) multiplexed over a shared executor; key = "
-                    "sessions x lanes",
+                    "mixed specs) drained in turn by one service; key = "
+                    "sessions",
         "num_cpus": run["context"].get("num_cpus"),
-        "events_per_second_by_sessions_x_lanes": per_combo,
-        "speedup_vs_1_lane": {
-            c: (v / base_for(c) if base_for(c) else None)
-            for c, v in per_combo.items()
-        },
+        "events_per_second_by_sessions": per_sessions,
         "batched_feed_events_per_second": batch or None,
-    }
+    })
 
 def obs_overhead_facet(run):
     """Observability tax on the incremental monitor's feed hot path

@@ -4,19 +4,16 @@
 //   selin_check <object> <history-file> [--witness] [--quiet] [--stats]
 //   selin_check <object> -              (read from stdin)
 //
-// Multi-history mode (more than one file, or --jobs given): every file
-// becomes an independent session of a service::MonitorService multiplexed
-// over one shared executor — files are streamed line-at-a-time
-// (HistoryStreamReader), batches are scheduled round-robin, and the
-// sessions' membership tests run concurrently on --jobs worker lanes:
-//   selin_check <object> file1 file2 ... [--jobs N] [--quiet] [--stats]
+// Multi-history mode (more than one file): every file becomes an
+// independent session of a service::MonitorService — files are streamed
+// line-at-a-time (HistoryStreamReader) and their batches are fed
+// round-robin, one session after another:
+//   selin_check <object> file1 file2 ... [--quiet] [--stats]
 // A per-file verdict summary table is printed at the end (unless --quiet,
 // which prints only failing files).
 //
 // <object>: queue | stack | set | pqueue | counter | register | consensus
 //
-// --jobs N (1..256, decimal digits only) caps the worker lanes the sessions
-// are checked on; each session's membership test itself is sequential.
 // The witness (--witness, single-history only) comes from the DFS, which is
 // the only checker that records a linearization order.  --stats prints the
 // engine's execution counters per history.
@@ -27,15 +24,14 @@
 //                      stdout; in multi-history mode one
 //                      {"file":...,"stats":{...}} line per session.
 //   --metrics <file|-> attach the obs metrics plane (per-session registries,
-//                      engine round/frontier histograms, executor and
-//                      drain-round instruments in multi mode) and write one
+//                      engine round/frontier histograms, drain-round
+//                      instruments in multi mode) and write one
 //                      obs::snapshot_json document at exit.  `-` writes the
 //                      document to stdout and implies --quiet, so stdout is
 //                      a single parseable JSON document.
 //   --trace <file>     attach an obs::JsonlSink: one JSON line per span
-//                      event (feed rounds, executor phases, rollbacks,
-//                      resyncs, drain rounds, session batches — see
-//                      obs/trace.hpp).
+//                      event (feed rounds, rollbacks, resyncs, drain
+//                      rounds, session batches — see obs/trace.hpp).
 // Verdict exit codes are unchanged by these flags; an unwritable metrics or
 // trace file is a usage error (2).
 //
@@ -89,8 +85,6 @@
 #include "selin/service/monitor_service.hpp"
 #include "selin/sim/workload.hpp"
 
-#include "cli_args.hpp"
-
 namespace {
 
 using namespace selin;
@@ -111,9 +105,9 @@ int usage() {
                "consensus> <file|-> [--witness] [--enforced] [--quiet] "
                "[--stats] [--stats-json] [--metrics <file|->] "
                "[--trace <file>]\n"
-               "       selin_check <object> <file> <file> ... [--jobs N] "
-               "[--quiet] [--stats] "
-               "[--stats-json] [--metrics <file|->] [--trace <file>]\n";
+               "       selin_check <object> <file> <file> ... [--quiet] "
+               "[--stats] [--stats-json] [--metrics <file|->] "
+               "[--trace <file>]\n";
   return 2;
 }
 
@@ -410,7 +404,7 @@ int run_enforced(ObjectKind kind, const std::string& path, bool quiet,
 }
 
 int run_multi(ObjectKind kind, const std::vector<std::string>& files,
-              size_t jobs, bool quiet, const ObsOpts& oo) {
+              bool quiet, const ObsOpts& oo) {
   struct FileCtx {
     std::string path;
     std::ifstream stream;
@@ -435,7 +429,6 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
   const bool suppress_report = oo.metrics == "-";
 
   service::ServiceOptions so;
-  so.lanes = jobs;
   so.batch_limit = 512;
   so.observe = oo.enabled();
   so.trace = tsink.get();
@@ -458,7 +451,7 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
 
   // Stream round-robin: one read batch per live file, then one service
   // drain round, so no single deep file monopolizes either io or the
-  // executor.  A parse error settles that file as ERRORED but the other
+  // checker.  A parse error settles that file as ERRORED but the other
   // sessions keep going.
   constexpr size_t kReadBatch = 512;
   std::vector<Event> batch;
@@ -562,10 +555,8 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   auto kind = parse_object(argv[1]);
   if (!kind.has_value()) return usage();
-  bool want_witness = false, quiet = false;
-  bool jobs_given = false, want_enforced = false;
+  bool want_witness = false, quiet = false, want_enforced = false;
   ObsOpts oo;
-  size_t jobs = 0;  // 0 = hardware-resolved
   std::vector<std::string> files;
   for (int i = 2; i < argc; ++i) {
     std::string flag = argv[i];
@@ -576,22 +567,14 @@ int main(int argc, char** argv) {
     else if (flag == "--stats-json") oo.stats_json = true;
     else if (flag == "--metrics" && i + 1 < argc) oo.metrics = argv[++i];
     else if (flag == "--trace" && i + 1 < argc) oo.trace = argv[++i];
-    else if (flag == "--jobs" && i + 1 < argc) {
-      if (!cli::parse_size(argv[++i], &jobs, 1, cli::kMaxLanes)) {
-        return usage();
-      }
-      jobs_given = true;
-    } else if (!flag.empty() && flag[0] == '-' && flag != "-") {
-      return usage();
-    } else {
-      files.push_back(flag);
-    }
+    else if (!flag.empty() && flag[0] == '-' && flag != "-") return usage();
+    else files.push_back(flag);
   }
   if (files.empty()) return usage();
   // stdout carries the metrics document: keep it free of verdict prose.
   if (oo.metrics == "-") quiet = true;
 
-  const bool multi = files.size() > 1 || jobs_given;
+  const bool multi = files.size() > 1;
   if (want_enforced) {
     if (multi) {
       std::cerr << "selin_check: --enforced is single-history only\n";
@@ -617,5 +600,5 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  return run_multi(*kind, files, jobs, quiet, oo);
+  return run_multi(*kind, files, quiet, oo);
 }

@@ -1,13 +1,14 @@
 // selin_ingestd — live event-ingest daemon.
 //
 //   selin_ingestd [--uds <path>] [--tcp <port>] [--host <addr>]
-//                 [--lanes N] [--batch-limit N] [--inbox-capacity N]
+//                 [--batch-limit N] [--inbox-capacity N]
 //                 [--max-configs N] [--max-sessions N]
 //                 [--idle-timeout-ms N] [--no-observe]
 //
 // Serves the binary wire protocol (src/selin/net/wire.hpp) over a Unix-
 // domain socket and/or TCP, multiplexing every connection's event stream
-// into one service::MonitorService.  The same listeners answer HTTP-ish
+// into one service::MonitorService, whose drain thread feeds the sessions
+// in turn.  The same listeners answer HTTP-ish
 // plaintext GETs (/stats, /metrics, /metrics.json) for scrapers.
 //
 // At least one of --uds / --tcp is required.  --tcp 0 binds an ephemeral
@@ -21,30 +22,29 @@
 // without polling.  SIGINT/SIGTERM stop the daemon gracefully; it prints
 // one final `STATS <json>` line (the /stats document) and exits 0.
 //
-// Numeric flags are range-checked up front: --lanes 0..256 (0 = hardware),
-// and --batch-limit / --inbox-capacity 1..2^32-1 (the hello ack carries both
-// as 32-bit fields).  Each session's membership test runs sequentially on
-// whichever lane drains it.  Anything else
-// is a usage error rather than an allocation failure on the first session.
+// Numeric flags are range-checked up front: --batch-limit /
+// --inbox-capacity 1..2^32-1 (the hello ack carries both as 32-bit fields).
+// Anything else is a usage error rather than an allocation failure on the
+// first session.
 //
 // Exit codes: 0 = clean shutdown, 2 = usage error, 3 = startup failure
 // (bind/listen).
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <unistd.h>
 
 #include "selin/net/ingest_server.hpp"
 
-#include "cli_args.hpp"
-
 namespace {
 
 int usage(int code) {
   (code == 0 ? std::cout : std::cerr)
       << "usage: selin_ingestd [--uds <path>] [--tcp <port>] [--host <addr>]"
-         " [--lanes N] [--batch-limit N] [--inbox-capacity N]"
+         " [--batch-limit N] [--inbox-capacity N]"
          " [--max-configs N] [--max-sessions N] [--idle-timeout-ms N]"
          " [--no-observe]\n"
          "at least one of --uds / --tcp required; --tcp 0 = ephemeral port\n";
@@ -61,8 +61,18 @@ void on_signal(int) {
   }
 }
 
-using selin::cli::kMaxLanes;
-using selin::cli::parse_size;
+/// Parses a whole token of decimal digits in [lo, hi]; rejects signs,
+/// leading spaces, overflow and trailing text.
+bool parse_size(const char* s, size_t* out, size_t lo = 0,
+                size_t hi = SIZE_MAX) {
+  if (*s < '0' || *s > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
+  *out = static_cast<size_t>(v);
+  return true;
+}
 
 }  // namespace
 
@@ -88,11 +98,6 @@ int main(int argc, char** argv) {
       const char* v = need_value();
       if (v == nullptr) return usage(2);
       opts.tcp_host = v;
-    } else if (arg == "--lanes") {
-      const char* v = need_value();
-      if (v == nullptr || !parse_size(v, &opts.lanes, 0, kMaxLanes)) {
-        return usage(2);
-      }
     } else if (arg == "--batch-limit") {
       const char* v = need_value();
       if (v == nullptr ||
