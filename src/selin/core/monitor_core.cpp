@@ -1,6 +1,7 @@
 #include "selin/core/monitor_core.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "selin/lincheck/checker.hpp"
 
@@ -220,6 +221,15 @@ bool MonitorCore::check(size_t checker) {
   } else {
     ok = cs.checker->ok();
   }
+  // The settled bound.  A producer's views only grow along its chain, so
+  // every record this context merges later has a view larger than that of
+  // the head it merged from the same producer; a producer that has
+  // published nothing could still publish any view.
+  uint64_t settled = std::numeric_limits<uint64_t>::max();
+  for (const RecNode* h : cs.seen) {
+    settled = std::min(settled, h == nullptr ? 0 : h->rec.view.size());
+  }
+  cs.checker->settle(settled);
   cs.status = ok ? CheckStatus::kOk : CheckStatus::kRejected;
   return ok;
 }

@@ -105,9 +105,13 @@ class MonitorCore {
 
   /// One checking pass for `checker`: M.Snapshot(), τ ← union, build X(τ)
   /// from the usable state with the most records, merging only the records
-  /// that state lacks, and return the verdict X(τ) ∈ O.  An overflow of the
-  /// monitor's exploration budget settles the checker at kOverflowed; from
-  /// then on check() returns false without merging.
+  /// that state lacks, and return the verdict X(τ) ∈ O.  The pass then
+  /// settles the checker's levels below the smallest view among the
+  /// producers' merged chain heads (0 while one has published nothing):
+  /// a producer's later records have larger views, so no merge can change
+  /// those levels, and their checkpoints go (LeveledChecker::settle).  An
+  /// overflow of the monitor's exploration budget settles the checker at
+  /// kOverflowed; from then on check() returns false without merging.
   bool check(size_t checker);
 
   /// Verdict state of `checker`'s latest pass (sticky once not kOk).

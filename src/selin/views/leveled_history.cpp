@@ -1,6 +1,7 @@
 #include "selin/views/leveled_history.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "selin/obs/hooks.hpp"
 
@@ -113,6 +114,22 @@ History XBuilder::flatten() const {
   return out;
 }
 
+namespace {
+
+// Whether two chains hold the same levels: walks them down together until
+// they share a node (or both end).
+bool same_levels(const Level* a, const Level* b) {
+  for (; a != b; a = a->below, b = b->below) {
+    if (a == nullptr || b == nullptr || a->key != b->key ||
+        a->invs != b->invs || a->ress != b->ress) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 LeveledChecker::LeveledChecker(const GenLinObject& obj,
                                size_t checkpoint_stride)
     : obj_(&obj), stride_(checkpoint_stride == 0 ? 1 : checkpoint_stride) {}
@@ -170,12 +187,27 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
       ++fed_;
     }
     cur_->feed_batch(batch_);
-    if (fed_ == due) checkpoints_.push_back({fed_, lvl, cur_->clone()});
+    if (fed_ == due) take_checkpoint(lvl);
   }
+}
+
+void LeveledChecker::take_checkpoint(const Level* at) {
+  std::unique_ptr<MembershipMonitor> m;
+  if (!spares_.empty()) {
+    m = std::move(spares_.back());
+    spares_.pop_back();
+  }
+  if (m == nullptr || !m->assign_from(*cur_)) m = cur_->clone();
+  checkpoints_.push_back({fed_, at, std::move(m)});
+}
+
+void LeveledChecker::release(std::unique_ptr<MembershipMonitor> monitor) {
+  if (spares_.size() < kMaxSpares) spares_.push_back(std::move(monitor));
 }
 
 void LeveledChecker::truncate_checkpoints(size_t level) {
   while (!checkpoints_.empty() && checkpoints_.back().level > level) {
+    release(std::move(checkpoints_.back().monitor));
     checkpoints_.pop_back();
   }
 }
@@ -197,7 +229,8 @@ void LeveledChecker::rollback(size_t from_level) {
   const size_t fed_before = fed_;
   // Release the stale checkpoints eagerly, before the restore — a rollback
   // must not leave monitors above the truncation point alive until some
-  // later feed happens to overwrite them.
+  // later feed happens to overwrite them; the replay's checkpoints reuse
+  // the ones kept as spares.
   truncate_checkpoints(from_level);
   if (checkpoints_.empty()) {
     restore(nullptr, nullptr);
@@ -223,12 +256,20 @@ void LeveledChecker::rollback(size_t from_level) {
 void LeveledChecker::adopt(const MembershipMonitor& state, const Level* top) {
   ensure_monitor();
   // A level determines the chain below it, so a checkpoint still describes
-  // a prefix of `top`'s chain exactly when the level it fed last is on it.
+  // a prefix of `top`'s chain when the level it fed last is on it.  Two
+  // checkers that each merged the same straggler hold copies of the levels
+  // above it, so the lowest checkpoint, the settled one, also stays when
+  // the chain holds the same levels as its own, and moves onto the chain.
   const Level* on = top;
   while (!checkpoints_.empty()) {
-    const Checkpoint& c = checkpoints_.back();
+    Checkpoint& c = checkpoints_.back();
     while (on != nullptr && on->depth > c.level) on = on->below;
     if (on == c.at) break;
+    if (checkpoints_.size() == 1 && same_levels(on, c.at)) {
+      c.at = on;
+      break;
+    }
+    release(std::move(c.monitor));
     checkpoints_.pop_back();
   }
   restore(&state, top);
@@ -237,9 +278,26 @@ void LeveledChecker::adopt(const MembershipMonitor& state, const Level* top) {
   // A level reached by adoption gets a checkpoint within a stride below it,
   // as a fed one does, so a later miss never replays from further down than
   // the jump it skipped.
-  if (fed_ >= last_checkpoint_level() + stride_) {
-    checkpoints_.push_back({fed_, top, cur_->clone()});
+  if (fed_ >= last_checkpoint_level() + stride_) take_checkpoint(top);
+}
+
+void LeveledChecker::settle(uint64_t bound) {
+  // Keys ascend along the chain, so the checkpoints whose last fed level
+  // has a key below the bound are a prefix; all of it but its last goes,
+  // so the last checkpoint, which append_batch counts its stride from,
+  // always stays.
+  // A rollback restores the highest checkpoint at or below the lowest
+  // dirty level, and a record with a view of at least `bound` dirties no
+  // level whose key is below it, so none restores a released checkpoint.
+  const auto kept = std::partition_point(
+      checkpoints_.begin(), checkpoints_.end(),
+      [bound](const Checkpoint& c) { return c.at->key < bound; });
+  if (kept == checkpoints_.begin()) return;
+  const auto settled = std::prev(kept);
+  for (auto c = checkpoints_.begin(); c != settled; ++c) {
+    release(std::move(c->monitor));
   }
+  checkpoints_.erase(checkpoints_.begin(), settled);
 }
 
 bool LeveledChecker::resync(const XBuilder& builder, size_t from_level) {

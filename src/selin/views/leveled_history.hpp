@@ -125,7 +125,11 @@ class XBuilder {
 /// Replaying a monitor fold is inherently sequential in its *state* (the
 /// configuration frontier after level k feeds level k+1), so rollback
 /// replay cannot be split across checkpoint segments without changing what
-/// is computed.  Every stride boundary clones the live monitor inline.
+/// is computed.  Every stride boundary copies the live monitor inline, into
+/// a spare monitor a released checkpoint left (clone() only when none is
+/// left), and settle() releases the checkpoints under levels that can no
+/// longer change, so a caller whose bound keeps up with the history keeps
+/// a bounded number of monitors however long it grows.
 class LeveledChecker {
  public:
   /// Tuned default for `checkpoint_stride` (bench_ablation sweeps it).
@@ -160,11 +164,21 @@ class LeveledChecker {
   /// Make a copy of `state`, the monitor another checker had after feeding
   /// the levels of `top`'s chain, the live monitor.  Call it once the
   /// builder holds that chain and before merging beyond it.  The
-  /// checkpoints whose level lies on the chain stay, the others go; an
-  /// adoption a stride or more above the last checkpoint takes one at
-  /// `top`, so every level this checker reaches, by feeding or adopting,
-  /// lies less than a stride above a checkpoint.
+  /// checkpoints whose level lies on the chain stay, as does the lowest
+  /// one when the chain holds a copy of its levels; the others become
+  /// spares.  An adoption a stride or more above the last checkpoint takes
+  /// one at `top`, built in a spare, so every level this checker reaches,
+  /// by feeding or adopting, lies less than a stride above a checkpoint or
+  /// at or below the lowest one.
   void adopt(const MembershipMonitor& state, const Level* top);
+
+  /// Declare every level whose key is below `bound` final: no record the
+  /// builder takes later has a view smaller than `bound`.  Releases every
+  /// checkpoint below the highest one whose last fed level has a key below
+  /// `bound` (no rollback can restore them) into the spares.  A bound that
+  /// is too high costs replay, never a verdict: a later rollback below it
+  /// restores a lower checkpoint, or the initial state.
+  void settle(uint64_t bound);
 
   /// The live monitor, after levels_fed() levels (call after a resync or
   /// an adoption).
@@ -179,10 +193,11 @@ class LeveledChecker {
   /// created afterwards.  The bundle must outlive the checker.
   void set_obs(const obs::LeveledHooks* hooks);
 
-  /// Materialized checkpoints.  Without adoptions, exactly
+  /// Materialized checkpoints.  Without adoptions or settle(), exactly
   /// levels_fed() / stride after any resync — the eager-release regression
   /// tests key on that; an adoption that jumps a stride or more adds one at
-  /// the adopted level.
+  /// the adopted level, and settle() keeps only the highest checkpoint
+  /// under its bound and the ones above it.
   size_t checkpoint_count() const { return checkpoints_.size(); }
 
   /// Levels consumed by the live monitor (diagnostics).
@@ -213,11 +228,19 @@ class LeveledChecker {
     std::unique_ptr<MembershipMonitor> monitor;
   };
 
+  /// Released checkpoint monitors kept for reuse; beyond this many they
+  /// are freed, so the spares stay bounded whatever the history length.
+  static constexpr size_t kMaxSpares = 4;
+
   std::unique_ptr<MembershipMonitor> fresh_monitor() const;
   void ensure_monitor();
   size_t last_checkpoint_level() const {
     return checkpoints_.empty() ? 0 : checkpoints_.back().level;
   }
+  /// Checkpoint the live monitor, which has fed the chain up to `at`.
+  void take_checkpoint(const Level* at);
+  /// Keep a released checkpoint's monitor as a spare, or free it.
+  void release(std::unique_ptr<MembershipMonitor> monitor);
   /// Drop the checkpoints above `level`.
   void truncate_checkpoints(size_t level);
   /// Make the live monitor a copy of `src` (nullptr: the initial state),
@@ -234,9 +257,13 @@ class LeveledChecker {
   size_t fed_ = 0;                          // levels consumed by cur_
   /// Ascending levels in (0, fed_], each on the chain the live monitor fed.
   /// Every level this checker reached, by feeding it or by adopting a state
-  /// there, lies less than `stride_` above a checkpoint or level 0; in
-  /// particular fed_ < last_checkpoint_level() + stride_.
+  /// there, lies less than `stride_` above a checkpoint or level 0, or at
+  /// or below the lowest checkpoint once settle() released the ones under
+  /// it; in particular fed_ < last_checkpoint_level() + stride_.
   std::vector<Checkpoint> checkpoints_;
+  /// Monitors of released checkpoints, overwritten by the next checkpoints
+  /// (assign_from) instead of cloning the live monitor.
+  std::vector<std::unique_ptr<MembershipMonitor>> spares_;
   bool ok_ = true;
   std::vector<const Level*> pending_;  // append_batch scratch
   std::vector<Event> batch_;           // append_batch scratch

@@ -333,6 +333,139 @@ TEST(MonitorCore, TipMemoryStaysBoundedAsHistoryGrows) {
   }
 }
 
+// Each check settles the levels below the smallest view among the
+// producers' merged heads and releases the checkpoints under them into a
+// few spare monitors, which later checkpoints reuse.  So the monitors a
+// core holds (live ones, checkpoints, spares and tips) stay under one
+// constant at 2,000 and at 8,000 operations, with 2, 3 and 4 operations
+// open, far below what keeping every checkpoint costs (789–907 monitors
+// at 2,000 operations, 3,071–3,506 at 8,000).  Releasing them changes no
+// verdict and no sketch.
+TEST(MonitorCore, CheckpointMemoryStaysBoundedAsHistoryGrows) {
+  constexpr size_t kProcs = 16;
+  constexpr size_t kCheckpoints = 8;  // per context
+  constexpr int kMonitors = 12 * kProcs;
+  for (size_t max_open : {size_t{2}, size_t{3}, size_t{4}}) {
+    for (size_t ops : {size_t{2000}, size_t{8000}}) {
+      test::SteppedQueueRun run =
+          test::stepped_queue_run(kProcs, ops, max_open, 1);
+      test::CountingObject obj(make_linearizable_object(make_queue_spec()));
+      MonitorCore core(kProcs, kProcs, obj);
+      XBuilder one_shot;
+      size_t most = 0;
+      for (const LambdaRecord& r : run.records) {
+        core.publish(r.op.id.pid, r.op, r.y, r.view);
+        ASSERT_TRUE(core.check(r.op.id.pid))
+            << "open " << max_open << ", " << ops << " ops";
+        one_shot.add(&r);
+        for (size_t c = 0; c < kProcs; ++c) {
+          most = std::max(most, core.leveled(c).checkpoint_count());
+        }
+      }
+      for (size_t c = 0; c < kProcs; ++c) ASSERT_TRUE(core.check(c));
+      EXPECT_LE(most, kCheckpoints) << "open " << max_open << ", " << ops;
+      EXPECT_LE(obj.peak(), kMonitors) << "open " << max_open << ", " << ops;
+      const History all = one_shot.flatten();
+      for (size_t c = 0; c < kProcs; ++c) {
+        EXPECT_TRUE(core.sketch(c) == all)
+            << "open " << max_open << ", " << ops << " ops, context " << c;
+      }
+    }
+  }
+}
+
+// A producer that has published nothing could still publish any view, so
+// it pins every context's settled bound at 0: while 15 of 16 producers
+// publish, no checkpoint is released and they pile up as when nothing
+// settled them, about one per stride of levels.  Once the 16th publishes
+// a record, one check by each context releases all but a few.
+TEST(MonitorCore, SilentProducerPinsTheSettledBound) {
+  constexpr size_t kProcs = 16;
+  constexpr size_t kStride = LeveledChecker::kDefaultStride;
+  constexpr size_t kCheckpoints = 8;
+  auto q = make_ms_queue();
+  auto obj = make_linearizable_object(make_queue_spec());
+  AStar astar(kProcs, *q);
+  MonitorCore core(kProcs, kProcs, *obj);
+  Rng rng(7);
+  for (int i = 0; i < 1500; ++i) {
+    const auto p = static_cast<ProcId>(i % (kProcs - 1));
+    auto [m, arg] = random_op(ObjectKind::kQueue, rng);
+    auto r = astar.apply(p, m, arg);
+    core.publish(p, r.op, r.y, std::move(r.view));
+    ASSERT_TRUE(core.check(p)) << "op " << i;
+  }
+  for (size_t c = 0; c + 1 < kProcs; ++c) {
+    const LeveledChecker& lc = core.leveled(c);
+    EXPECT_GT(lc.checkpoint_count(), kCheckpoints) << "context " << c;
+    EXPECT_GE(lc.checkpoint_count(), lc.levels_fed() / (2 * kStride))
+        << "context " << c;
+  }
+  auto r = astar.apply(kProcs - 1, Method::kEnqueue, 1);
+  core.publish(kProcs - 1, r.op, r.y, std::move(r.view));
+  for (size_t c = 0; c < kProcs; ++c) {
+    ASSERT_TRUE(core.check(c));
+    EXPECT_LE(core.leveled(c).checkpoint_count(), kCheckpoints)
+        << "context " << c;
+  }
+}
+
+// MonitorCore::publish takes any view.  A record whose view is smaller
+// than its producer's previous one, which A* never publishes, breaks the
+// premise of the settled bound: the contexts have released the
+// checkpoints below the level it lands in.  That costs replay, never a
+// verdict.  The first check after it is a miss that replays from more
+// than a stride below the record's level, since the checkpoints there are
+// gone; every context's verdict still equals an offline test of its
+// sketch.
+TEST(MonitorCore, BrokenViewOrderCostsReplayNotVerdicts) {
+  constexpr size_t kProcs = 16;
+  constexpr size_t kStride = LeveledChecker::kDefaultStride;
+  test::SteppedQueueRun run = test::stepped_queue_run(kProcs, 600, 2, 1);
+  const std::vector<LambdaRecord>& recs = run.records;
+  // The record a third of the way in is published 150 records after its
+  // producer's next one.
+  const size_t late = recs.size() / 3;
+  size_t next = late + 1;
+  while (next < recs.size() && recs[next].op.id.pid != recs[late].op.id.pid) {
+    ++next;
+  }
+  ASSERT_LT(next, recs.size());
+  std::vector<size_t> order;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    if (i != late) order.push_back(i);
+    if (i == std::min(next + 150, recs.size() - 1)) order.push_back(late);
+  }
+
+  auto obj = make_linearizable_object(make_queue_spec());
+  MonitorCore core(kProcs, kProcs, *obj);
+  XBuilder mirror;  // the levels of X(τ), for the straggler's level
+  for (size_t i : order) {
+    const LambdaRecord& r = recs[i];
+    const ProcId p = r.op.id.pid;
+    const size_t dirty = mirror.add(&r);
+    core.publish(p, r.op, r.y, r.view);
+    const LeveledChecker& lc = core.leveled(p);
+    const uint64_t rollbacks = lc.rollbacks();
+    const uint64_t replayed = lc.replayed_levels();
+    const size_t old_fed = lc.levels_fed();
+    const bool ok = core.check(p);
+    ASSERT_EQ(ok, obj->contains(core.sketch(p))) << "record " << i;
+    if (i != late) continue;
+    ASSERT_EQ(lc.rollbacks(), rollbacks + 1);
+    EXPECT_GE((lc.replayed_levels() - replayed) - (old_fed - dirty), kStride);
+    for (size_t c = 0; c < kProcs; ++c) {
+      ASSERT_EQ(core.check(c), obj->contains(core.sketch(c)))
+          << "context " << c;
+    }
+  }
+  for (size_t c = 0; c < kProcs; ++c) {
+    EXPECT_TRUE(core.check(c)) << "context " << c;
+    EXPECT_EQ(core.record_count(c), recs.size());
+    EXPECT_TRUE(core.sketch(c) == mirror.flatten()) << "context " << c;
+  }
+}
+
 TEST(MonitorCore, ConcurrentPublishAndCheckIsSafe) {
   constexpr size_t kProducers = 4;
   auto q = make_ms_queue();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "test_util.hpp"
 
@@ -348,6 +349,129 @@ TEST(LeveledChecker, AllStridesAgreeWithFromScratchUnderPermutations) {
       }
     }
   }
+}
+
+// settle(b) releases only checkpoints no rollback can restore once no
+// record with a view below b is still to come.  Two checkers over one
+// builder, fed a 16-slot run whose records are held back by 1–40 records
+// (each process's in order, so they land in the middle of the levels):
+// one settles after every resync on the smallest view among the records
+// not yet added, the exact bound a standalone caller knows.  Both report
+// the same verdict, levels, rollbacks and replayed levels after every add,
+// and the settling one holds a few checkpoints where the other holds one
+// per stride of the history.
+TEST(LeveledChecker, SettleNeverChangesAReplay) {
+  constexpr size_t kProcs = 16;
+  constexpr size_t kCheckpoints = 4;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (bool corrupt : {false, true}) {
+      test::SteppedQueueRun run = test::stepped_queue_run(kProcs, 800, 2, seed);
+      std::vector<LambdaRecord>& recs = run.records;
+      if (corrupt) {
+        for (size_t i = recs.size() / 2; i < recs.size(); ++i) {
+          if (recs[i].op.method == Method::kDequeue) {
+            recs[i].y = -1;
+            break;
+          }
+        }
+      }
+      Rng rng(seed + 100);
+      std::vector<std::pair<size_t, size_t>> timed;  // (add time, record)
+      std::vector<size_t> last(kProcs, 0);
+      for (size_t i = 0; i < recs.size(); ++i) {
+        size_t t = i;
+        if (rng.chance(1, 16)) t += 1 + rng.below(40);
+        const ProcId p = recs[i].op.id.pid;
+        t = std::max(t, last[p]);
+        last[p] = t;
+        timed.push_back({t, i});
+      }
+      std::sort(timed.begin(), timed.end());
+      // bound[i]: the smallest view among the records added after the i-th.
+      std::vector<uint64_t> bound(timed.size() + 1, UINT64_MAX);
+      for (size_t i = timed.size(); i-- > 0;) {
+        bound[i] = std::min(bound[i + 1], recs[timed[i].second].view.size());
+      }
+
+      auto obj = make_linearizable_object(make_queue_spec());
+      XBuilder builder;
+      LeveledChecker kept(*obj);
+      LeveledChecker settled(*obj);
+      size_t most = 0;
+      for (size_t i = 0; i < timed.size(); ++i) {
+        const size_t dirty = builder.add(&recs[timed[i].second]);
+        const bool ok = kept.resync(builder, dirty);
+        ASSERT_EQ(settled.resync(builder, dirty), ok)
+            << "seed " << seed << " add " << i;
+        settled.settle(bound[i + 1]);
+        ASSERT_EQ(settled.levels_fed(), kept.levels_fed());
+        ASSERT_EQ(settled.rollbacks(), kept.rollbacks());
+        ASSERT_EQ(settled.replayed_levels(), kept.replayed_levels())
+            << "seed " << seed << " add " << i;
+        most = std::max(most, settled.checkpoint_count());
+      }
+      EXPECT_EQ(kept.ok(), !corrupt) << "seed " << seed;
+      EXPECT_GT(kept.rollbacks(), 0u) << "seed " << seed;
+      EXPECT_LE(most, kCheckpoints) << "seed " << seed;
+      EXPECT_GT(kept.checkpoint_count(), 4 * kCheckpoints) << "seed " << seed;
+    }
+  }
+}
+
+// Two checkers that each merge the same straggler by a miss build copies of
+// the levels above it, so a checker's settled checkpoint need not lie on a
+// chain it adopts later.  adopt() keeps the lowest checkpoint when the
+// adopted chain holds the same levels, and a later miss above it replays
+// from there, within a stride, not from level 0.
+TEST(LeveledChecker, AdoptKeepsTheSettledCheckpointOnACopy) {
+  constexpr size_t kStride = LeveledChecker::kDefaultStride;
+  // Process 0 completes 100 increments; process 1 runs one before the 90th,
+  // and its record comes last.
+  test::OpFactory f;
+  ChainBuilder cb(2);
+  auto state = make_counter_spec()->initial();
+  std::vector<LambdaRecord> prompt;
+  LambdaRecord late;
+  for (int i = 0; i < 100; ++i) {
+    if (i == 90) {
+      OpDesc op = f.op(1, Method::kInc);
+      cb.announce(op);
+      late = {op, state->step(Method::kInc, kNoArg), cb.snap()};
+    }
+    OpDesc op = f.op(0, Method::kInc);
+    cb.announce(op);
+    prompt.push_back({op, state->step(Method::kInc, kNoArg), cb.snap()});
+  }
+  auto obj = make_linearizable_object(make_counter_spec());
+  // The checker feeds its own levels and settles below level 85: only the
+  // checkpoints at 80 and 96 stay.
+  XBuilder own;
+  LeveledChecker checker(*obj);
+  for (const LambdaRecord& r : prompt) {
+    ASSERT_TRUE(checker.resync(own, own.add(&r)));
+  }
+  checker.settle(own.levels()[85].key);
+  ASSERT_EQ(checker.checkpoint_count(), 2u);
+  // Another checker fed a copy of the same levels, in nodes of its own.
+  XBuilder copy;
+  LeveledChecker other(*obj);
+  for (const LambdaRecord& r : prompt) {
+    ASSERT_TRUE(other.resync(copy, copy.add(&r)));
+  }
+  copy.seal();
+  own.reset(copy.top());
+  // The checkpoint at 80 stays; the one at 96 goes, and the adoption, more
+  // than a stride above 80, takes one at 100.
+  checker.adopt(other.monitor(), copy.top());
+  EXPECT_EQ(checker.checkpoint_count(), 2u);
+  // The straggler lands at level 90 of the adopted chain.
+  const size_t dirty = own.add(&late);
+  ASSERT_EQ(dirty, 90u);
+  const uint64_t replayed = checker.replayed_levels();
+  ASSERT_TRUE(checker.resync(own, dirty));
+  EXPECT_EQ(checker.rollbacks(), 1u);
+  EXPECT_LT((checker.replayed_levels() - replayed) - (100 - dirty), kStride);
+  EXPECT_TRUE(obj->contains(own.flatten()));
 }
 
 TEST(LeveledChecker, IncrementalMatchesFromScratch) {
