@@ -146,7 +146,11 @@ elif [[ "$facet" == "multi_session" ]]; then
     echo "error: bench_multi_session not built in $build_dir" >&2
     exit 1
   fi
+  # Repetitions: the facet stores each arm's median with its min and max,
+  # so a reader can see whether two arms' ranges overlap.
   "$build_dir/bench_multi_session" \
+      --benchmark_min_time=0.25 --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=false \
       --benchmark_out="$tmp/multi_session.json" --benchmark_out_format=json
 elif [[ "$facet" == "obs_overhead" ]]; then
   if [[ ! -x "$build_dir/bench_obs_overhead" ]]; then
@@ -212,6 +216,8 @@ else
   fi
   if [[ -x "$build_dir/bench_multi_session" ]]; then
     "$build_dir/bench_multi_session" \
+        --benchmark_min_time=0.25 --benchmark_repetitions=5 \
+        --benchmark_report_aggregates_only=false \
         --benchmark_out="$tmp/multi_session.json" --benchmark_out_format=json
   fi
   if [[ -x "$build_dir/bench_obs_overhead" ]]; then
@@ -246,7 +252,7 @@ else
 fi
 
 python3 - "$facet" "$tmp/lincheck.json" "$tmp/detection.json" "$tmp/leveled.json" "$tmp/multi_session.json" "$tmp/obs_overhead.json" "$tmp/closure_hot.json" "$tmp/ingest.json" "$tmp/enforced.json" "$tmp/abd_cluster.json" "$out" <<'EOF'
-import json, os, sys
+import json, os, statistics, sys
 
 (mode, lincheck, detection, leveled, multi_session,
  obs_overhead, closure_hot, ingest, enforced, abd_cluster,
@@ -295,7 +301,8 @@ def leveled_replay_facet(run):
 def multi_session_facet(run):
     """Aggregate verified-events/sec of the multi-tenant service by session
     count — BM_MultiSessionThroughput — plus the single-monitor batched-feed
-    A/B (BM_BatchedFeedAmortization).  Excluded from the regression gate
+    A/B (BM_BatchedFeedAmortization).  Each arm stores the median of its
+    repetitions with their min and max.  Excluded from the regression gate
     (tools/bench_gate.py)."""
     per_sessions, batch = {}, {}
     for b in run["benchmarks"]:
@@ -303,20 +310,25 @@ def multi_session_facet(run):
         if b.get("run_type") == "aggregate" or "items_per_second" not in b:
             continue
         if name.startswith("BM_MultiSessionThroughput/"):
-            per_sessions[name.split("/")[1]] = b["items_per_second"]
+            arms, arm = per_sessions, name.split("/")[1]
         elif name.startswith("BM_BatchedFeedAmortization/"):
             arg = name.split("/")[1]
-            arm = "per-event" if arg == "0" else f"batch={arg}"
-            batch[arm] = b["items_per_second"]
+            arms, arm = batch, "per-event" if arg == "0" else f"batch={arg}"
+        else:
+            continue
+        arms.setdefault(arm, []).append(b["items_per_second"])
     if not per_sessions:
         return None
+    def spread(arms):
+        return {arm: {"median": statistics.median(v), "min": min(v),
+                      "max": max(v)} for arm, v in arms.items()}
     return tag_non_release({
         "workload": "N independent linearizable sessions (256 ops each, "
                     "mixed specs) drained in turn by one service; key = "
-                    "sessions",
+                    "sessions; median, min and max of 5 repetitions per arm",
         "num_cpus": run["context"].get("num_cpus"),
-        "events_per_second_by_sessions": per_sessions,
-        "batched_feed_events_per_second": batch or None,
+        "events_per_second_by_sessions": spread(per_sessions),
+        "batched_feed_events_per_second": spread(batch) or None,
     })
 
 def obs_overhead_facet(run):
