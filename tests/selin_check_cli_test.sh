@@ -273,6 +273,77 @@ else
   echo "ok: multi-mode --stats-json emits one line per session"
 fi
 
+# ---- replay golden ---------------------------------------------------------
+# The exact stats line and exit code of a replay, in membership and
+# enforcement mode.  Fingerprints decide every dedup and recycling count, so
+# a change to how a state hashes or how a closure is seeded must print these
+# byte for byte.
+expect_exact() {
+  local want_rc="$1" want_out="$2"; shift 2
+  "$@" > "$tmp/out" 2> "$tmp/err"
+  local got=$?
+  if [[ "$got" != "$want_rc" || "$(cat "$tmp/out")" != "$want_out" \
+        || -s "$tmp/err" ]]; then
+    echo "FAIL: replay differs (exit $got, want $want_rc): $*" >&2
+    echo "  want: $want_out" >&2
+    sed 's/^/  out: /' "$tmp/out" >&2
+    sed 's/^/  err: /' "$tmp/err" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: replay exit $got and stats as recorded: $*"
+  fi
+}
+
+# Width swing: nine overlapping push pairs (frontier 2^9), pushes and pops
+# on the wide base, then pops that resolve every pair, then an empty pop.
+swing="$tmp/swing.hist"
+{
+  v=100
+  for k in $(seq 0 8); do
+    echo "inv 0 $k Push $v"
+    echo "inv 1 $k Push $((v + 1))"
+    echo "res 0 $k Push $v true"
+    echo "res 1 $k Push $((v + 1)) true"
+    v=$((v + 2))
+  done
+  for i in 0 1 2 3; do
+    echo "inv 2 $i Push $v"
+    echo "inv 3 $i Pop"
+    echo "res 2 $i Push $v true"
+    echo "res 3 $i Pop $v"
+    v=$((v + 1))
+  done
+  s=0
+  for k in $(seq 8 -1 0); do
+    for popped in $((101 + 2 * k)) $((100 + 2 * k)); do
+      echo "inv 4 $s Pop"
+      echo "res 4 $s Pop $popped"
+      s=$((s + 1))
+    done
+  done
+  echo "inv 4 $s Pop"
+  echo "res 4 $s Pop empty"
+} > "$swing"
+
+ok_stats='{"events_fed":10,"rounds_sequential":5,"peak_frontier":2,"dedup_probes":20,"dedup_hits":2,"states_recycled":4,"probe_batches":17,"prefetch_batches":3,"filter_in_place_rounds":5}'
+ok_enf='{"events_fed":13,"rounds_sequential":5,"peak_frontier":2,"dedup_probes":24,"dedup_hits":2,"states_recycled":6,"probe_batches":20,"prefetch_batches":4,"filter_in_place_rounds":6}'
+bad_stats='{"events_fed":4,"rounds_sequential":2,"peak_frontier":1,"dedup_probes":5,"dedup_hits":0,"states_recycled":1,"probe_batches":5,"prefetch_batches":0,"filter_in_place_rounds":2}'
+swing_stats='{"events_fed":90,"rounds_sequential":45,"peak_frontier":1536,"dedup_probes":37869,"dedup_hits":2559,"states_recycled":11770,"probe_batches":12176,"prefetch_batches":2959,"filter_in_place_rounds":45}'
+swing_enf='{"events_fed":129,"rounds_sequential":45,"peak_frontier":1536,"dedup_probes":48105,"dedup_hits":0,"states_recycled":16889,"probe_batches":17339,"prefetch_batches":5562,"filter_in_place_rounds":58}'
+for i in 1 2 3; do
+  expect_exact 0 "$ok_stats" \
+    "$bin" queue "$tmp/hists/ok_$i.hist" --quiet --stats-json
+  expect_exact 0 "$ok_enf" \
+    "$bin" queue "$tmp/hists/ok_$i.hist" --enforced --quiet --stats-json
+done
+expect_exact 1 "$bad_stats" \
+  "$bin" queue "$tmp/hists/bad_fifo.hist" --quiet --stats-json
+expect_exact 1 "$bad_stats" \
+  "$bin" queue "$tmp/hists/bad_fifo.hist" --enforced --quiet --stats-json
+expect_exact 0 "$swing_stats" "$bin" stack "$swing" --quiet --stats-json
+expect_exact 0 "$swing_enf" \
+  "$bin" stack "$swing" --enforced --quiet --stats-json
+
 if [[ "$fails" -ne 0 ]]; then
   echo "$fails check(s) failed" >&2
   exit 1
