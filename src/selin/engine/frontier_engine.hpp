@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "selin/engine/stats.hpp"
@@ -81,6 +82,7 @@ class FrontierEngine {
     ok_ = o.ok_;
     overflowed_ = o.overflowed_;
     open_ = o.open_;
+    hot_valid_ = false;  // hot_fp_ describes the frontier released below
     for (Config& c : frontier_) eng_.pool.release(std::move(c.state));
     frontier_.clear();
     for (const Config& c : o.frontier_) {
@@ -207,17 +209,31 @@ class FrontierEngine {
   std::vector<Config> closure() {
     eng_.seen.clear();
     eng_.seen.reserve(std::max(frontier_.size(), last_width_));
-    hot_fp_.clear();
-    hot_bloom_.clear();
     std::vector<Config> result;
     result.reserve(std::max(frontier_.size() * 2, last_width_));
     // Seed: the frontier is already deduplicated, so every probe is fresh —
     // the batch registers the fingerprints in `seen` and the configurations
     // *move* in (no clone; a round where nothing expands now costs one
     // probe batch and |frontier| moves instead of |frontier| state clones
-    // immediately released again).
+    // immediately released again).  While hot_valid_ holds, hot_fp_[i] is
+    // frontier_[i].fingerprint() (see run_res_sequential), so the seed takes
+    // that row instead of rehashing every configuration.
     fp_buf_.clear();
-    for (const Config& c : frontier_) fp_buf_.push_back(c.fingerprint());
+    if (hot_valid_) {
+      fp_buf_.swap(hot_fp_);
+#if SELIN_FP_AUDIT
+      bool stale = fp_buf_.size() != frontier_.size();
+      for (size_t i = 0; !stale && i < frontier_.size(); ++i) {
+        stale = fp_buf_[i] != frontier_[i].fingerprint();
+      }
+      if (stale) throw std::runtime_error("selin: seeded fingerprint is stale");
+#endif
+    } else {
+      for (const Config& c : frontier_) fp_buf_.push_back(c.fingerprint());
+    }
+    hot_valid_ = false;
+    hot_fp_.clear();
+    hot_bloom_.clear();
     for (size_t b = 0; b < fp_buf_.size(); b += FpSet::kMaxBatch) {
       const size_t n = std::min(FpSet::kMaxBatch, fp_buf_.size() - b);
       const uint64_t fresh =
@@ -382,6 +398,12 @@ class FrontierEngine {
     }
     // closure() moved the old frontier out, so `cur` simply takes its place.
     frontier_ = std::move(cur);
+    // filter_in_place left hot_fp_[i] == frontier_[i].fingerprint() for
+    // every row (on an emptied frontier both are empty).  Invocations only
+    // grow open_ and never touch a configuration, so this holds until the
+    // next closure() reads it; assign_from and release_everything, the
+    // other writers of frontier_, clear the flag, and copies start clear.
+    hot_valid_ = true;
   }
 
   /// Allocation-free response filter over the closure set: no `filtered`
@@ -446,6 +468,7 @@ class FrontierEngine {
     lazy_.clear();
     for (Config& c : pend_) eng_.pool.release(std::move(c.state));
     pend_.clear();
+    hot_valid_ = false;
     hot_fp_.clear();
     hot_bloom_.clear();
   }
@@ -489,6 +512,7 @@ class FrontierEngine {
     size_t parent;  // index into the closure vector
   };
   size_t last_width_ = 0;          // previous closure width (pre-sizing seed)
+  bool hot_valid_ = false;  // hot_fp_ is frontier_'s fingerprint row
   std::vector<uint64_t> hot_fp_;
   std::vector<uint64_t> hot_bloom_;
   std::vector<uint64_t> fp_buf_;

@@ -19,11 +19,13 @@ class StackState final : public SeqState {
     switch (m) {
       case Method::kPush:
         items_.push_back(arg);
+        h_.i64(arg);
         return kTrue;
       case Method::kPop: {
         if (items_.empty()) return kEmpty;
         Value v = items_.back();
         items_.pop_back();
+        h_.undo_i64(v);
         return v;
       }
       default:
@@ -38,21 +40,20 @@ class StackState final : public SeqState {
     return os.str();
   }
 
-  uint64_t fingerprint() const override {
-    fph::Hasher h('S');
-    for (Value v : items_) h.i64(v);
-    return h.done();
-  }
+  /// The Hasher('S') fold over items_ bottom to top, kept current by step().
+  uint64_t fingerprint() const override { return h_.done(); }
 
   bool assign_from(const SeqState& src) override {
     auto* o = dynamic_cast<const StackState*>(&src);
     if (o == nullptr) return false;
     items_ = o->items_;
+    h_ = o->h_;
     return true;
   }
 
  private:
   std::vector<Value> items_;
+  fph::Hasher h_{'S'};  // push folds the value, pop undoes it (hash.hpp)
 };
 
 class StackSpec final : public SeqSpec {

@@ -33,6 +33,9 @@ namespace selin::fph {
 
 inline constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x00000100000001B3ull;
+/// The inverse of kFnvPrime mod 2^64 (it exists because the prime is odd).
+inline constexpr uint64_t kFnvPrimeInv = 0xCE965057AFF6957Bull;
+static_assert(kFnvPrime * kFnvPrimeInv == 1, "kFnvPrimeInv inverts kFnvPrime");
 
 /// splitmix64 finalizer: bijective and well-mixed; the workhorse for turning
 /// structured 64-bit values (packed ids, counters) into fingerprint material.
@@ -46,6 +49,14 @@ constexpr uint64_t mix(uint64_t x) {
 /// Streaming order-dependent hasher for sequence-shaped state (queues,
 /// stacks, sorted sets).  Seed with a per-type tag so e.g. an empty queue and
 /// an empty stack fingerprint differently.
+///
+/// Each step h ← (h ⊕ mix(v))·P is a bijection of h (P is odd), and
+/// undo_u64(v) is its inverse, so a state whose steps only append to or drop
+/// from the end of the folded sequence (the stack) keeps a live Hasher and
+/// fingerprints in O(1), with exactly the value of a fresh fold.  The queue,
+/// priority-queue and set states keep their fold: a dequeue drops the
+/// sequence's front, and an insert lands in sorted position, neither of
+/// which the last step's inverse reaches.
 class Hasher {
  public:
   constexpr explicit Hasher(uint64_t tag = 0) : h_(kFnvOffset ^ mix(tag)) {}
@@ -55,6 +66,16 @@ class Hasher {
     return *this;
   }
   constexpr Hasher& i64(int64_t v) { return u64(static_cast<uint64_t>(v)); }
+
+  /// Inverse of u64(v): returns the hasher to its state before the last
+  /// step, provided that step folded v.
+  constexpr Hasher& undo_u64(uint64_t v) {
+    h_ = (h_ * kFnvPrimeInv) ^ mix(v);
+    return *this;
+  }
+  constexpr Hasher& undo_i64(int64_t v) {
+    return undo_u64(static_cast<uint64_t>(v));
+  }
 
   constexpr uint64_t done() const { return mix(h_); }
 

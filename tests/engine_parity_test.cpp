@@ -13,11 +13,16 @@
 //  * the overflow and feed-boundary-exception paths (CheckerOverflow thrown,
 //    sticky overflowed(), frontier released, clones inherit the poisoned
 //    state);
+//  * a closure seeded from the previous filter's fingerprints stays in step
+//    when clone(), assign_from or an overflowing copy replaces the frontier
+//    between batches;
 //  * assign_from copies state but keeps the target's counters, on every
 //    facade;
 //  * the stats facility through a frontier that swings wide and collapses.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "selin/engine/frontier_engine.hpp"
@@ -149,6 +154,144 @@ TEST(BatchParity, IntervalWriteSnapshotEveryChunking) {
       }
     }
   }
+}
+
+// ---- seeded closures across frontier replacements --------------------------
+//
+// A closure seeds its dedup set from the fingerprint row the previous
+// response filter left, for as long as nothing else has replaced the
+// frontier (FrontierEngine::run_res_sequential).  Between the chunks of a
+// batched feed, replace the monitor's frontier every way the facades allow:
+// swap in a clone(); assign_from a monitor fed a different prefix, feed on
+// from there, then assign back; and run a small-budget copy into an
+// overflow mid-batch.  At every boundary the monitor must agree with one fed
+// straight through.  A row that outlived its frontier would seed the next
+// closure with another frontier's fingerprints; audit builds also throw.
+
+constexpr size_t kWideBudget = size_t{1} << 18;
+constexpr size_t kSmallBudget = 8;
+
+template <typename Monitor>
+::testing::AssertionResult same_frontier(const Monitor& want,
+                                         const Monitor& got) {
+  if (want.ok() != got.ok()) {
+    return ::testing::AssertionFailure() << "ok " << got.ok();
+  }
+  if (want.frontier_size() != got.frontier_size()) {
+    return ::testing::AssertionFailure()
+           << "width " << got.frontier_size() << ", want "
+           << want.frontier_size();
+  }
+  if (want.frontier_digest() != got.frontier_digest()) {
+    return ::testing::AssertionFailure() << "digest differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename Monitor, typename MakeMonitor>
+void expect_seed_parity(MakeMonitor&& make, const History& h, size_t chunk,
+                        const std::string& label, size_t& overflows) {
+  Monitor ref = make(kWideBudget);
+  auto m = std::make_unique<Monitor>(make(kWideBudget));
+  size_t e = 0;
+  for (size_t round = 0; e < h.size(); ++round) {
+    const size_t n = std::min(chunk, h.size() - e);
+    ref.feed_batch({h.data() + e, n});
+    m->feed_batch({h.data() + e, n});
+    e += n;
+    const std::string at =
+        label + " chunk " + std::to_string(chunk) + " at " + std::to_string(e);
+    ASSERT_TRUE(same_frontier(ref, *m)) << at;
+    switch (round % 3) {
+      case 0: {  // swap in a clone
+        std::unique_ptr<MembershipMonitor> c = m->clone();
+        m.reset(static_cast<Monitor*>(c.release()));
+        break;
+      }
+      case 1: {  // assign_from a monitor fed a different prefix, then back
+        const size_t p = e / 2;
+        const size_t k = std::min(chunk, h.size() - p);
+        Monitor other = make(kWideBudget);
+        other.feed_batch({h.data(), p});
+        const Monitor back(*m);
+        ASSERT_TRUE(m->assign_from(other)) << at;
+        other.feed_batch({h.data() + p, k});
+        m->feed_batch({h.data() + p, k});
+        ASSERT_TRUE(same_frontier(other, *m)) << at << " on prefix " << p;
+        ASSERT_TRUE(m->assign_from(back)) << at;
+        break;
+      }
+      default: {  // a small-budget copy overflows mid-batch
+        Monitor small = make(kSmallBudget);
+        ASSERT_TRUE(small.assign_from(*m)) << at;
+        try {
+          small.feed_batch({h.data() + e, h.size() - e});
+        } catch (const CheckerOverflow&) {
+          ++overflows;
+          EXPECT_TRUE(small.overflowed()) << at;
+          EXPECT_EQ(small.frontier_size(), 0u) << at;
+        }
+        ASSERT_TRUE(small.assign_from(*m)) << at;
+        EXPECT_FALSE(small.overflowed()) << at;
+        ASSERT_TRUE(same_frontier(*m, small)) << at << " small copy";
+        break;
+      }
+    }
+    ASSERT_TRUE(same_frontier(ref, *m)) << at << " after step " << round % 3;
+  }
+}
+
+TEST(SeedParity, AllSeqSpecsAcrossFrontierReplacements) {
+  size_t overflows = 0;
+  for (ObjectKind kind : kAllKinds) {
+    auto spec = make_spec(kind);
+    auto make = [&](size_t budget) { return LinMonitor(*spec, budget); };
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      History good = random_linearizable_history(kind, 4, 36, seed * 31 + 5);
+      History bad = good;
+      const bool have_bad = corrupt_response(bad, seed * 3 + 2);
+      for (size_t chunk : {size_t{1}, size_t{3}, good.size()}) {
+        expect_seed_parity<LinMonitor>(make, good, chunk,
+                                       object_kind_name(kind), overflows);
+        if (have_bad) {
+          expect_seed_parity<LinMonitor>(
+              make, bad, chunk, std::string(object_kind_name(kind)) + " bad",
+              overflows);
+        }
+      }
+    }
+  }
+  EXPECT_GT(overflows, 0u) << "no small-budget copy overflowed";
+}
+
+TEST(SeedParity, SetLinExchangerAcrossFrontierReplacements) {
+  auto spec = make_exchanger_spec();
+  auto make = [&](size_t budget) { return SetLinMonitor(*spec, budget); };
+  size_t overflows = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    History h = random_exchanger_history(4, 18, seed * 13 + 3);
+    for (size_t chunk : {size_t{1}, size_t{3}, h.size()}) {
+      expect_seed_parity<SetLinMonitor>(make, h, chunk, "exchanger",
+                                        overflows);
+    }
+  }
+  EXPECT_GT(overflows, 0u) << "no small-budget copy overflowed";
+}
+
+TEST(SeedParity, IntervalWriteSnapshotAcrossFrontierReplacements) {
+  auto spec = make_write_snapshot_interval_spec();
+  auto make = [&](size_t budget) { return IntervalLinMonitor(*spec, budget); };
+  size_t overflows = 0;
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    for (bool corrupt : {false, true}) {
+      History h = random_write_snapshot_history(5, seed * 41 + 7, corrupt);
+      for (size_t chunk : {size_t{1}, size_t{3}, h.size()}) {
+        expect_seed_parity<IntervalLinMonitor>(make, h, chunk,
+                                               "write-snapshot", overflows);
+      }
+    }
+  }
+  EXPECT_GT(overflows, 0u) << "no small-budget copy overflowed";
 }
 
 // A batch overflowing mid-run behaves exactly like the per-event overflow:

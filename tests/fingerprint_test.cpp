@@ -5,13 +5,16 @@
 // unit coverage for the debug collision guard, FpSet and SmallVec.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "selin/lincheck/config.hpp"
 #include "selin/obs/export.hpp"
 #include "selin/util/fp_set.hpp"
 #include "selin/util/hash.hpp"
+#include "selin/util/rng.hpp"
 #include "selin/util/small_vec.hpp"
 #include "test_util.hpp"
 
@@ -201,6 +204,85 @@ TEST(Fingerprint, EqualStatesEqualFingerprints) {
   EXPECT_EQ(a->fingerprint(), b->fingerprint());
   b->step(Method::kEnqueue, 3);
   EXPECT_NE(a->fingerprint(), b->fingerprint());
+
+  // The stack hashes incrementally: a pop undoes its push's step.
+  auto stack = make_stack_spec();
+  auto s = stack->initial();
+  auto t = stack->initial();
+  s->step(Method::kPush, 1);
+  s->step(Method::kPush, 2);
+  s->step(Method::kPop, kNoArg);
+  t->step(Method::kPush, 1);
+  ASSERT_EQ(s->encode(), t->encode());
+  EXPECT_EQ(s->fingerprint(), t->fingerprint());
+  t->step(Method::kPush, 3);
+  EXPECT_NE(s->fingerprint(), t->fingerprint());
+}
+
+TEST(Fingerprint, HasherUndoInvertsStep) {
+  EXPECT_EQ(fph::kFnvPrime * fph::kFnvPrimeInv, 1u);
+  Rng rng(0x1D0);
+  for (int i = 0; i < 1000; ++i) {
+    fph::Hasher h(rng.next());
+    for (int k = 0; k < i % 4; ++k) h.u64(rng.next());
+    const uint64_t before = h.done();
+    const uint64_t v = rng.next();
+    h.u64(v);
+    ASSERT_NE(h.done(), before) << i;
+    h.undo_u64(v);
+    ASSERT_EQ(h.done(), before) << i;
+  }
+}
+
+// The stack keeps its Hasher('S') fold current on push and pop.  Along a
+// seeded random walk, pops of the empty stack included, its fingerprint
+// must equal a fresh fold over a mirror of its contents after every step,
+// and every way of copying a state must carry the fold along.
+TEST(Fingerprint, StackHashMatchesFreshFold) {
+  auto spec = make_stack_spec();
+  auto s = spec->initial();
+  std::vector<Value> mirror;
+  lincheck::StatePool pool;
+  Rng rng(0x57AC);
+  size_t empty_pops = 0;
+  uint64_t recycled = 0;
+  for (int step = 1; step <= 10000; ++step) {
+    if (rng.chance(1, 2)) {
+      const Value v = rng.range(0, 999);
+      mirror.push_back(v);
+      ASSERT_EQ(s->step(Method::kPush, v), kTrue) << "step " << step;
+    } else if (mirror.empty()) {
+      ++empty_pops;
+      ASSERT_EQ(s->step(Method::kPop, kNoArg), kEmpty) << "step " << step;
+    } else {
+      ASSERT_EQ(s->step(Method::kPop, kNoArg), mirror.back())
+          << "step " << step;
+      mirror.pop_back();
+    }
+    fph::Hasher fold('S');
+    for (Value v : mirror) fold.i64(v);
+    ASSERT_EQ(s->fingerprint(), fold.done()) << "step " << step;
+    if (step % 100 != 0) continue;
+
+    auto other = [&] {  // a stack holding other contents
+      auto o = spec->initial();
+      for (Value v : {Value{7}, Value{step}, Value{-step}}) {
+        o->step(Method::kPush, v);
+      }
+      return o;
+    };
+    std::unique_ptr<SeqState> cloned = s->clone();
+    std::unique_ptr<SeqState> assigned = other();
+    ASSERT_TRUE(assigned->assign_from(*s));
+    pool.release(other());
+    std::unique_ptr<SeqState> acquired = pool.acquire(*s);
+    ASSERT_EQ(pool.recycled(), ++recycled);
+    for (const SeqState* copy : {cloned.get(), assigned.get(), acquired.get()}) {
+      EXPECT_EQ(copy->fingerprint(), s->fingerprint()) << "step " << step;
+      EXPECT_EQ(copy->encode(), s->encode()) << "step " << step;
+    }
+  }
+  EXPECT_GT(empty_pops, 0u);
 }
 
 TEST(Fingerprint, ConfigAddRemoveRoundTrip) {
