@@ -55,10 +55,19 @@ void Session::absorb_inbox(size_t max_buffered) {
   // Memory bound: while the buffer is still deep, leave the inbox alone —
   // it fills to inbox_cap_ and publishes start bouncing (backpressure).
   if (pending() >= max_buffered) return;
+  // Fewer than max_buffered events move, and the buffer then holds at most
+  // max_buffered + inbox_cap_ - 1 however long the stream runs.
+  drop_consumed();
   std::lock_guard<std::mutex> lock(inbox_mu_);
   buffer_.insert(buffer_.end(), inbox_.begin(), inbox_.end());
   inbox_.clear();
   inbox_len_.store(0, std::memory_order_relaxed);
+}
+
+void Session::drop_consumed() {
+  buffer_.erase(buffer_.begin(),
+                buffer_.begin() + static_cast<ptrdiff_t>(head_));
+  head_ = 0;
 }
 
 void Session::run_one_batch(size_t limit) {
@@ -152,14 +161,17 @@ size_t MonitorService::live_session_count() const {
 }
 
 void MonitorService::feed(SessionId id, const Event& e) {
-  Session* s = sessions_[id].get();
-  if (s == nullptr || s->settled_.load(std::memory_order_relaxed)) return;
-  s->buffer_.push_back(e);
+  feed(id, std::span<const Event>(&e, 1));
 }
 
 void MonitorService::feed(SessionId id, std::span<const Event> events) {
   Session* s = sessions_[id].get();
   if (s == nullptr || s->settled_.load(std::memory_order_relaxed)) return;
+  // A controller may feed faster than rounds drain, so the pending events
+  // move only once the consumed prefix is as long as they are: each move is
+  // paid for by a drained event, and the buffer stays within twice what is
+  // pending plus the new events.
+  if (s->head_ >= s->pending()) s->drop_consumed();
   s->buffer_.insert(s->buffer_.end(), events.begin(), events.end());
 }
 

@@ -76,8 +76,9 @@ struct SessionOptions {
   size_t max_configs = 1 << 18;
   /// Event capacity of the MPSC inbox (Session::try_publish).  The bound is
   /// the backpressure point of the live-ingest path: a publish that would
-  /// exceed it is rejected whole.  Per-session memory stays bounded by
-  /// roughly inbox_capacity + the service batch_limit in flight.
+  /// exceed it is rejected whole.  A session fed only through its inbox
+  /// buffers at most the service batch_limit + inbox_capacity events
+  /// (Session::buffer_len()), however long its stream.
   size_t inbox_capacity = 1 << 14;
 };
 
@@ -137,6 +138,11 @@ class Session {
   /// daemon's verdict frames wait on.
   size_t backlog() const { return pending() + inbox_len(); }
 
+  /// Events the buffer holds, its not yet dropped consumed prefix included:
+  /// the session's memory, as opposed to pending().  Diagnostic; controller
+  /// thread, between drains.
+  size_t buffer_len() const { return buffer_.size(); }
+
  private:
   friend class MonitorService;
 
@@ -150,10 +156,15 @@ class Session {
   void run_one_batch(size_t limit);
 
   /// Controller-side half of the MPSC feed: moves the inbox into the
-  /// buffered path.  Skipped while the buffer still holds >= max_buffered
-  /// events, so per-session memory stays bounded (the inbox then fills and
-  /// try_publish starts rejecting — backpressure, not growth).
+  /// buffered path, behind the pending events, once the consumed prefix is
+  /// dropped.  Skipped while >= max_buffered events are still pending, so
+  /// the buffer never holds more than max_buffered + inbox_capacity events
+  /// (the inbox then fills and try_publish starts rejecting — backpressure,
+  /// not growth).
   void absorb_inbox(size_t max_buffered);
+
+  /// Drops the consumed prefix [0, head_) of the buffer.
+  void drop_consumed();
 
   std::string name_;
   std::unique_ptr<SeqSpec> spec_;

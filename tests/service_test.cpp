@@ -10,7 +10,9 @@
 //  * a drain round feeds every pending session at most batch_limit events
 //    (the fairness quantum);
 //  * a session overflowing its exploration budget (or rejecting) is
-//    settled and isolated — other sessions keep progressing.
+//    settled and isolated — other sessions keep progressing;
+//  * a session fed through its inbox buffers at most batch_limit +
+//    inbox_capacity events, with the batches and verdicts unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -230,6 +232,76 @@ TEST(MonitorService, FirstBadIndexBracketsTheOffense) {
       << "offense must lie within the final drained batch";
   // Stats flow through per session.
   EXPECT_GT(s.stats().events_fed, 0u);
+}
+
+// The inbox path drops a session's consumed prefix before it absorbs the
+// inbox, so the buffer never holds more than batch_limit + inbox_capacity
+// events, however long the stream.  Publishes come in sizes that straddle
+// batch boundaries and bounce off the full inbox.  Each round must feed
+// exactly the batch the absorb rule gives (absorb the inbox while fewer than
+// batch_limit events are pending, then feed up to batch_limit of them), so a
+// LinMonitor fed those batches straight through ends with the same verdict,
+// events_fed() and first_bad_index().
+TEST(MonitorService, InboxPathBufferStaysBounded) {
+  constexpr size_t kLimit = 8;
+  constexpr size_t kInbox = 12;
+  const size_t sizes[] = {5, 11, 3, 7};
+  for (const bool corrupt : {false, true}) {
+    SCOPED_TRACE(corrupt ? "corrupt" : "clean");
+    History h = random_linearizable_history(ObjectKind::kQueue, 3, 200, 31);
+    if (corrupt) {
+      ASSERT_TRUE(corrupt_response(h, 5));
+    }
+
+    service::ServiceOptions opts;
+    opts.batch_limit = kLimit;
+    service::MonitorService svc(opts);
+    service::SessionOptions so;
+    so.inbox_capacity = kInbox;
+    service::Session& s = svc.session(svc.open("s", make_queue_spec(), so));
+
+    auto spec = make_queue_spec();
+    LinMonitor ref(*spec);
+    size_t ref_inbox = 0, ref_pending = 0, ref_fed = 0, ref_first_bad = 0;
+    const auto round = [&] {
+      svc.drain_round();
+      if (ref.ok()) {
+        if (ref_inbox > 0 && ref_pending < kLimit) {
+          ref_pending += ref_inbox;
+          ref_inbox = 0;
+        }
+        const size_t n = std::min(kLimit, ref_pending);
+        ref.feed_batch(std::span<const Event>(h.data() + ref_fed, n));
+        if (!ref.ok()) ref_first_bad = ref_fed;
+        ref_fed += n;
+        ref_pending -= n;
+      }
+      EXPECT_LE(s.buffer_len(), kLimit + kInbox);
+      if (ref.ok()) {
+        EXPECT_EQ(s.events_fed(), ref_fed);
+      }
+    };
+
+    size_t published = 0;
+    for (size_t k = 0; published < h.size(); ++k) {
+      const size_t n = std::min(sizes[k % std::size(sizes)],
+                                h.size() - published);
+      const std::span<const Event> chunk(h.data() + published, n);
+      while (!s.try_publish(chunk)) round();
+      published += n;
+      if (ref.ok()) ref_inbox += n;  // a settled session discards
+      if (k % 3 != 2) round();
+    }
+    while (s.backlog() > 0) round();
+
+    EXPECT_EQ(s.ok(), ref.ok());
+    EXPECT_EQ(ref.ok(), !corrupt);
+    if (!corrupt) {
+      EXPECT_EQ(s.events_fed(), h.size());
+    }
+    EXPECT_EQ(s.events_fed(), ref.ok() ? ref_fed : ref.stats().events_fed);
+    EXPECT_EQ(s.first_bad_index(), ref.ok() ? ref_fed : ref_first_bad);
+  }
 }
 
 }  // namespace
