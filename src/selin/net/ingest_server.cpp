@@ -116,7 +116,8 @@ struct IngestServer::Conn {
   // gap (throttled with the expected seq).
   uint32_t expected_seq = 0;
 
-  // Deferred replies: answered by check_waiters() once backlog() == 0.
+  // Deferred replies: answered by check_waiters() once backlog() == 0, as
+  // soon as the drain thread's wake byte says so (see awaited_).
   bool verdict_requested = false;
   bool bye_requested = false;
   bool counted_waiter = false;
@@ -238,6 +239,7 @@ void IngestServer::drain_loop() {
   std::unique_lock<std::mutex> lk(svc_mu_);
   while (drain_running_.load(std::memory_order_acquire)) {
     const size_t serviced = svc_->drain_round();
+    wake_caught_up();
     if (serviced == 0) {
       // Nothing pending: sleep until a publish (or stop) pokes the cv.  The
       // timeout covers publishes that race past a missed notify.
@@ -249,6 +251,17 @@ void IngestServer::drain_loop() {
       std::this_thread::yield();
       lk.lock();
     }
+  }
+}
+
+void IngestServer::wake_caught_up() {
+  // Any byte but 'q' makes the reactor answer its waiters; one byte serves
+  // every session that caught up in this round.
+  if (std::erase_if(awaited_, [](const service::Session* s) {
+        return s->backlog() == 0;
+      }) > 0) {
+    const char w = 'w';
+    [[maybe_unused]] ssize_t n = ::write(wake_w_, &w, 1);
   }
 }
 
@@ -277,8 +290,10 @@ void IngestServer::run() {
       pfds.push_back({fd, ev, 0});
       pfd_conn.push_back(fd);
     }
-    // Short timeout while verdicts wait on the drain thread; relaxed
-    // otherwise (idle eviction only needs coarse ticks).
+    // The drain thread's wake byte answers waiters as soon as their session
+    // catches up; the short tick is a fallback for a session published to
+    // after check_waiters() last listed it.  Relaxed otherwise (idle
+    // eviction only needs coarse ticks).
     const int timeout_ms = waiters_ > 0 ? 2 : 100;
     const int nready = ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (nready < 0 && errno != EINTR) break;
@@ -287,7 +302,9 @@ void IngestServer::run() {
     if (pfds[i].revents & POLLIN) {
       // Any 'q' byte is a stop request — stop() writes one, and so does the
       // daemon's signal handler (a pipe write is async-signal-safe where
-      // calling stop() would not be guaranteed to be).
+      // calling stop() would not be guaranteed to be).  Any other byte is
+      // the drain thread's: a waited session caught up, and check_waiters()
+      // below answers it.
       char buf[64];
       ssize_t n;
       bool quit = false;
@@ -657,12 +674,16 @@ void IngestServer::flush_writes(Conn& c) {
 
 void IngestServer::check_waiters() {
   std::lock_guard<std::mutex> lock(svc_mu_);
+  awaited_.clear();
   for (auto& [fd, cp] : conns_) {
     Conn& c = *cp;
     if (!c.counted_waiter || c.sess == nullptr) continue;
     // Holding svc_mu_ means no drain round is mid-flight, so backlog()==0
     // really is "every published event has been fed".
-    if (c.sess->backlog() != 0) continue;
+    if (c.sess->backlog() != 0) {
+      awaited_.push_back(c.sess);  // the drain thread wakes us when it is 0
+      continue;
+    }
     const WireStatus st = wire_status(c.sess->status());
     const uint64_t fed = c.sess->events_fed();
     const uint64_t first_bad = c.sess->first_bad_index();
@@ -702,6 +723,7 @@ void IngestServer::close_conn(int fd, bool evict_session) {
   }
   if (evict_session && c.evict_on_close && c.has_session) {
     std::lock_guard<std::mutex> lock(svc_mu_);
+    std::erase(awaited_, c.sess);
     svc_->close(c.sid);
     --open_sessions_;
     sessions_evicted_.fetch_add(1, std::memory_order_relaxed);

@@ -18,6 +18,9 @@
 //     queries (verdict/stats frames, the HTTP endpoints, open/close) take
 //     the same mutex, so they interleave with rounds, never with a running
 //     batch; the batch_limit quantum bounds how long a round can hold it.
+//     After each round it writes a byte to the reactor's self-pipe if a
+//     session whose connection waits for a verdict or bye has caught up, so
+//     the reply follows the work, not the reactor's poll tick.
 //
 //   So producers (the reactor, plus any in-process threads) run genuinely
 //   concurrent with checking — the MPSC path the service layer grew for
@@ -107,6 +110,8 @@ class IngestServer {
 
   /// Write end of the self-pipe: `write(wake_fd(), "q", 1)` requests stop
   /// and is async-signal-safe (what selin_ingestd's SIGTERM handler does).
+  /// The drain thread writes other bytes, which make the reactor answer the
+  /// verdicts it waits on.
   int wake_fd() const { return wake_w_; }
 
   /// Resolved TCP port (after start(); meaningful with opts.tcp_port >= 0).
@@ -138,6 +143,7 @@ class IngestServer {
   struct Conn;
 
   void drain_loop();
+  void wake_caught_up();
   bool setup_uds(std::string* err);
   bool setup_tcp(std::string* err);
   void accept_all(int listen_fd);
@@ -173,6 +179,10 @@ class IngestServer {
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   size_t waiters_ = 0;        // conns with a verdict/bye outstanding
+  // Sessions of waiters that had not caught up at the last check_waiters();
+  // the drain thread drops each once its backlog() is 0 and wakes the
+  // reactor.  Guarded by svc_mu_; a session leaves it before it closes.
+  std::vector<service::Session*> awaited_;
   size_t open_sessions_ = 0;  // reactor-maintained (opened - closed/evicted)
 
   // Counters are atomics so totals()/stats_json() stay readable from other
