@@ -1,7 +1,8 @@
 // Min priority queue sequential specification (Theorem 5.1 object).
 // PqInsert(v) -> true; PqExtractMin() -> smallest value, or `empty`.
-#include <set>
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "selin/spec/spec.hpp"
 #include "selin/util/hash.hpp"
@@ -18,13 +19,13 @@ class PqState final : public SeqState {
   Value step(Method m, Value arg) override {
     switch (m) {
       case Method::kPqInsert:
-        items_.insert(arg);
+        items_.insert(std::upper_bound(items_.begin(), items_.end(), arg),
+                      arg);
         return kTrue;
       case Method::kPqExtractMin: {
         if (items_.empty()) return kEmpty;
-        auto it = items_.begin();
-        Value v = *it;
-        items_.erase(it);
+        const Value v = items_.front();
+        items_.erase(items_.begin());
         return v;
       }
       default:
@@ -48,12 +49,12 @@ class PqState final : public SeqState {
   bool assign_from(const SeqState& src) override {
     auto* o = dynamic_cast<const PqState*>(&src);
     if (o == nullptr) return false;
-    items_ = o->items_;
+    items_ = o->items_;  // reuses items_'s capacity
     return true;
   }
 
  private:
-  std::multiset<Value> items_;
+  std::vector<Value> items_;  // ascending, duplicates kept
 };
 
 class PqSpec final : public SeqSpec {

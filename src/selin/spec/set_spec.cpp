@@ -1,8 +1,9 @@
 // Integer set sequential specification (Theorem 5.1 object).
 // Insert(v) -> true iff v was absent; Remove(v) -> true iff v was present;
 // Contains(v) -> membership.
-#include <set>
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "selin/spec/spec.hpp"
 #include "selin/util/hash.hpp"
@@ -17,13 +18,19 @@ class SetState final : public SeqState {
   }
 
   Value step(Method m, Value arg) override {
+    const auto it = std::lower_bound(items_.begin(), items_.end(), arg);
+    const bool present = it != items_.end() && *it == arg;
     switch (m) {
       case Method::kInsert:
-        return items_.insert(arg).second ? kTrue : kFalse;
+        if (present) return kFalse;
+        items_.insert(it, arg);
+        return kTrue;
       case Method::kRemove:
-        return items_.erase(arg) != 0 ? kTrue : kFalse;
+        if (!present) return kFalse;
+        items_.erase(it);
+        return kTrue;
       case Method::kContains:
-        return items_.count(arg) != 0 ? kTrue : kFalse;
+        return present ? kTrue : kFalse;
       default:
         return kError;
     }
@@ -45,12 +52,12 @@ class SetState final : public SeqState {
   bool assign_from(const SeqState& src) override {
     auto* o = dynamic_cast<const SetState*>(&src);
     if (o == nullptr) return false;
-    items_ = o->items_;
+    items_ = o->items_;  // reuses items_'s capacity
     return true;
   }
 
  private:
-  std::set<Value> items_;
+  std::vector<Value> items_;  // ascending, no duplicates
 };
 
 class SetSpec final : public SeqSpec {

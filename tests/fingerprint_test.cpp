@@ -5,7 +5,9 @@
 // unit coverage for the debug collision guard, FpSet and SmallVec.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
@@ -283,6 +285,115 @@ TEST(Fingerprint, StackHashMatchesFreshFold) {
     }
   }
   EXPECT_GT(empty_pops, 0u);
+}
+
+// One step of a walk against a std::set / std::multiset mirror: the
+// operation and what the mirror answered.
+struct MirrorStep {
+  Method method;
+  Value arg;
+  Value want;
+};
+
+// The set and the priority queue fold their contents into the fingerprint
+// in ascending order, as the tree-based states did.  Along a seeded random
+// walk the state must agree with its mirror after every step: the return
+// value, the fingerprint (a fresh Hasher(tag) fold over the mirror) and the
+// encoding.  Every 100 steps, every way of copying the state must carry its
+// contents along.
+template <typename Mirror, typename Pick>
+void walk_against_mirror(const SeqSpec& spec, char tag, Method insert,
+                         Pick pick) {
+  auto s = spec.initial();
+  Mirror mirror;
+  lincheck::StatePool pool;
+  uint64_t recycled = 0;
+  for (int step = 1; step <= 10000; ++step) {
+    const MirrorStep op = pick(mirror);
+    ASSERT_EQ(s->step(op.method, op.arg), op.want) << "step " << step;
+    fph::Hasher fold(tag);
+    std::ostringstream encoding;
+    encoding << tag;
+    for (Value v : mirror) {
+      fold.i64(v);
+      encoding << ":" << v;
+    }
+    ASSERT_EQ(s->fingerprint(), fold.done()) << "step " << step;
+    ASSERT_EQ(s->encode(), encoding.str()) << "step " << step;
+    if (step % 100 != 0) continue;
+
+    auto other = [&] {  // a state holding other contents
+      auto o = spec.initial();
+      for (Value v : {Value{7}, Value{step}, Value{-step}}) o->step(insert, v);
+      return o;
+    };
+    std::unique_ptr<SeqState> cloned = s->clone();
+    std::unique_ptr<SeqState> assigned = other();
+    ASSERT_TRUE(assigned->assign_from(*s));
+    pool.release(other());
+    std::unique_ptr<SeqState> acquired = pool.acquire(*s);
+    ASSERT_EQ(pool.recycled(), ++recycled);
+    for (const SeqState* copy : {cloned.get(), assigned.get(), acquired.get()}) {
+      EXPECT_EQ(copy->fingerprint(), s->fingerprint()) << "step " << step;
+      EXPECT_EQ(copy->encode(), s->encode()) << "step " << step;
+    }
+  }
+}
+
+TEST(Fingerprint, SetMatchesOrderedSet) {
+  auto spec = make_set_spec();
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide domain" : "1..16");
+    Rng rng(wide ? 0x5E7B : 0x5E7A);
+    size_t hits = 0;
+    walk_against_mirror<std::set<Value>>(
+        *spec, 'T', Method::kInsert, [&](std::set<Value>& m) {
+          // On the wide domain, half the operands are drawn from the set so
+          // that removes and lookups hit.
+          Value v = wide ? rng.range(-(int64_t{1} << 40), int64_t{1} << 40)
+                         : rng.range(1, 16);
+          if (wide && !m.empty() && rng.chance(1, 2)) {
+            v = *std::next(m.begin(), static_cast<ptrdiff_t>(rng.below(m.size())));
+          }
+          const bool present = m.count(v) != 0;
+          hits += present;
+          switch (rng.below(3)) {
+            case 0:
+              m.insert(v);
+              return MirrorStep{Method::kInsert, v, present ? kFalse : kTrue};
+            case 1:
+              m.erase(v);
+              return MirrorStep{Method::kRemove, v, present ? kTrue : kFalse};
+            default:
+              return MirrorStep{Method::kContains, v, present ? kTrue : kFalse};
+          }
+        });
+    EXPECT_GT(hits, 1000u);
+  }
+}
+
+TEST(Fingerprint, PqueueMatchesMultiset) {
+  auto spec = make_pqueue_spec();
+  Rng rng(0x9A0E);
+  size_t empty_extracts = 0, duplicates = 0;
+  walk_against_mirror<std::multiset<Value>>(
+      *spec, 'P', Method::kPqInsert, [&](std::multiset<Value>& m) {
+        if (rng.chance(1, 2)) {
+          const Value v = rng.range(-8, 8);
+          duplicates += m.count(v) != 0;
+          m.insert(v);
+          return MirrorStep{Method::kPqInsert, v, kTrue};
+        }
+        if (m.empty()) {
+          ++empty_extracts;
+          return MirrorStep{Method::kPqExtractMin, kNoArg, kEmpty};
+        }
+        const Value v = *m.begin();
+        m.erase(m.begin());
+        return MirrorStep{Method::kPqExtractMin, kNoArg, v};
+      });
+  EXPECT_GT(empty_extracts, 0u);
+  EXPECT_GT(duplicates, 0u);
 }
 
 TEST(Fingerprint, ConfigAddRemoveRoundTrip) {
