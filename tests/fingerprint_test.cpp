@@ -236,58 +236,7 @@ TEST(Fingerprint, HasherUndoInvertsStep) {
   }
 }
 
-// The stack keeps its Hasher('S') fold current on push and pop.  Along a
-// seeded random walk, pops of the empty stack included, its fingerprint
-// must equal a fresh fold over a mirror of its contents after every step,
-// and every way of copying a state must carry the fold along.
-TEST(Fingerprint, StackHashMatchesFreshFold) {
-  auto spec = make_stack_spec();
-  auto s = spec->initial();
-  std::vector<Value> mirror;
-  lincheck::StatePool pool;
-  Rng rng(0x57AC);
-  size_t empty_pops = 0;
-  uint64_t recycled = 0;
-  for (int step = 1; step <= 10000; ++step) {
-    if (rng.chance(1, 2)) {
-      const Value v = rng.range(0, 999);
-      mirror.push_back(v);
-      ASSERT_EQ(s->step(Method::kPush, v), kTrue) << "step " << step;
-    } else if (mirror.empty()) {
-      ++empty_pops;
-      ASSERT_EQ(s->step(Method::kPop, kNoArg), kEmpty) << "step " << step;
-    } else {
-      ASSERT_EQ(s->step(Method::kPop, kNoArg), mirror.back())
-          << "step " << step;
-      mirror.pop_back();
-    }
-    fph::Hasher fold('S');
-    for (Value v : mirror) fold.i64(v);
-    ASSERT_EQ(s->fingerprint(), fold.done()) << "step " << step;
-    if (step % 100 != 0) continue;
-
-    auto other = [&] {  // a stack holding other contents
-      auto o = spec->initial();
-      for (Value v : {Value{7}, Value{step}, Value{-step}}) {
-        o->step(Method::kPush, v);
-      }
-      return o;
-    };
-    std::unique_ptr<SeqState> cloned = s->clone();
-    std::unique_ptr<SeqState> assigned = other();
-    ASSERT_TRUE(assigned->assign_from(*s));
-    pool.release(other());
-    std::unique_ptr<SeqState> acquired = pool.acquire(*s);
-    ASSERT_EQ(pool.recycled(), ++recycled);
-    for (const SeqState* copy : {cloned.get(), assigned.get(), acquired.get()}) {
-      EXPECT_EQ(copy->fingerprint(), s->fingerprint()) << "step " << step;
-      EXPECT_EQ(copy->encode(), s->encode()) << "step " << step;
-    }
-  }
-  EXPECT_GT(empty_pops, 0u);
-}
-
-// One step of a walk against a std::set / std::multiset mirror: the
+// One step of a walk against a mirror of a state's contents: the
 // operation and what the mirror answered.
 struct MirrorStep {
   Method method;
@@ -295,12 +244,12 @@ struct MirrorStep {
   Value want;
 };
 
-// The set and the priority queue fold their contents into the fingerprint
-// in ascending order, as the tree-based states did.  Along a seeded random
-// walk the state must agree with its mirror after every step: the return
-// value, the fingerprint (a fresh Hasher(tag) fold over the mirror) and the
-// encoding.  Every 100 steps, every way of copying the state must carry its
-// contents along.
+// Steps a state along 10,000 seeded random operations drawn by `pick`,
+// which applies each to `mirror` (the contents in fingerprint order) and
+// returns its answer.  After every step the state must agree with the
+// mirror: the return value, the fingerprint (a fresh Hasher(tag) fold over
+// the mirror) and the encoding.  Every 100 steps, every way of copying the
+// state must carry its contents along.
 template <typename Mirror, typename Pick>
 void walk_against_mirror(const SeqSpec& spec, char tag, Method insert,
                          Pick pick) {
@@ -340,6 +289,32 @@ void walk_against_mirror(const SeqSpec& spec, char tag, Method insert,
   }
 }
 
+// The stack keeps its Hasher('S') fold current on push and pop, pops of
+// the empty stack included.
+TEST(Fingerprint, StackHashMatchesFreshFold) {
+  auto spec = make_stack_spec();
+  Rng rng(0x57AC);
+  size_t empty_pops = 0;
+  walk_against_mirror<std::vector<Value>>(
+      *spec, 'S', Method::kPush, [&](std::vector<Value>& m) {
+        if (rng.chance(1, 2)) {
+          const Value v = rng.range(0, 999);
+          m.push_back(v);
+          return MirrorStep{Method::kPush, v, kTrue};
+        }
+        if (m.empty()) {
+          ++empty_pops;
+          return MirrorStep{Method::kPop, kNoArg, kEmpty};
+        }
+        const Value v = m.back();
+        m.pop_back();
+        return MirrorStep{Method::kPop, kNoArg, v};
+      });
+  EXPECT_GT(empty_pops, 0u);
+}
+
+// The set and the priority queue fold their contents in ascending order,
+// as the tree-based states did: a std::set / std::multiset is the mirror.
 TEST(Fingerprint, SetMatchesOrderedSet) {
   auto spec = make_set_spec();
   for (const bool wide : {false, true}) {
@@ -353,7 +328,8 @@ TEST(Fingerprint, SetMatchesOrderedSet) {
           Value v = wide ? rng.range(-(int64_t{1} << 40), int64_t{1} << 40)
                          : rng.range(1, 16);
           if (wide && !m.empty() && rng.chance(1, 2)) {
-            v = *std::next(m.begin(), static_cast<ptrdiff_t>(rng.below(m.size())));
+            const auto k = static_cast<ptrdiff_t>(rng.below(m.size()));
+            v = *std::next(m.begin(), k);
           }
           const bool present = m.count(v) != 0;
           hits += present;
