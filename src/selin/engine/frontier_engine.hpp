@@ -209,7 +209,9 @@ class FrontierEngine {
   std::vector<Config> closure() {
     eng_.seen.clear();
     eng_.seen.reserve(std::max(frontier_.size(), last_width_));
-    std::vector<Config> result;
+    // The previous round's frontier buffer (empty, capacity kept) holds the
+    // result, so a round whose closure fits it allocates no vector.
+    std::vector<Config> result = std::move(spare_);
     result.reserve(std::max(frontier_.size() * 2, last_width_));
     // Seed: the frontier is already deduplicated, so every probe is fresh —
     // the batch registers the fingerprints in `seen` and the configurations
@@ -396,8 +398,10 @@ class FrontierEngine {
       filter_in_place(cur, e);
       if (!settle_response(e, cur.size())) break;
     }
-    // closure() moved the old frontier out, so `cur` simply takes its place.
-    frontier_ = std::move(cur);
+    // closure() moved the old frontier out, so `cur` simply takes its place
+    // and the old, empty buffer becomes the next closure's result.
+    frontier_.swap(cur);
+    spare_ = std::move(cur);
     // filter_in_place left hot_fp_[i] == frontier_[i].fingerprint() for
     // every row (on an emptied frontier both are empty).  Invocations only
     // grow open_ and never touch a configuration, so this holds until the
@@ -518,6 +522,7 @@ class FrontierEngine {
   std::vector<uint64_t> fp_buf_;
   std::vector<LazyCand> lazy_;     // lazy candidates (Policy::kLazyExpand)
   std::vector<Config> pend_;       // buffered Configs (batch policies)
+  std::vector<Config> spare_;      // empty; the next closure's result buffer
 
   // Rounds/peak/events live here; dedup and recycling counters are read
   // from the engines at stats() time.  Copies snapshot the source's full
