@@ -31,9 +31,12 @@ void BM_SnapshotWriteScan(benchmark::State& state) {
   }
   auto p = static_cast<ProcId>(state.thread_index());
   uint64_t v = 0;
+  std::vector<uint64_t> out;
   for (auto _ : state) {
     snap->write(p, ++v);
-    benchmark::DoNotOptimize(snap->scan(p));
+    snap->scan(p, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -66,8 +69,11 @@ void BM_SnapshotScanOnly(benchmark::State& state) {
     });
   }
   auto p = static_cast<ProcId>(state.thread_index());
+  std::vector<uint64_t> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(snap->scan(p));
+    snap->scan(p, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   if (state.thread_index() == 0) {
     stop.store(true, std::memory_order_release);
@@ -92,10 +98,13 @@ void BM_SnapshotStepsVsN(benchmark::State& state) {
   auto snap = make_snapshot<uint64_t>(kind_of(state.range(0)), n, 0);
   uint64_t v = 0;
   uint64_t total_steps = 0, ops = 0;
+  std::vector<uint64_t> out;
   for (auto _ : state) {
     StepProbe probe;
     snap->write(0, ++v);
-    benchmark::DoNotOptimize(snap->scan(0));
+    snap->scan(0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
     total_steps += probe.steps();
     ++ops;
   }

@@ -54,8 +54,10 @@ AStar::Result AStar::apply_op(ProcId i, const OpDesc& op) {
   Value y = a_->apply(i, op);
   std::atomic_thread_fence(std::memory_order_seq_cst);
 
-  // Lines 05-06: λ_i ← union of a Snapshot of N.
-  std::vector<const SetNode*> heads = announce_->scan(i);
+  // Lines 05-06: λ_i ← union of a Snapshot of N, scanned straight into the
+  // buffer the view keeps.
+  std::vector<const SetNode*> heads;
+  announce_->scan(i, heads);
   View view(std::move(heads));
   if (sink_ != nullptr) sink_->on_snap(op, y);
 
@@ -92,7 +94,8 @@ Value SteppedAStar::invoke(ProcId i) {
 AStar::Result SteppedAStar::complete(ProcId i) {
   Open& o = open_[i];
   if (!o.active || !o.invoked) throw std::logic_error("SteppedAStar: complete");
-  std::vector<const SetNode*> heads = astar_->announce_->scan(i);
+  std::vector<const SetNode*> heads;
+  astar_->announce_->scan(i, heads);
   View view(std::move(heads));
   if (astar_->sink_ != nullptr) astar_->sink_->on_snap(o.op, o.y);
   AStar::Result r{o.y, std::move(view), o.op};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "selin/lincheck/checker.hpp"
 
@@ -42,11 +43,13 @@ MonitorCore::~MonitorCore() = default;
 void MonitorCore::publish(ProcId producer, const OpDesc& op, Value y,
                           View view) {
   ProducerSlot& slot = producers_[producer];
-  auto node = std::make_unique<RecNode>(
-      RecNode{LambdaRecord{op, y, std::move(view)}, slot.head,
-              slot.head == nullptr ? 1u : slot.head->len + 1});
-  slot.head = node.get();
-  slot.owned.push_back(std::move(node));
+  const uint32_t len = slot.head == nullptr ? 1u : slot.head->len + 1;
+  if ((len - 1) % kRecordChunk == 0) {
+    slot.chunks.push_back(std::make_unique<RecNode[]>(kRecordChunk));
+  }
+  RecNode& node = slot.chunks.back()[(len - 1) % kRecordChunk];
+  node = RecNode{LambdaRecord{op, y, std::move(view)}, slot.head, len};
+  slot.head = &node;
   // M.Write: publishes the chain head; the release store in the snapshot
   // implementation makes the record contents visible to scanning checkers.
   m_->write(producer, slot.head);
@@ -84,29 +87,38 @@ bool usable(const std::vector<const RecNode*>& cover, const Level* top,
 void MonitorCore::adopt_best_tip(size_t checker,
                                  const std::vector<const RecNode*>& heads) {
   CheckerSlot& cs = checkers_[checker];
-  // Probe the tips in descending order of the records their slots
-  // announce, so the first usable one has the most records.  A tip with no
+  // Probe the tips in descending order of (announced records, slot), so
+  // the first usable one has the most records.  Each pass over the slots
+  // picks the best candidate below the last one probed; the first probe
+  // usually succeeds, so a check usually makes one pass.  A tip with no
   // more records than the own state is worth taking only when the own
   // state is not usable.
-  std::vector<std::pair<size_t, size_t>>& ranked = cs.ranked;
-  ranked.clear();
-  for (size_t j = 0; j < tips_.size(); ++j) {
-    const size_t records = tips_[j].records.load(std::memory_order_relaxed);
-    if (j != checker && records > 0) ranked.push_back({records, j});
-  }
+  //
   // Hazard protocol: name a tip in the hazard pointer, then re-read the
   // slot; if the slot still holds it, its owner cannot recycle it until the
   // hazard is cleared.  A slot that changed in between is skipped, never
   // retried.
   std::atomic<const Tip*>& hazard = tips_[checker].hazard;
   bool own_checked = false;
-  while (!ranked.empty()) {
-    // The first probe usually succeeds, so pick the best remaining
-    // candidate each time rather than sorting them all.
-    auto next = std::max_element(ranked.begin(), ranked.end());
-    const auto [records, j] = *next;
-    *next = ranked.back();
-    ranked.pop_back();
+  size_t below_records = std::numeric_limits<size_t>::max();
+  size_t below_slot = 0;
+  for (;;) {
+    size_t records = 0;
+    size_t j = 0;
+    for (size_t k = 0; k < tips_.size(); ++k) {
+      const size_t r = tips_[k].records.load(std::memory_order_relaxed);
+      if (k == checker || r == 0 || r > below_records ||
+          (r == below_records && k >= below_slot)) {
+        continue;
+      }
+      if (r >= records) {  // ascending k: ties go to the higher slot
+        records = r;
+        j = k;
+      }
+    }
+    if (records == 0) break;
+    below_records = records;
+    below_slot = j;
     if (!own_checked && records <= cs.records) {
       if (usable(cs.seen, cs.builder.top(), heads)) break;
       own_checked = true;
@@ -156,10 +168,9 @@ void MonitorCore::publish_tip(size_t checker) {
   t->cover = cs.seen;
   t->records = cs.records;
   t->top = cs.builder.top();
-  const MembershipMonitor& live = cs.checker->monitor();
-  if (t->monitor == nullptr || !t->monitor->assign_from(live)) {
-    t->monitor = live.clone();
-  }
+  // No hazard names t, so nobody reads its monitor: swapping the fed state
+  // into it costs O(1), where a copy cost a clone of every configuration.
+  cs.checker->hand_over(t->monitor);
   tips_[checker].records.store(t->records, std::memory_order_relaxed);
   tips_[checker].tip.store(t.get());
   if (cs.published != nullptr) cs.retired.push_back(std::move(cs.published));
@@ -173,7 +184,8 @@ bool MonitorCore::check(size_t checker) {
   // we cannot trust.  Skip the snapshot entirely.
   if (cs.status == CheckStatus::kOverflowed) return false;
   // Line 08: s ← M.Snapshot(); Line 09: τ ← union of entries.
-  std::vector<const RecNode*> heads = m_->scan(0);
+  std::vector<const RecNode*>& heads = cs.heads;
+  m_->scan(0, heads);
   // Start from the usable state with the most records: this checker's own
   // or a tip another checker published.  With none usable (a miss), start
   // from the own state anyway; the merge then lands below its top, and
@@ -210,6 +222,16 @@ bool MonitorCore::check(size_t checker) {
     // level the merge touched.  The checker receives the merge's whole
     // dirty-level batch (not just its minimum) so the storm shape is
     // visible where the checkpoint/replay decisions are made.
+#if SELIN_FP_AUDIT
+    // A state kept in a tip is restored from it before the feed, so that
+    // tip must be the one this context's slot still names.
+    if (cs.checker->handed_over() &&
+        (cs.published == nullptr ||
+         &cs.checker->monitor() != cs.published->monitor.get() ||
+         tips_[checker].tip.load() != cs.published.get())) {
+      throw std::runtime_error("selin: handed-over state left its tip slot");
+    }
+#endif
     try {
       ok = cs.checker->resync(cs.builder, dirty);
     } catch (const CheckerOverflow&) {

@@ -41,13 +41,15 @@ namespace selin {
 /// One published λ-record in a producer's grow-only chain.
 struct RecNode {
   LambdaRecord rec;
-  const RecNode* next;
-  uint32_t len;
+  const RecNode* next = nullptr;
+  uint32_t len = 0;
 };
 
 /// A state one checking context published for the others: its monitor
 /// after feeding X(τ) for the records `cover` names (one chain head per
 /// producer), whose levels are `top`'s chain.  Immutable while published.
+/// The monitor holds the state its context handed over
+/// (LeveledChecker::hand_over), not a copy of it.
 struct Tip {
   std::vector<const RecNode*> cover;
   size_t records = 0;  ///< records in cover
@@ -156,23 +158,30 @@ class MonitorCore {
   size_t checkers() const { return checkers_.size(); }
 
  private:
+  /// Records per chunk of a producer's record storage.
+  static constexpr size_t kRecordChunk = 32;
+
   struct alignas(64) ProducerSlot {
     const RecNode* head = nullptr;
-    std::vector<std::unique_ptr<RecNode>> owned;  // reclaimed at destruction
+    /// The producer's records, kRecordChunk to a chunk (reclaimed at
+    /// destruction); head->len of them are in use.
+    std::vector<std::unique_ptr<RecNode[]>> chunks;
   };
   struct alignas(64) CheckerSlot {
     /// The records the builder holds: one chain head per producer.
     std::vector<const RecNode*> seen;
     size_t records = 0;  // records in seen
-    std::vector<const RecNode*> fresh_scratch;  // reused across check() calls
-    std::vector<size_t> dirty_scratch;  // dirty levels of the current pass
+    // Scratch reused across check() calls: M's scan, the records a pass
+    // merges and the levels they dirty.
+    std::vector<const RecNode*> heads;
+    std::vector<const RecNode*> fresh_scratch;
+    std::vector<size_t> dirty_scratch;
     XBuilder builder;
     std::unique_ptr<LeveledChecker> checker;
     CheckStatus status = CheckStatus::kOk;
     std::unique_ptr<Tip> published;  // what tips_[self].tip names
     std::vector<std::unique_ptr<Tip>> retired;
     std::vector<const Tip*> hazards;  // reusable_tip scratch
-    std::vector<std::pair<size_t, size_t>> ranked;  // (records, slot) scratch
     uint64_t tips_unusable = 0;
   };
 
@@ -180,7 +189,9 @@ class MonitorCore {
   /// Start `checker` from the usable state with the most records: keep its
   /// own, or take a tip's records and levels and adopt its monitor.
   void adopt_best_tip(size_t checker, const std::vector<const RecNode*>& heads);
-  /// Publish `checker`'s state, sealing its levels first.
+  /// Publish `checker`'s state, sealing its levels first: the checker
+  /// hands its fed state over to a retired tip, which becomes the
+  /// published one.
   void publish_tip(size_t checker);
   /// A retired tip of `checker` that no hazard pointer names, or nullptr.
   std::unique_ptr<Tip> reusable_tip(size_t checker);

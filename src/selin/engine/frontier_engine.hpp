@@ -78,16 +78,41 @@ class FrontierEngine {
   /// capacity and the obs attachment stay this engine's own, so restoring a
   /// checkpoint does not erase the work done since the fork.  The facades
   /// forward MembershipMonitor::assign_from here.
+  ///
+  /// The copy is one clone pass.  When `o`'s fingerprint row is valid it
+  /// comes along, so the next closure seeds from it instead of hashing
+  /// every configuration again.
   void assign_from(const FrontierEngine& o) {
     ok_ = o.ok_;
     overflowed_ = o.overflowed_;
     open_ = o.open_;
-    hot_valid_ = false;  // hot_fp_ describes the frontier released below
     for (Config& c : frontier_) eng_.pool.release(std::move(c.state));
     frontier_.clear();
     for (const Config& c : o.frontier_) {
       frontier_.push_back(c.clone_with(eng_.pool));
     }
+    hot_valid_ = o.hot_valid_;
+    if (hot_valid_) {
+      hot_fp_.assign(o.hot_fp_.begin(), o.hot_fp_.end());
+#if SELIN_FP_AUDIT
+      audit_fingerprint_row("selin: carried fingerprint row is stale");
+#endif
+    }
+  }
+
+  /// Exchange the fed state (frontier, open ops, verdict and fingerprint
+  /// row) with `o`'s in O(1).  Counters, state pool, scratch and the obs
+  /// attachment stay with each engine, so a monitor can hand its fed state
+  /// to another (a published tip) without copying it and keep reporting
+  /// its own work.  The states keep the pool they came from until one of
+  /// the engines releases them into its own.
+  void swap_state(FrontierEngine& o) {
+    std::swap(ok_, o.ok_);
+    std::swap(overflowed_, o.overflowed_);
+    open_.swap(o.open_);
+    frontier_.swap(o.frontier_);
+    std::swap(hot_valid_, o.hot_valid_);
+    hot_fp_.swap(o.hot_fp_);
   }
 
   void feed(const Event& e) { feed_batch({&e, 1}); }
@@ -173,6 +198,18 @@ class FrontierEngine {
     return {open_.data(), open_.size()};
   }
 
+#if SELIN_FP_AUDIT
+  /// Collision audit of the fingerprint row: hot_fp_[i] must be
+  /// frontier_[i]'s fingerprint, row for row.
+  void audit_fingerprint_row(const char* what) const {
+    bool stale = hot_fp_.size() != frontier_.size();
+    for (size_t i = 0; !stale && i < frontier_.size(); ++i) {
+      stale = hot_fp_[i] != frontier_[i].fingerprint();
+    }
+    if (stale) throw std::runtime_error(what);
+  }
+#endif
+
   /// Post-round observability (only reached with hooks attached): the round
   /// latency histogram and the kFeedRound span.
   void observe_round(uint64_t t0, size_t run_len) {
@@ -222,14 +259,10 @@ class FrontierEngine {
     // that row instead of rehashing every configuration.
     fp_buf_.clear();
     if (hot_valid_) {
-      fp_buf_.swap(hot_fp_);
 #if SELIN_FP_AUDIT
-      bool stale = fp_buf_.size() != frontier_.size();
-      for (size_t i = 0; !stale && i < frontier_.size(); ++i) {
-        stale = fp_buf_[i] != frontier_[i].fingerprint();
-      }
-      if (stale) throw std::runtime_error("selin: seeded fingerprint is stale");
+      audit_fingerprint_row("selin: seeded fingerprint is stale");
 #endif
+      fp_buf_.swap(hot_fp_);
     } else {
       for (const Config& c : frontier_) fp_buf_.push_back(c.fingerprint());
     }
@@ -405,8 +438,9 @@ class FrontierEngine {
     // filter_in_place left hot_fp_[i] == frontier_[i].fingerprint() for
     // every row (on an emptied frontier both are empty).  Invocations only
     // grow open_ and never touch a configuration, so this holds until the
-    // next closure() reads it; assign_from and release_everything, the
-    // other writers of frontier_, clear the flag, and copies start clear.
+    // next closure() reads it; assign_from and swap_state, the other
+    // writers of frontier_, carry the flag with the row, release_everything
+    // clears it, and copies start clear.
     hot_valid_ = true;
   }
 

@@ -57,6 +57,13 @@ bool LinMonitor::assign_from(const MembershipMonitor& src) {
   return true;
 }
 
+bool LinMonitor::swap_state(MembershipMonitor& other) {
+  auto* o = dynamic_cast<LinMonitor*>(&other);
+  if (o == nullptr) return false;
+  impl_->eng.swap_state(o->impl_->eng);
+  return true;
+}
+
 bool linearizable(const SeqSpec& spec, const History& h, size_t max_configs) {
   LinMonitor m(spec, max_configs);
   for (const Event& e : h) {

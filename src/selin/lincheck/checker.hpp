@@ -63,6 +63,8 @@ class LinMonitor final : public MembershipMonitor {
   std::unique_ptr<MembershipMonitor> clone() const override;
   /// engine::FrontierEngine::assign_from; false for a non-LinMonitor `src`.
   bool assign_from(const MembershipMonitor& src) override;
+  /// engine::FrontierEngine::swap_state; false for another monitor type.
+  bool swap_state(MembershipMonitor& other) override;
 
   /// Forwarded to the underlying engine (engine::FrontierEngine::set_obs);
   /// clones inherit the attachment.

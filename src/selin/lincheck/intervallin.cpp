@@ -63,6 +63,13 @@ bool IntervalLinMonitor::assign_from(const MembershipMonitor& src) {
   return true;
 }
 
+bool IntervalLinMonitor::swap_state(MembershipMonitor& other) {
+  auto* o = dynamic_cast<IntervalLinMonitor*>(&other);
+  if (o == nullptr) return false;
+  impl_->eng.swap_state(o->impl_->eng);
+  return true;
+}
+
 bool interval_linearizable(const IntervalSeqSpec& spec, const History& h,
                            size_t max_configs) {
   IntervalLinMonitor m(spec, max_configs);

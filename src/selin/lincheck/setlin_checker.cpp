@@ -55,6 +55,13 @@ bool SetLinMonitor::assign_from(const MembershipMonitor& src) {
   return true;
 }
 
+bool SetLinMonitor::swap_state(MembershipMonitor& other) {
+  auto* o = dynamic_cast<SetLinMonitor*>(&other);
+  if (o == nullptr) return false;
+  impl_->eng.swap_state(o->impl_->eng);
+  return true;
+}
+
 bool set_linearizable(const SetSeqSpec& spec, const History& h,
                       size_t max_configs) {
   SetLinMonitor m(spec, max_configs);

@@ -31,6 +31,8 @@ class SetLinMonitor final : public MembershipMonitor {
   std::unique_ptr<MembershipMonitor> clone() const override;
   /// See LinMonitor::assign_from.
   bool assign_from(const MembershipMonitor& src) override;
+  /// See LinMonitor::swap_state.
+  bool swap_state(MembershipMonitor& other) override;
 
   /// Forwarded to the underlying engine; clones inherit the attachment.
   void attach_obs(const obs::EngineHooks* hooks) override;

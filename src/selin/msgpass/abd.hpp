@@ -188,25 +188,25 @@ class AbdSnapshot final : public Snapshot<T> {
     service_->write(key_base_ + i, encode(v), i + 1);
   }
 
-  std::vector<T> scan(ProcId /*i*/) override {
+  void scan(ProcId /*i*/, std::vector<T>& out) override {
     const size_t n = n_;
-    std::vector<AbdService::Versioned> a(n), b(n);
-    collect(a);
-    for (;;) {
-      collect(b);
+    Collect<AbdService::Versioned> c[2];  // the previous collect and the latest
+    collect(c[0]);
+    for (size_t b = 1;; b ^= 1) {
+      collect(c[b]);
+      const Collect<AbdService::Versioned>& a = c[b ^ 1];
       bool clean = true;
       for (size_t k = 0; k < n; ++k) {
-        if (a[k].ts != b[k].ts || a[k].wid != b[k].wid) {
+        if (a[k].ts != c[b][k].ts || a[k].wid != c[b][k].wid) {
           clean = false;
           break;
         }
       }
       if (clean) {
-        std::vector<T> out(n);
-        for (size_t k = 0; k < n; ++k) out[k] = decode(b[k].value);
-        return out;
+        out.resize(n);
+        for (size_t k = 0; k < n; ++k) out[k] = decode(c[b][k].value);
+        return;
       }
-      a.swap(b);
     }
   }
 
@@ -225,10 +225,11 @@ class AbdSnapshot final : public Snapshot<T> {
     return out;
   }
 
-  void collect(std::vector<AbdService::Versioned>& out) {
+  void collect(Collect<AbdService::Versioned>& out) {
+    out.clear();
     for (size_t k = 0; k < n_; ++k) {
       StepCounter::bump();
-      out[k] = service_->read(key_base_ + k);
+      out.push_back(service_->read(key_base_ + k));
     }
   }
 

@@ -37,41 +37,53 @@ class AfekSnapshot final : public Snapshot<T> {
   }
 
   void write(ProcId i, T v) override {
-    std::vector<T> embedded = scan(i);
+    std::vector<T>& embedded = entries_[i].embedded;  // only i writes entry i
+    scan(i, embedded);
     Cell* old = entries_[i].cell.load(std::memory_order_relaxed);
     Cell* neu = arena_.create<Cell>(
         Cell{v, old->seq + 1, arena_.copy_range(embedded.data(),
                                                 embedded.size())});
     StepCounter::bump();
-    entries_[i].cell.store(neu, std::memory_order_release);
+    // seq_cst, as are the collects' loads: a scan that borrows writer k's
+    // embedded scan relies on that scan having started after its own
+    // first collect, hence after every write that returned before the
+    // scan began, the scanner's own included.  A release store may still
+    // sit in the writer's store buffer while its next scan runs, and k's
+    // embedded scan may then miss it: the scan returns without its own
+    // write (SnapshotTest.WriterScansSeeOwnWrites caught it once scans
+    // stopped allocating).  In the single total order of seq_cst
+    // operations the write precedes the scanner's first collect, which
+    // precedes k's first observed move, which precedes k's embedded scan.
+    entries_[i].cell.store(neu, std::memory_order_seq_cst);
   }
 
-  std::vector<T> scan(ProcId /*i*/) override {
+  void scan(ProcId /*i*/, std::vector<T>& out) override {
     const size_t n = entries_.size();
-    std::vector<const Cell*> a(n), b(n);
-    std::vector<uint8_t> moved(n, 0);
-    collect(a);
-    for (;;) {
-      collect(b);
+    Collect<const Cell*> c[2];  // the previous collect and the latest
+    Collect<uint8_t> moved;
+    for (size_t k = 0; k < n; ++k) moved.push_back(0);
+    collect(c[0]);
+    for (size_t b = 1;; b ^= 1) {
+      collect(c[b]);
+      const Collect<const Cell*>& a = c[b ^ 1];
       bool clean = true;
       for (size_t k = 0; k < n; ++k) {
-        if (a[k]->seq != b[k]->seq) {
+        if (a[k]->seq != c[b][k]->seq) {
           clean = false;
           if (moved[k]) {
             // k moved twice within this scan: its embedded scan was taken
             // entirely inside our interval; borrow it.
-            std::vector<T> out(b[k]->embedded, b[k]->embedded + n);
-            return out;
+            out.assign(c[b][k]->embedded, c[b][k]->embedded + n);
+            return;
           }
           moved[k] = 1;
         }
       }
       if (clean) {
-        std::vector<T> out(n);
-        for (size_t k = 0; k < n; ++k) out[k] = b[k]->value;
-        return out;
+        out.resize(n);
+        for (size_t k = 0; k < n; ++k) out[k] = c[b][k]->value;
+        return;
       }
-      a.swap(b);
     }
   }
 
@@ -86,12 +98,14 @@ class AfekSnapshot final : public Snapshot<T> {
   };
   struct alignas(64) Entry {
     std::atomic<Cell*> cell{nullptr};
+    std::vector<T> embedded;  // write()'s scan buffer; only the writer's
   };
 
-  void collect(std::vector<const Cell*>& out) {
+  void collect(Collect<const Cell*>& out) {
+    out.clear();
     for (size_t k = 0; k < entries_.size(); ++k) {
       StepCounter::bump();
-      out[k] = entries_[k].cell.load(std::memory_order_acquire);
+      out.push_back(entries_[k].cell.load(std::memory_order_seq_cst));
     }
   }
 

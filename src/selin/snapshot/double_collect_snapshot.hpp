@@ -40,26 +40,25 @@ class DoubleCollectSnapshot final : public Snapshot<T> {
     entries_[i].cell.store(neu, std::memory_order_release);
   }
 
-  std::vector<T> scan(ProcId /*i*/) override {
+  void scan(ProcId /*i*/, std::vector<T>& out) override {
     const size_t n = entries_.size();
-    std::vector<const Cell*> a(n);
-    collect(a);
-    for (;;) {
-      std::vector<const Cell*> b(n);
-      collect(b);
+    Collect<const Cell*> c[2];  // the previous collect and the latest
+    collect(c[0]);
+    for (size_t b = 1;; b ^= 1) {
+      collect(c[b]);
+      const Collect<const Cell*>& a = c[b ^ 1];
       bool clean = true;
       for (size_t k = 0; k < n; ++k) {
-        if (a[k]->seq != b[k]->seq) {
+        if (a[k]->seq != c[b][k]->seq) {
           clean = false;
           break;
         }
       }
       if (clean) {
-        std::vector<T> out(n);
-        for (size_t k = 0; k < n; ++k) out[k] = b[k]->value;
-        return out;
+        out.resize(n);
+        for (size_t k = 0; k < n; ++k) out[k] = c[b][k]->value;
+        return;
       }
-      a.swap(b);
     }
   }
 
@@ -75,10 +74,11 @@ class DoubleCollectSnapshot final : public Snapshot<T> {
     std::atomic<Cell*> cell{nullptr};
   };
 
-  void collect(std::vector<const Cell*>& out) {
+  void collect(Collect<const Cell*>& out) {
+    out.clear();
     for (size_t k = 0; k < entries_.size(); ++k) {
       StepCounter::bump();
-      out[k] = entries_[k].cell.load(std::memory_order_acquire);
+      out.push_back(entries_[k].cell.load(std::memory_order_acquire));
     }
   }
 

@@ -26,10 +26,10 @@ class MutexSnapshot final : public Snapshot<T> {
     mem_[i] = v;
   }
 
-  std::vector<T> scan(ProcId /*i*/) override {
+  void scan(ProcId /*i*/, std::vector<T>& out) override {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t k = 0; k < mem_.size(); ++k) StepCounter::bump();
-    return mem_;
+    out.assign(mem_.begin(), mem_.end());
   }
 
   size_t size() const override { return mem_.size(); }

@@ -14,10 +14,16 @@
 #include <memory>
 #include <vector>
 
+#include "selin/util/small_vec.hpp"
 #include "selin/util/step_counter.hpp"
 #include "selin/util/types.hpp"
 
 namespace selin {
+
+/// One collect of a scan: on the stack for up to 64 entries, so a scan of
+/// an object with at most 64 processes allocates nothing.
+template <typename C>
+using Collect = SmallVec<C, 64>;
 
 template <typename T>
 class Snapshot {
@@ -27,8 +33,9 @@ class Snapshot {
   /// Write v into entry i (i = index of the calling process).
   virtual void write(ProcId i, T v) = 0;
 
-  /// Atomically read all n entries.
-  virtual std::vector<T> scan(ProcId i) = 0;
+  /// Atomically read all n entries into `out`, which is resized to n: a
+  /// caller that keeps `out` across scans reuses its buffer.
+  virtual void scan(ProcId i, std::vector<T>& out) = 0;
 
   virtual size_t size() const = 0;
   virtual const char* name() const = 0;

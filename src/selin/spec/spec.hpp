@@ -111,6 +111,16 @@ class MembershipMonitor {
     return false;
   }
 
+  /// Exchange the membership state with `other`'s, which has the same
+  /// concrete type, without copying it.  Like assign_from(), each monitor
+  /// keeps its own engine counters, scratch and obs attachment, so a
+  /// checker can hand the state it fed to another monitor in O(1).
+  /// Default: unsupported, returns false; callers fall back to a copy.
+  virtual bool swap_state(MembershipMonitor& other) {
+    (void)other;
+    return false;
+  }
+
   /// Attach observability instruments (obs/hooks.hpp; nullptr detaches).
   /// The bundle must outlive the monitor and every clone taken from it —
   /// clones inherit the attachment.  Default: no-op, for monitors without

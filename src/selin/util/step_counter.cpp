@@ -4,9 +4,4 @@ namespace selin {
 
 std::atomic<bool> StepCounter::enabled_{true};
 
-uint64_t& StepCounter::local() {
-  thread_local uint64_t count = 0;
-  return count;
-}
-
 }  // namespace selin

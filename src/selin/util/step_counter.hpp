@@ -7,8 +7,9 @@
 // StepCounter::bump() so tests and benches can measure the realized step
 // counts and check the O(n) shape empirically (bench B1/B2 in DESIGN.md).
 //
-// Counting is thread-local and therefore free of contention; it can be
-// toggled off globally for throughput benchmarks.
+// Counting is thread-local and therefore free of contention, and inline, so
+// a step costs an add rather than a call; it can be toggled off globally
+// for throughput benchmarks.
 #pragma once
 
 #include <atomic>
@@ -34,7 +35,10 @@ class StepCounter {
   static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
  private:
-  static uint64_t& local();
+  static uint64_t& local() {
+    thread_local uint64_t count = 0;
+    return count;
+  }
   static std::atomic<bool> enabled_;
 };
 

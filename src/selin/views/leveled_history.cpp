@@ -7,8 +7,9 @@
 
 namespace selin {
 
-std::vector<OpDesc> XBuilder::delta(const View* prev, const View& view) {
-  std::vector<OpDesc> invs;
+std::span<const OpDesc> XBuilder::delta(const View* prev, const View& view) {
+  std::vector<OpDesc>& invs = delta_;
+  invs.clear();
   for (size_t p = 0; p < view.procs(); ++p) {
     const SetNode* n = view.heads()[p];
     // Most processes did nothing between two adjacent levels.
@@ -22,7 +23,9 @@ std::vector<OpDesc> XBuilder::delta(const View* prev, const View& view) {
   }
   std::sort(invs.begin(), invs.end(),
             [](const OpDesc& a, const OpDesc& b) { return a.id < b.id; });
-  return invs;
+  const std::span<OpDesc> out = invs_.take(invs.size());
+  std::copy(invs.begin(), invs.end(), out.begin());
+  return out;
 }
 
 LevelIndex::LevelIndex(const Level* top) {
@@ -60,15 +63,20 @@ size_t XBuilder::add(const LambdaRecord* rec) {
   Level* lvl;
   const bool inserted = at == nullptr || at->key != key;
   if (!inserted) {
-    // Existing level: insert the response, keeping OpId order.
+    // Existing level: insert the response, keeping OpId order, into a new
+    // span (a copy of the level may still name the old one).
     lvl = writable(at);
-    auto& ress = lvl->ress;
-    auto it = std::lower_bound(
-        ress.begin(), ress.end(), rec->op.id,
+    const auto old = lvl->ress;
+    const auto it = std::lower_bound(
+        old.begin(), old.end(), rec->op.id,
         [](const std::pair<OpDesc, Value>& r, OpId id) {
           return r.first.id < id;
         });
-    ress.insert(it, {rec->op, rec->y});
+    const std::span<std::pair<OpDesc, Value>> ress = ress_.take(old.size() + 1);
+    const auto out = std::copy(old.begin(), it, ress.begin());
+    *out = {rec->op, rec->y};
+    std::copy(it, old.end(), out + 1);
+    lvl->ress = ress;
   } else {
     lvl = new_level();
     lvl->key = key;
@@ -76,7 +84,9 @@ size_t XBuilder::add(const LambdaRecord* rec) {
     lvl->below = at;
     lvl->depth = at == nullptr ? 1 : at->depth + 1;
     lvl->invs = delta(at == nullptr ? nullptr : at->view, rec->view);
-    lvl->ress.push_back({rec->op, rec->y});
+    const std::span<std::pair<OpDesc, Value>> ress = ress_.take(1);
+    ress[0] = {rec->op, rec->y};
+    lvl->ress = ress;
   }
   const size_t changed = lvl->depth - 1;
   // Relink the levels above, bottom-up.  Above an inserted level, the old
@@ -121,7 +131,8 @@ namespace {
 bool same_levels(const Level* a, const Level* b) {
   for (; a != b; a = a->below, b = b->below) {
     if (a == nullptr || b == nullptr || a->key != b->key ||
-        a->invs != b->invs || a->ress != b->ress) {
+        !std::ranges::equal(a->invs, b->invs) ||
+        !std::ranges::equal(a->ress, b->ress)) {
       return false;
     }
   }
@@ -173,6 +184,7 @@ void LeveledChecker::append_batch(const XBuilder& builder) {
        l = l->below) {
     pending_.push_back(l);
   }
+  if (!pending_.empty() && handed_ != nullptr) reclaim();
   while (!pending_.empty()) {
     const size_t due = last_checkpoint_level() + stride_;
     batch_.clear();
@@ -222,6 +234,23 @@ void LeveledChecker::restore(const MembershipMonitor* src, const Level* at) {
     cur_ = initial != nullptr ? std::move(initial) : src->clone();
   }
   fed_ = at == nullptr ? 0 : at->depth;
+  handed_ = nullptr;
+}
+
+void LeveledChecker::reclaim() {
+  if (!cur_->assign_from(*handed_)) cur_ = handed_->clone();
+  handed_ = nullptr;
+}
+
+void LeveledChecker::hand_over(std::unique_ptr<MembershipMonitor>& dst) {
+  ensure_monitor();
+  if (handed_ != nullptr) reclaim();
+  if (dst == nullptr) dst = obj_->monitor();
+  if (dst->swap_state(*cur_)) {
+    handed_ = dst.get();
+  } else if (!dst->assign_from(*cur_)) {
+    dst = cur_->clone();
+  }
 }
 
 void LeveledChecker::rollback(size_t from_level) {

@@ -23,6 +23,7 @@
 // locally tests" discipline.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,8 +49,11 @@ struct Level {
   size_t depth = 0;              ///< k: this level and the ones below it
   /// Set by XBuilder::seal; a sealed level is immutable and may be shared.
   bool sealed = false;
-  std::vector<OpDesc> invs;
-  std::vector<std::pair<OpDesc, Value>> ress;
+  /// Contents, in storage a builder owns: a rewrite writes a new span and
+  /// never changes one a level already names, so a level's copy shares
+  /// them.
+  std::span<const OpDesc> invs;
+  std::span<const std::pair<OpDesc, Value>> ress;
 };
 
 /// The levels of a chain bottom-up, for random access (tests, diagnostics).
@@ -64,8 +68,10 @@ class LevelIndex {
 };
 
 /// A handle to the top level of X(λ) for the records added so far.  It
-/// owns the level nodes it allocates; another builder may point into them
-/// once they are sealed, so they live as long as this builder.
+/// owns the level nodes it allocates and their contents; another builder
+/// may point into them once they are sealed, so they live as long as this
+/// builder.  Nodes and contents come from chunks, so add() makes no heap
+/// allocation per level.
 class XBuilder {
  public:
   /// Incorporates a record (which must outlive the builder).  Returns the
@@ -96,8 +102,32 @@ class XBuilder {
  private:
   static constexpr size_t kChunk = 64;
 
+  /// Append-only storage for level contents, in chunks of kChunk elements
+  /// (larger for a larger request) that live as long as the builder.
+  template <typename T>
+  class Store {
+   public:
+    std::span<T> take(size_t n) {
+      if (n > left_) {
+        const size_t cap = std::max(n, kChunk);
+        chunks_.push_back(std::make_unique<T[]>(cap));
+        next_ = chunks_.back().get();
+        left_ = cap;
+      }
+      const std::span<T> out(next_, n);
+      next_ += n;
+      left_ -= n;
+      return out;
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    T* next_ = nullptr;
+    size_t left_ = 0;
+  };
+
   /// Invocation pairs of `view` beyond `prev` (σk \ σk−1), sorted by OpId.
-  static std::vector<OpDesc> delta(const View* prev, const View& view);
+  std::span<const OpDesc> delta(const View* prev, const View& view);
 
   Level* new_level();
   /// `lvl` itself when unsealed (then this builder made it and nobody else
@@ -107,7 +137,10 @@ class XBuilder {
   const Level* top_ = nullptr;
   std::vector<std::unique_ptr<Level[]>> chunks_;  // allocated on first add
   size_t nodes_ = 0;
+  Store<OpDesc> invs_;
+  Store<std::pair<OpDesc, Value>> ress_;
   std::vector<const Level*> above_;  // add() scratch
+  std::vector<OpDesc> delta_;        // delta() scratch
 };
 
 /// Memoizing membership evaluator over an XBuilder.
@@ -180,9 +213,24 @@ class LeveledChecker {
   /// restores a lower checkpoint, or the initial state.
   void settle(uint64_t bound);
 
-  /// The live monitor, after levels_fed() levels (call after a resync or
-  /// an adoption).
-  const MembershipMonitor& monitor() const { return *cur_; }
+  /// Move the fed state into `dst`, which nobody else reads, by swapping
+  /// it with dst's (MembershipMonitor::swap_state; a null `dst` first
+  /// becomes a fresh monitor).  The live monitor keeps its counters and
+  /// takes dst's old state, which is discarded: until the next restore,
+  /// monitor() is *dst, and the next feed first copies the state back
+  /// from it, so the caller must keep *dst unchanged until then.  A
+  /// monitor type that cannot swap gets a copy, and the live monitor
+  /// keeps the state.
+  void hand_over(std::unique_ptr<MembershipMonitor>& dst);
+
+  /// The fed state, after levels_fed() levels (call after a resync, an
+  /// adoption or a hand-over): the live monitor, or the monitor the state
+  /// was handed over to.
+  const MembershipMonitor& monitor() const {
+    return handed_ != nullptr ? *handed_ : *cur_;
+  }
+  /// Whether monitor() is the monitor the state was handed over to.
+  bool handed_over() const { return handed_ != nullptr; }
 
   bool ok() const { return ok_; }
 
@@ -247,6 +295,8 @@ class LeveledChecker {
   /// which has fed the chain up to `at`; the live monitor keeps its
   /// counters.
   void restore(const MembershipMonitor* src, const Level* at);
+  /// Copy the handed-over state back into the live monitor.
+  void reclaim();
   /// Restore the nearest checkpoint at or below `from_level`, eagerly
   /// releasing everything above it.
   void rollback(size_t from_level);
@@ -255,6 +305,9 @@ class LeveledChecker {
   size_t stride_;
   std::unique_ptr<MembershipMonitor> cur_;  // state after levels [0, fed_)
   size_t fed_ = 0;                          // levels consumed by cur_
+  /// Where the state after levels [0, fed_) lives while cur_ holds a
+  /// discarded one (hand_over); nullptr while cur_ holds it.
+  const MembershipMonitor* handed_ = nullptr;
   /// Ascending levels in (0, fed_], each on the chain the live monitor fed.
   /// Every level this checker reached, by feeding it or by adopting a state
   /// there, lies less than `stride_` above a checkpoint or level 0, or at

@@ -93,7 +93,8 @@ TEST(Integration, WriteSnapshotTaskThroughRealSnapshots) {
   // Correct write-snapshot: write your flag, scan, output the mask of flags.
   auto task_impl = [&](ProcId p) -> Value {
     snap->write(p, 1);
-    auto v = snap->scan(p);
+    std::vector<uint64_t> v;
+    snap->scan(p, v);
     uint64_t mask = 0;
     for (size_t j = 0; j < kProcs; ++j) {
       if (v[j] != 0) mask |= 1ULL << j;

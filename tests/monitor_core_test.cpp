@@ -5,12 +5,61 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
 
 #include "test_util.hpp"
 
 namespace selin {
 namespace {
+
+// The state a context exposes after a check, in its live monitor or handed
+// over to its published tip, is exactly the membership state of its
+// sketch: the verdict and frontier digest of a fresh monitor fed X(τ).
+void expect_state_of_sketch(const MonitorCore& core, size_t c,
+                            const SeqSpec& spec, const std::string& where) {
+  LinMonitor fresh(spec);
+  fresh.feed_batch(core.sketch(c));
+  const auto& state =
+      dynamic_cast<const LinMonitor&>(core.leveled(c).monitor());
+  EXPECT_EQ(state.ok(), fresh.ok()) << where << " context " << c;
+  EXPECT_EQ(state.frontier_digest(), fresh.frontier_digest())
+      << where << " context " << c;
+}
+
+// Records of a stepped run, each published by its process, a seeded subset
+// held back by 1–40 records (with the process's later records behind
+// them), so they land below other contexts' tips.  Returns record indices
+// in publish order.
+std::vector<size_t> straggler_order(const test::SteppedQueueRun& run,
+                                    size_t procs, uint64_t seed) {
+  Rng rng(seed + 100);
+  std::vector<std::pair<size_t, size_t>> timed;  // (publish time, record)
+  std::vector<size_t> last(procs, 0);
+  for (size_t i = 0; i < run.records.size(); ++i) {
+    size_t t = i;
+    if (rng.chance(1, 16)) t += 1 + rng.below(40);
+    const ProcId p = run.records[i].op.id.pid;
+    t = std::max(t, last[p]);
+    last[p] = t;
+    timed.push_back({t, i});
+  }
+  std::sort(timed.begin(), timed.end());
+  std::vector<size_t> order;
+  for (const auto& [t, i] : timed) order.push_back(i);
+  return order;
+}
+
+// Rewrites the first dequeue in the second half of the run to a value
+// never enqueued.
+void corrupt_a_dequeue(test::SteppedQueueRun& run) {
+  for (size_t i = run.records.size() / 2; i < run.records.size(); ++i) {
+    if (run.records[i].op.method == Method::kDequeue) {
+      run.records[i].y = -1;
+      return;
+    }
+  }
+}
 
 TEST(MonitorCore, EmptyCheckIsOk) {
   auto obj = make_linearizable_object(make_queue_spec());
@@ -95,21 +144,14 @@ TEST(MonitorCore, LateRecordLandsInMiddleLevel) {
 // check() merges all of a pass's fresh records in view-size order, so how
 // records are batched into passes must not show in the result: a checker
 // that merges after every publish and one that merges the whole run in a
-// single pass end with the same X(τ) and verdict.  The corrupt variant
-// rewrites one mid-run dequeue to a value never enqueued.
+// single pass end with the same X(τ) and verdict, on clean and corrupt
+// runs.
 TEST(MonitorCore, MergeBatchingDoesNotChangeSketch) {
   constexpr size_t kProcs = 16;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     for (bool corrupt : {false, true}) {
       test::SteppedQueueRun run = test::stepped_queue_run(kProcs, 600, 3, seed);
-      if (corrupt) {
-        for (size_t i = run.records.size() / 2; i < run.records.size(); ++i) {
-          if (run.records[i].op.method == Method::kDequeue) {
-            run.records[i].y = -1;
-            break;
-          }
-        }
-      }
+      if (corrupt) corrupt_a_dequeue(run);
       auto obj = make_linearizable_object(make_queue_spec());
       MonitorCore eager(kProcs, 1, *obj);
       MonitorCore once(kProcs, 1, *obj);
@@ -133,60 +175,52 @@ TEST(MonitorCore, MergeBatchingDoesNotChangeSketch) {
 // Every checking context of one object starts its checks from tips other
 // contexts published, so each context's verdict is only right if the state
 // it adopted, with its levels, was the start of its own X(τ).  Records are
-// published by their process, a seeded subset of them held back by 1–40
-// records (with the process's later records behind them), so they land
-// below other contexts' tips; runs with 2 and 4 open operations (two seeds
-// each) besides 3 (five seeds) vary how far a record's view lags its
+// published in straggler_order, so held-back ones land below other
+// contexts' tips; runs with 2 and 4 open operations (two seeds each)
+// besides 3 (five seeds) vary how far a record's view lags its
 // publication.  After every check the verdict must equal an offline test
-// of that context's sketch.  Both branches of the coverage rule run:
-// adoptions, and tips that are unusable.
+// of that context's sketch, and the state the context exposes, live or
+// handed over to its tip, must be the sketch's; a last check by every
+// context, which merges nothing beyond the tip it adopts, leaves the
+// state live.  Both branches of the coverage rule run: adoptions, and tips
+// that are unusable.
 TEST(MonitorCore, AllContextsAgreeWithOfflineWithStragglers) {
   constexpr size_t kProcs = 16;
+  auto spec = make_queue_spec();
   uint64_t adoptions = 0;
   uint64_t unusable = 0;
+  size_t handed = 0;
+  size_t live = 0;
   for (size_t max_open : {size_t{2}, size_t{3}, size_t{4}}) {
     const uint64_t seeds = max_open == 3 ? 5 : 2;
     for (uint64_t seed = 1; seed <= seeds; ++seed) {
       for (bool corrupt : {false, true}) {
         test::SteppedQueueRun run =
             test::stepped_queue_run(kProcs, 600, max_open, seed);
-        if (corrupt) {
-          for (size_t i = run.records.size() / 2; i < run.records.size(); ++i) {
-            if (run.records[i].op.method == Method::kDequeue) {
-              run.records[i].y = -1;
-              break;
-            }
-          }
-        }
-        Rng rng(seed + 100);
-        std::vector<std::pair<size_t, size_t>> timed;  // (publish time, record)
-        std::vector<size_t> last(kProcs, 0);
-        for (size_t i = 0; i < run.records.size(); ++i) {
-          size_t t = i;
-          if (rng.chance(1, 16)) t += 1 + rng.below(40);
-          const ProcId p = run.records[i].op.id.pid;
-          t = std::max(t, last[p]);
-          last[p] = t;
-          timed.push_back({t, i});
-        }
-        std::sort(timed.begin(), timed.end());
-
+        if (corrupt) corrupt_a_dequeue(run);
+        const std::string where = "open " + std::to_string(max_open) +
+                                  " seed " + std::to_string(seed) +
+                                  " corrupt " + std::to_string(corrupt);
         auto obj = make_linearizable_object(make_queue_spec());
         MonitorCore core(kProcs, kProcs, *obj);
         bool any_rejected = false;
-        for (const auto& [t, i] : timed) {
+        for (size_t i : straggler_order(run, kProcs, seed)) {
           const LambdaRecord& r = run.records[i];
           const ProcId p = r.op.id.pid;
           core.publish(p, r.op, r.y, r.view);
           const bool ok = core.check(p);
           ASSERT_EQ(ok, obj->contains(core.sketch(p)))
-              << "open " << max_open << " seed " << seed << " corrupt "
-              << corrupt << " record " << i;
+              << where << " record " << i;
+          expect_state_of_sketch(core, p, *spec,
+                                 where + " record " + std::to_string(i));
+          ++(core.leveled(p).handed_over() ? handed : live);
           any_rejected = any_rejected || !ok;
         }
-        EXPECT_EQ(any_rejected, corrupt)
-            << "open " << max_open << " seed " << seed;
+        EXPECT_EQ(any_rejected, corrupt) << where;
         for (size_t c = 0; c < kProcs; ++c) {
+          EXPECT_EQ(core.check(c), !corrupt) << where << " context " << c;
+          expect_state_of_sketch(core, c, *spec, where + " last check");
+          ++(core.leveled(c).handed_over() ? handed : live);
           adoptions += core.leveled(c).tip_adoptions();
           unusable += core.tips_unusable(c);
         }
@@ -195,6 +229,32 @@ TEST(MonitorCore, AllContextsAgreeWithOfflineWithStragglers) {
   }
   EXPECT_GT(adoptions, 0u);
   EXPECT_GT(unusable, 0u);
+  EXPECT_GT(handed, 0u);
+  EXPECT_GT(live, 0u);
+}
+
+// A check copies a whole monitor state only to start from one (another
+// context's tip, its own published tip, or a checkpoint) and to take
+// checkpoints: publishing hands the fed state over to the tip instead of
+// copying it, and adopting copies the tip once.  On the stepped runs a
+// check copies its monitor at most 1.5 times on average, where publishing,
+// adopting and checkpointing copied it 2.41 (k = 2), 2.42 (k = 3) and 2.45
+// (k = 4) times per check before the hand-over.
+TEST(MonitorCore, ACheckCopiesItsMonitorAboutOnce) {
+  constexpr size_t kProcs = 16;
+  for (size_t max_open : {size_t{2}, size_t{3}, size_t{4}}) {
+    test::SteppedQueueRun run =
+        test::stepped_queue_run(kProcs, 2000, max_open, 1);
+    test::CountingObject obj(make_linearizable_object(make_queue_spec()));
+    MonitorCore core(kProcs, kProcs, obj);
+    for (const LambdaRecord& r : run.records) {
+      core.publish(r.op.id.pid, r.op, r.y, r.view);
+      ASSERT_TRUE(core.check(r.op.id.pid)) << "open " << max_open;
+    }
+    const double per_check = static_cast<double>(obj.copies()) /
+                             static_cast<double>(run.records.size());
+    EXPECT_LE(per_check, 1.5) << "open " << max_open;
+  }
 }
 
 // The contexts of one object build each level about once: a check starts
@@ -538,6 +598,51 @@ TEST(MonitorCore, ConcurrentCheckersShareTips) {
   EXPECT_FALSE(bad.load());
   for (size_t c = 0; c < kCheckers; ++c) {
     EXPECT_EQ(core.record_count(c), run.records.size());
+  }
+}
+
+// Four threads, each the process of two producers and their contexts,
+// publish the records of a straggler run in its order, taking turns, and
+// check after each publish while the next thread publishes, so
+// publishes, checks, hand-overs and tip recycling race (the TSan leg and
+// the release leg repeat this case).  Every scan then sees a prefix of
+// the publish order, as in the one-thread run.  After the threads join,
+// every context's state is its sketch's, and is again after one more
+// check by each.
+TEST(MonitorCore, ConcurrentContextStateIsTheSketchsState) {
+  constexpr size_t kProcs = 8;
+  constexpr size_t kThreads = 4;
+  auto spec = make_queue_spec();
+  for (bool corrupt : {false, true}) {
+    test::SteppedQueueRun run = test::stepped_queue_run(kProcs, 400, 3, 5);
+    if (corrupt) corrupt_a_dequeue(run);
+    const std::vector<size_t> order = straggler_order(run, kProcs, 5);
+    auto obj = make_linearizable_object(make_queue_spec());
+    MonitorCore core(kProcs, kProcs, *obj);
+    std::atomic<size_t> turn{0};  // position in `order` to publish next
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t k = 0; k < order.size(); ++k) {
+          const LambdaRecord& r = run.records[order[k]];
+          const ProcId p = r.op.id.pid;
+          if (p % kThreads != t) continue;
+          while (turn.load() != k) std::this_thread::yield();
+          core.publish(p, r.op, r.y, r.view);
+          turn.store(k + 1);
+          core.check(p);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    const std::string where = corrupt ? "corrupt" : "clean";
+    for (size_t c = 0; c < kProcs; ++c) {
+      expect_state_of_sketch(core, c, *spec, where + " after join");
+    }
+    for (size_t c = 0; c < kProcs; ++c) {
+      EXPECT_EQ(core.check(c), !corrupt) << where << " context " << c;
+      expect_state_of_sketch(core, c, *spec, where + " last check");
+    }
   }
 }
 

@@ -101,7 +101,8 @@ TEST(AbdSnapshot, BasicWriteScan) {
   AbdSnapshot<uint64_t> snap(svc, 3, 0);
   snap.write(0, 10);
   snap.write(2, 30);
-  auto v = snap.scan(0);
+  std::vector<uint64_t> v;
+  snap.scan(0, v);
   EXPECT_EQ(v, (std::vector<uint64_t>{10, 0, 30}));
   EXPECT_STREQ(snap.name(), "abd");
 }
@@ -125,7 +126,7 @@ TEST(AbdSnapshot, ConcurrentScansComparable) {
     threads.emplace_back([&, s] {
       barrier.arrive_and_wait();
       for (int i = 0; i < 25; ++i) {
-        scans[s].push_back(snap.scan(0));
+        snap.scan(0, scans[s].emplace_back());
       }
     });
   }

@@ -329,7 +329,7 @@ ok_stats='{"events_fed":10,"rounds_sequential":5,"peak_frontier":2,"dedup_probes
 ok_enf='{"events_fed":13,"rounds_sequential":5,"peak_frontier":2,"dedup_probes":24,"dedup_hits":2,"states_recycled":6,"probe_batches":20,"prefetch_batches":4,"filter_in_place_rounds":6}'
 bad_stats='{"events_fed":4,"rounds_sequential":2,"peak_frontier":1,"dedup_probes":5,"dedup_hits":0,"states_recycled":1,"probe_batches":5,"prefetch_batches":0,"filter_in_place_rounds":2}'
 swing_stats='{"events_fed":90,"rounds_sequential":45,"peak_frontier":1536,"dedup_probes":37869,"dedup_hits":2559,"states_recycled":11770,"probe_batches":12176,"prefetch_batches":2959,"filter_in_place_rounds":45}'
-swing_enf='{"events_fed":129,"rounds_sequential":45,"peak_frontier":1536,"dedup_probes":48105,"dedup_hits":0,"states_recycled":16889,"probe_batches":17339,"prefetch_batches":5562,"filter_in_place_rounds":58}'
+swing_enf='{"events_fed":129,"rounds_sequential":45,"peak_frontier":1536,"dedup_probes":48105,"dedup_hits":0,"states_recycled":14909,"probe_batches":17339,"prefetch_batches":5562,"filter_in_place_rounds":58}'
 for i in 1 2 3; do
   expect_exact 0 "$ok_stats" \
     "$bin" queue "$tmp/hists/ok_$i.hist" --quiet --stats-json

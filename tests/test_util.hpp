@@ -268,22 +268,28 @@ class RoundGate {
 
 /// GenLinObject wrapper whose monitors count live instances, so tests can
 /// observe how many monitors (live frontiers, checkpoints, shared tips) a
-/// checker keeps alive, and at its peak.  Feeds and restores forward to the
-/// wrapped monitor, so a restore through assign_from allocates nothing, as
-/// with the real monitors.
+/// checker keeps alive, and at its peak, and how many times a whole
+/// monitor state is copied (clone or assign_from).  Feeds, restores and
+/// state swaps forward to the wrapped monitor, so a restore through
+/// assign_from allocates nothing and a hand-over copies nothing, as with
+/// the real monitors.
 class CountingMonitor final : public MembershipMonitor {
  public:
+  struct Counts {
+    std::atomic<int> live{0};
+    std::atomic<int> peak{0};
+    std::atomic<uint64_t> copies{0};
+  };
+
   CountingMonitor(std::unique_ptr<MembershipMonitor> inner,
-                  std::shared_ptr<std::atomic<int>> live,
-                  std::shared_ptr<std::atomic<int>> peak)
-      : inner_(std::move(inner)), live_(std::move(live)),
-        peak_(std::move(peak)) {
-    int now = live_->fetch_add(1) + 1;
-    int prev = peak_->load();
-    while (prev < now && !peak_->compare_exchange_weak(prev, now)) {
+                  std::shared_ptr<Counts> counts)
+      : inner_(std::move(inner)), counts_(std::move(counts)) {
+    int now = counts_->live.fetch_add(1) + 1;
+    int prev = counts_->peak.load();
+    while (prev < now && !counts_->peak.compare_exchange_weak(prev, now)) {
     }
   }
-  ~CountingMonitor() override { live_->fetch_sub(1); }
+  ~CountingMonitor() override { counts_->live.fetch_sub(1); }
 
   void feed(const Event& e) override { inner_->feed(e); }
   void feed_batch(std::span<const Event> events) override {
@@ -291,39 +297,45 @@ class CountingMonitor final : public MembershipMonitor {
   }
   bool ok() const override { return inner_->ok(); }
   std::unique_ptr<MembershipMonitor> clone() const override {
-    return std::make_unique<CountingMonitor>(inner_->clone(), live_, peak_);
+    counts_->copies.fetch_add(1);
+    return std::make_unique<CountingMonitor>(inner_->clone(), counts_);
   }
   bool assign_from(const MembershipMonitor& src) override {
     const auto* o = dynamic_cast<const CountingMonitor*>(&src);
-    return o != nullptr && inner_->assign_from(*o->inner_);
+    if (o == nullptr || !inner_->assign_from(*o->inner_)) return false;
+    counts_->copies.fetch_add(1);
+    return true;
+  }
+  bool swap_state(MembershipMonitor& other) override {
+    auto* o = dynamic_cast<CountingMonitor*>(&other);
+    return o != nullptr && inner_->swap_state(*o->inner_);
   }
 
  private:
   std::unique_ptr<MembershipMonitor> inner_;
-  std::shared_ptr<std::atomic<int>> live_;
-  std::shared_ptr<std::atomic<int>> peak_;
+  std::shared_ptr<Counts> counts_;
 };
 
 class CountingObject final : public GenLinObject {
  public:
   explicit CountingObject(std::unique_ptr<GenLinObject> base)
       : base_(std::move(base)),
-        live_(std::make_shared<std::atomic<int>>(0)),
-        peak_(std::make_shared<std::atomic<int>>(0)) {}
+        counts_(std::make_shared<CountingMonitor::Counts>()) {}
 
   const char* name() const override { return base_->name(); }
   std::unique_ptr<MembershipMonitor> monitor() const override {
-    return std::make_unique<CountingMonitor>(base_->monitor(), live_, peak_);
+    return std::make_unique<CountingMonitor>(base_->monitor(), counts_);
   }
 
-  int live() const { return live_->load(); }
-  int peak() const { return peak_->load(); }
-  void reset_peak() { peak_->store(live_->load()); }
+  int live() const { return counts_->live.load(); }
+  int peak() const { return counts_->peak.load(); }
+  void reset_peak() { counts_->peak.store(counts_->live.load()); }
+  /// Whole-state copies (clone or assign_from) of this object's monitors.
+  uint64_t copies() const { return counts_->copies.load(); }
 
  private:
   std::unique_ptr<GenLinObject> base_;
-  std::shared_ptr<std::atomic<int>> live_;
-  std::shared_ptr<std::atomic<int>> peak_;
+  std::shared_ptr<CountingMonitor::Counts> counts_;
 };
 
 /// λ-records of a seeded single-threaded A* run over an MS queue, in the

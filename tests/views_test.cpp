@@ -257,9 +257,9 @@ TEST(XBuilder, LevelsIndependentOfMergeOrder) {
         const Level& want = ref.levels()[l];
         const Level& got = b.levels()[l];
         ASSERT_EQ(got.key, want.key) << "seed " << seed << " order " << o;
-        ASSERT_TRUE(got.invs == want.invs)
+        ASSERT_TRUE(std::ranges::equal(got.invs, want.invs))
             << "seed " << seed << " order " << o << " level " << l;
-        ASSERT_TRUE(got.ress == want.ress)
+        ASSERT_TRUE(std::ranges::equal(got.ress, want.ress))
             << "seed " << seed << " order " << o << " level " << l;
       }
       ASSERT_TRUE(b.flatten() == flat) << "seed " << seed << " order " << o;
