@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "selin/lincheck/checker.hpp"
+#include "selin/util/small_vec.hpp"
 
 namespace selin {
 
@@ -44,10 +45,7 @@ void MonitorCore::publish(ProcId producer, const OpDesc& op, Value y,
                           View view) {
   ProducerSlot& slot = producers_[producer];
   const uint32_t len = slot.head == nullptr ? 1u : slot.head->len + 1;
-  if ((len - 1) % kRecordChunk == 0) {
-    slot.chunks.push_back(std::make_unique<RecNode[]>(kRecordChunk));
-  }
-  RecNode& node = slot.chunks.back()[(len - 1) % kRecordChunk];
+  RecNode& node = slot.records.take_one();
   node = RecNode{LambdaRecord{op, y, std::move(view)}, slot.head, len};
   slot.head = &node;
   // M.Write: publishes the chain head; the release store in the snapshot
@@ -88,37 +86,34 @@ void MonitorCore::adopt_best_tip(size_t checker,
                                  const std::vector<const RecNode*>& heads) {
   CheckerSlot& cs = checkers_[checker];
   // Probe the tips in descending order of (announced records, slot), so
-  // the first usable one has the most records.  Each pass over the slots
-  // picks the best candidate below the last one probed; the first probe
-  // usually succeeds, so a check usually makes one pass.  A tip with no
-  // more records than the own state is worth taking only when the own
-  // state is not usable.
+  // the first usable one has the most records.  The counts are read once,
+  // and each pass over that copy picks the best candidate not yet probed;
+  // the first probe usually succeeds.  A tip with no more records than the
+  // own state is worth taking only when the own state is not usable.
   //
   // Hazard protocol: name a tip in the hazard pointer, then re-read the
   // slot; if the slot still holds it, its owner cannot recycle it until the
   // hazard is cleared.  A slot that changed in between is skipped, never
   // retried.
+  SmallVec<size_t, 64> announced;  // per slot; 0 once probed
+  for (size_t k = 0; k < tips_.size(); ++k) {
+    announced.push_back(
+        k == checker ? 0 : tips_[k].records.load(std::memory_order_relaxed));
+  }
   std::atomic<const Tip*>& hazard = tips_[checker].hazard;
   bool own_checked = false;
-  size_t below_records = std::numeric_limits<size_t>::max();
-  size_t below_slot = 0;
   for (;;) {
     size_t records = 0;
     size_t j = 0;
-    for (size_t k = 0; k < tips_.size(); ++k) {
-      const size_t r = tips_[k].records.load(std::memory_order_relaxed);
-      if (k == checker || r == 0 || r > below_records ||
-          (r == below_records && k >= below_slot)) {
-        continue;
-      }
-      if (r >= records) {  // ascending k: ties go to the higher slot
-        records = r;
+    for (size_t k = 0; k < announced.size(); ++k) {
+      // Ascending k: ties go to the higher slot.
+      if (announced[k] != 0 && announced[k] >= records) {
+        records = announced[k];
         j = k;
       }
     }
     if (records == 0) break;
-    below_records = records;
-    below_slot = j;
+    announced[j] = 0;
     if (!own_checked && records <= cs.records) {
       if (usable(cs.seen, cs.builder.top(), heads)) break;
       own_checked = true;

@@ -30,6 +30,7 @@
 #include "selin/engine/stats.hpp"
 #include "selin/snapshot/snapshot.hpp"
 #include "selin/spec/spec.hpp"
+#include "selin/util/chunk_store.hpp"
 #include "selin/views/leveled_history.hpp"
 
 namespace selin::obs {
@@ -158,14 +159,10 @@ class MonitorCore {
   size_t checkers() const { return checkers_.size(); }
 
  private:
-  /// Records per chunk of a producer's record storage.
-  static constexpr size_t kRecordChunk = 32;
-
   struct alignas(64) ProducerSlot {
     const RecNode* head = nullptr;
-    /// The producer's records, kRecordChunk to a chunk (reclaimed at
-    /// destruction); head->len of them are in use.
-    std::vector<std::unique_ptr<RecNode[]>> chunks;
+    /// The producer's records (reclaimed at destruction).
+    ChunkStore<RecNode> records;
   };
   struct alignas(64) CheckerSlot {
     /// The records the builder holds: one chain head per producer.

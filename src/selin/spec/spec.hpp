@@ -114,8 +114,10 @@ class MembershipMonitor {
   /// Exchange the membership state with `other`'s, which has the same
   /// concrete type, without copying it.  Like assign_from(), each monitor
   /// keeps its own engine counters, scratch and obs attachment, so a
-  /// checker can hand the state it fed to another monitor in O(1).
-  /// Default: unsupported, returns false; callers fall back to a copy.
+  /// checker can hand the state it fed to another monitor in O(1).  A
+  /// monitor that swaps also supports assign_from(), which copies a
+  /// handed-over state back.  Default: unsupported, returns false; callers
+  /// fall back to a copy.
   virtual bool swap_state(MembershipMonitor& other) {
     (void)other;
     return false;

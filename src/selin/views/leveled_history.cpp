@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <stdexcept>
 
 #include "selin/obs/hooks.hpp"
 
@@ -34,10 +35,8 @@ LevelIndex::LevelIndex(const Level* top) {
 }
 
 Level* XBuilder::new_level() {
-  if (nodes_ % kChunk == 0) {
-    chunks_.push_back(std::make_unique<Level[]>(kChunk));
-  }
-  return &chunks_.back()[nodes_++ % kChunk];
+  ++nodes_;
+  return &levels_.take_one();
 }
 
 Level* XBuilder::writable(const Level* lvl) {
@@ -238,7 +237,11 @@ void LeveledChecker::restore(const MembershipMonitor* src, const Level* at) {
 }
 
 void LeveledChecker::reclaim() {
-  if (!cur_->assign_from(*handed_)) cur_ = handed_->clone();
+  // The state was handed over by a swap, and a monitor that swaps also
+  // assigns (MembershipMonitor::swap_state).
+  if (!cur_->assign_from(*handed_)) {
+    throw std::logic_error("selin: a monitor that swaps must also assign");
+  }
   handed_ = nullptr;
 }
 
@@ -248,7 +251,7 @@ void LeveledChecker::hand_over(std::unique_ptr<MembershipMonitor>& dst) {
   if (dst == nullptr) dst = obj_->monitor();
   if (dst->swap_state(*cur_)) {
     handed_ = dst.get();
-  } else if (!dst->assign_from(*cur_)) {
+  } else {
     dst = cur_->clone();
   }
 }

@@ -23,13 +23,13 @@
 // locally tests" discipline.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "selin/engine/stats.hpp"
 #include "selin/spec/spec.hpp"
+#include "selin/util/chunk_store.hpp"
 #include "selin/views/lambda.hpp"
 
 namespace selin::obs {
@@ -70,8 +70,8 @@ class LevelIndex {
 /// A handle to the top level of X(λ) for the records added so far.  It
 /// owns the level nodes it allocates and their contents; another builder
 /// may point into them once they are sealed, so they live as long as this
-/// builder.  Nodes and contents come from chunks, so add() makes no heap
-/// allocation per level.
+/// builder.  Nodes and contents come from ChunkStores, so add() makes no
+/// heap allocation per level.
 class XBuilder {
  public:
   /// Incorporates a record (which must outlive the builder).  Returns the
@@ -100,32 +100,6 @@ class XBuilder {
   size_t nodes() const { return nodes_; }
 
  private:
-  static constexpr size_t kChunk = 64;
-
-  /// Append-only storage for level contents, in chunks of kChunk elements
-  /// (larger for a larger request) that live as long as the builder.
-  template <typename T>
-  class Store {
-   public:
-    std::span<T> take(size_t n) {
-      if (n > left_) {
-        const size_t cap = std::max(n, kChunk);
-        chunks_.push_back(std::make_unique<T[]>(cap));
-        next_ = chunks_.back().get();
-        left_ = cap;
-      }
-      const std::span<T> out(next_, n);
-      next_ += n;
-      left_ -= n;
-      return out;
-    }
-
-   private:
-    std::vector<std::unique_ptr<T[]>> chunks_;
-    T* next_ = nullptr;
-    size_t left_ = 0;
-  };
-
   /// Invocation pairs of `view` beyond `prev` (σk \ σk−1), sorted by OpId.
   std::span<const OpDesc> delta(const View* prev, const View& view);
 
@@ -135,10 +109,10 @@ class XBuilder {
   Level* writable(const Level* lvl);
 
   const Level* top_ = nullptr;
-  std::vector<std::unique_ptr<Level[]>> chunks_;  // allocated on first add
-  size_t nodes_ = 0;
-  Store<OpDesc> invs_;
-  Store<std::pair<OpDesc, Value>> ress_;
+  ChunkStore<Level> levels_;
+  size_t nodes_ = 0;  // levels taken from levels_
+  ChunkStore<OpDesc> invs_;
+  ChunkStore<std::pair<OpDesc, Value>> ress_;
   std::vector<const Level*> above_;  // add() scratch
   std::vector<OpDesc> delta_;        // delta() scratch
 };
@@ -218,9 +192,9 @@ class LeveledChecker {
   /// becomes a fresh monitor).  The live monitor keeps its counters and
   /// takes dst's old state, which is discarded: until the next restore,
   /// monitor() is *dst, and the next feed first copies the state back
-  /// from it, so the caller must keep *dst unchanged until then.  A
-  /// monitor type that cannot swap gets a copy, and the live monitor
-  /// keeps the state.
+  /// from it, so the caller must keep *dst unchanged until then.  For a
+  /// monitor type that cannot swap, dst becomes a clone of the live
+  /// monitor, which keeps the state.
   void hand_over(std::unique_ptr<MembershipMonitor>& dst);
 
   /// The fed state, after levels_fed() levels (call after a resync, an

@@ -272,13 +272,15 @@ class RoundGate {
 /// monitor state is copied (clone or assign_from).  Feeds, restores and
 /// state swaps forward to the wrapped monitor, so a restore through
 /// assign_from allocates nothing and a hand-over copies nothing, as with
-/// the real monitors.
+/// the real monitors; with `swaps` off, swap_state is unsupported, so a
+/// hand-over takes the copy path of a monitor type that cannot swap.
 class CountingMonitor final : public MembershipMonitor {
  public:
   struct Counts {
     std::atomic<int> live{0};
     std::atomic<int> peak{0};
     std::atomic<uint64_t> copies{0};
+    bool swaps = true;  // set before the first monitor is made
   };
 
   CountingMonitor(std::unique_ptr<MembershipMonitor> inner,
@@ -308,8 +310,10 @@ class CountingMonitor final : public MembershipMonitor {
   }
   bool swap_state(MembershipMonitor& other) override {
     auto* o = dynamic_cast<CountingMonitor*>(&other);
-    return o != nullptr && inner_->swap_state(*o->inner_);
+    return counts_->swaps && o != nullptr && inner_->swap_state(*o->inner_);
   }
+
+  const MembershipMonitor& inner() const { return *inner_; }
 
  private:
   std::unique_ptr<MembershipMonitor> inner_;
@@ -318,9 +322,12 @@ class CountingMonitor final : public MembershipMonitor {
 
 class CountingObject final : public GenLinObject {
  public:
-  explicit CountingObject(std::unique_ptr<GenLinObject> base)
+  explicit CountingObject(std::unique_ptr<GenLinObject> base,
+                          bool swaps = true)
       : base_(std::move(base)),
-        counts_(std::make_shared<CountingMonitor::Counts>()) {}
+        counts_(std::make_shared<CountingMonitor::Counts>()) {
+    counts_->swaps = swaps;
+  }
 
   const char* name() const override { return base_->name(); }
   std::unique_ptr<MembershipMonitor> monitor() const override {
