@@ -1,10 +1,12 @@
 // Lock-free double-collect snapshot.
 //
-// Each entry is a single-writer register holding (value, seq); scan collects
-// all entries twice and returns when the two collects observed identical
-// sequence numbers — the classic argument shows the returned vector was
-// simultaneously present at every point between the collects, so scans are
-// linearizable.  Writes are wait-free (one store); scans are lock-free but
+// Each entry is a single-writer register naming the cell of its last write;
+// scan collects all entries twice and returns when the two collects read
+// the same cells.  A write makes a fresh cell and the arena reuses none
+// while the snapshot lives, so a cell names one write, as the sequence
+// number of the classic algorithm does, and the classic argument shows the
+// returned vector was simultaneously present at every point between the
+// collects, so scans are linearizable.  Writes are wait-free (one store); scans are lock-free but
 // can be starved by concurrent writers, which is why the paper's wait-free
 // claims are exercised with AfekSnapshot and this variant is offered as the
 // fast practical alternative (cf. [99], "implementations whose theoretical
@@ -28,14 +30,13 @@ class DoubleCollectSnapshot final : public Snapshot<T> {
  public:
   DoubleCollectSnapshot(size_t n, T initial) : entries_(n) {
     for (auto& e : entries_) {
-      e.cell.store(arena_.create<Cell>(Cell{initial, 0}),
+      e.cell.store(arena_.create<Cell>(Cell{initial}),
                    std::memory_order_relaxed);
     }
   }
 
   void write(ProcId i, T v) override {
-    Cell* old = entries_[i].cell.load(std::memory_order_relaxed);
-    Cell* neu = arena_.create<Cell>(Cell{v, old->seq + 1});
+    Cell* neu = arena_.create<Cell>(Cell{v});
     StepCounter::bump();
     entries_[i].cell.store(neu, std::memory_order_release);
   }
@@ -49,7 +50,7 @@ class DoubleCollectSnapshot final : public Snapshot<T> {
       const Collect<const Cell*>& a = c[b ^ 1];
       bool clean = true;
       for (size_t k = 0; k < n; ++k) {
-        if (a[k]->seq != c[b][k]->seq) {
+        if (a[k] != c[b][k]) {
           clean = false;
           break;
         }
@@ -68,7 +69,6 @@ class DoubleCollectSnapshot final : public Snapshot<T> {
  private:
   struct Cell {
     T value;
-    uint64_t seq;
   };
   struct alignas(64) Entry {
     std::atomic<Cell*> cell{nullptr};
