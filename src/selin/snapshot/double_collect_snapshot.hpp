@@ -6,11 +6,12 @@
 // while the snapshot lives, so a cell names one write, as the sequence
 // number of the classic algorithm does, and the classic argument shows the
 // returned vector was simultaneously present at every point between the
-// collects, so scans are linearizable.  Writes are wait-free (one store); scans are lock-free but
-// can be starved by concurrent writers, which is why the paper's wait-free
-// claims are exercised with AfekSnapshot and this variant is offered as the
-// fast practical alternative (cf. [99], "implementations whose theoretical
-// step complexity is worse but with good performance in real-world systems").
+// collects, so scans are linearizable.  Writes are wait-free (one store);
+// scans are lock-free but can be starved by concurrent writers, which is
+// why the paper's wait-free claims are exercised with AfekSnapshot and this
+// variant is offered as the fast practical alternative (cf. [99],
+// "implementations whose theoretical step complexity is worse but with good
+// performance in real-world systems").
 #pragma once
 
 #include <atomic>
